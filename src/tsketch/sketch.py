@@ -13,6 +13,8 @@ tensor it defines:
   - ``khatri_rao``: per-mode components share the row count m and the
     composite is their row-wise Kronecker product (descending mode order),
     rescaled so a unit vector keeps unit expected squared norm. B_j is n x m.
+    The composite is never materialized either: a slab is contracted on its
+    widest other mode by a matmul, then row-wise on the remaining other modes.
   - ``unstructured``: a single dense m x prod(n_k, k != j) map per sketch,
     memory-guarded because nothing about it is compressible.
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .ensembles import FAMILIES, EnsembleSpec, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import face_split_all, fold, mode_product, unfold
+from .tensor import mode_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -113,6 +115,8 @@ class SketchPlan:
                 f"diagonal family must be full rank by construction {_DIAG_FAMILIES}, "
                 f"got {self.diag_family!r}"
             )
+        if self.loo_kind == "khatri_rao" and self.d < 2:
+            raise ConfigError("khatri_rao sketches need at least two modes to compress")
         if self.loo_kind == "unstructured" and len(set(self.loo_families)) != 1:
             raise ConfigError("unstructured sketches use a single family for the composite map")
         for fam in (*self.loo_families, *self.core_families):
@@ -373,16 +377,8 @@ class SketchAccumulator:
                 self._loo[j - 1] += g if diag is None else mode_product(g, diag, j)
             return
 
-        # khatri_rao / unstructured: work on the mode-j unfolding of the slab.
-        s = unfold(payload, j)
         if kind == "khatri_rao":
-            comps = []
-            for i in range(d, 0, -1):  # descending, matching the unfolding's column order
-                if i == j:
-                    continue
-                a = self._maps[j - 1][i - 1]
-                comps.append(a[:, lo:hi] if i == d else a)
-            composite = face_split_all(comps) * self.plan.khat_scale()
+            contrib = self._khat_contrib(j, payload, lo, hi)
         else:
             omega = self._maps[j - 1]
             if j == d:
@@ -393,7 +389,7 @@ class SketchAccumulator:
                     if k != j and k != d:
                         stride *= self.plan.shape[k - 1]
                 composite = omega[:, lo * stride : hi * stride]
-        contrib = s @ composite.T
+            contrib = unfold(payload, j) @ composite.T
         if j == d:
             if diag is None:
                 self._loo[j - 1][lo:hi, :] += contrib
@@ -401,6 +397,28 @@ class SketchAccumulator:
                 self._loo[j - 1] += diag[:, lo:hi] @ contrib
         else:
             self._loo[j - 1] += contrib if diag is None else diag @ contrib
+
+    def _khat_contrib(self, j, payload, lo, hi):
+        """unfold(payload, j) @ composite.T for the khatri_rao composite, matrix-free.
+
+        Row a of the composite is the Kronecker product of row a of every
+        other mode's map, so the widest other mode is contracted first by
+        ``mode_product`` (its map's rows become the shared index a) and each
+        remaining other mode is then contracted row-wise against that same a.
+        Nothing of size m x prod(n_k, k != j) is formed.
+        """
+        d = self.plan.d
+        maps = {}
+        for i in range(1, d + 1):
+            if i != j:
+                a = self._maps[j - 1][i - 1]
+                maps[i] = a[:, lo:hi] if i == d else a
+        w = max(maps, key=lambda i: maps[i].shape[1])
+        g = mode_product(payload, maps.pop(w), w)
+        operands = [g, list(range(d))]
+        for i, a in maps.items():
+            operands += [a, [w - 1, i - 1]]
+        return np.einsum(*operands, [j - 1, w - 1]) * self.plan.khat_scale()
 
     # -- merging / finalizing --------------------------------------------------
 

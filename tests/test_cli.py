@@ -10,7 +10,7 @@ import pytest
 
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES
-from tsketch.formats import read_bundle, read_tensor
+from tsketch.formats import read_bundle, read_tensor, write_tensor
 
 
 def run(*argv):
@@ -167,6 +167,15 @@ class TestErrorReporting:
     def test_missing_file_is_io(self, tmp_path, capsys) -> None:
         self.check(
             "io", "sketch", "--input", str(tmp_path / "absent.tnsr"),
+            "--output", str(tmp_path / "b.tskb"), capsys=capsys,
+        )
+
+    def test_one_mode_khatri_rao_is_config(self, tmp_path, capsys) -> None:
+        tensor = tmp_path / "x.tnsr"
+        write_tensor(str(tensor), np.arange(30.0))
+        cfg = write_json(tmp_path / "s.json", {"loo_kind": "khatri_rao", "m": 10, "m_c": 10})
+        self.check(
+            "config", "sketch", "--config", cfg, "--input", str(tensor),
             "--output", str(tmp_path / "b.tskb"), capsys=capsys,
         )
 

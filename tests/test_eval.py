@@ -20,7 +20,7 @@ from tsketch.evaluate import (
     tail_energy,
 )
 from tsketch.recover import reconstruct
-from tsketch.tensor import norm
+from tsketch.tensor import inner, norm
 
 
 class TestRelativeError:
@@ -36,6 +36,27 @@ class TestRelativeError:
     def test_rejects_zero_reference(self) -> None:
         with pytest.raises(ConfigError):
             relative_error(np.ones((2, 2)), np.zeros((2, 2)))
+
+    def test_memory_layout_does_not_change_the_values(self) -> None:
+        """norm, inner and relative_error read C-ordered, F-ordered and strided
+        operands, in any pairing, by index."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 4, 3))
+        y = rng.standard_normal((5, 4, 3))
+
+        def layouts(t):
+            big = np.zeros((10, 4, 6))
+            big[::2, :, ::2] = t
+            return [np.ascontiguousarray(t), np.asfortranarray(t), big[::2, :, ::2]]
+
+        ref_norm = math.sqrt(sum(v * v for v in x.flat))
+        ref_inner = sum(u * v for u, v in zip(x.flat, y.flat))
+        ref_err = math.sqrt(sum((u - v) ** 2 for u, v in zip(y.flat, x.flat))) / ref_norm
+        for xs in layouts(x):
+            assert norm(xs) == pytest.approx(ref_norm, rel=1e-13)
+            for ys in layouts(y):
+                assert inner(xs, ys) == pytest.approx(ref_inner, rel=1e-12, abs=1e-12)
+                assert relative_error(ys, xs) == pytest.approx(ref_err, rel=1e-12)
 
 
 class TestSnr:

@@ -1,5 +1,7 @@
 """Leave-one-out and core sketching: oracles, streaming, merging, accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,42 @@ class TestAgainstExplicitOperators:
             assert diag.shape == (x.shape[j - 1], x.shape[j - 1])
             expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(b[j - 1], expect, atol=1e-12)
+
+
+class TestMatrixFreeKhatriRao:
+    """The streamed khatri_rao sketch against the row-loop oracle, without its composite."""
+
+    @pytest.mark.parametrize("shape", [(7, 9), (5, 4, 3, 6)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("diag_family", ["identity", "gaussian"])
+    def test_uneven_slabs_match_row_loop_oracle(self, shape, order, diag_family) -> None:
+        x = random_tensor(shape, seed=70)
+        plan = make_plan(shape, "khatri_rao", 8, 3, diag_family=diag_family, seed=71)
+        acc = SketchAccumulator(plan)
+        n_last = shape[-1]
+        for lo, hi in [(2, n_last), (0, 1), (1, 2)]:
+            acc.update(SlabChunk(lo, hi - lo, np.asarray(x[..., lo:hi], order=order)))
+        got = acc.finalize()
+        for j in range(1, plan.d + 1):
+            diag = materialize(plan.diag_spec(j))
+            expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
+            assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
+
+    def test_update_never_forms_the_composite(self) -> None:
+        """n = 96, m = 64: the leave-mode-3 composite alone would take
+        8 m n^2 bytes; folding in a thin slab stays far below that."""
+        n, m, width = 96, 64, 4
+        plan = make_plan((n, n, n), "khatri_rao", m, 4, seed=72)
+        acc = SketchAccumulator(plan)
+        payload = np.asfortranarray(random_tensor((n, n, width), seed=73))
+        composite_bytes = 8 * m * n * n
+        tracemalloc.start()
+        try:
+            acc.update(SlabChunk(0, width, payload))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < composite_bytes / 8, (peak, composite_bytes)
 
 
 class TestIdentityPlans:
@@ -309,6 +347,10 @@ class TestPlanValidation:
             SketchAccumulator(plan)
         monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "64")
         SketchAccumulator(plan)  # fits comfortably now
+
+    def test_khatri_rao_needs_two_modes(self) -> None:
+        with pytest.raises(ConfigError):
+            make_plan((30,), "khatri_rao", 10, 10)
 
     def test_shape_mismatch_at_sketch_time(self) -> None:
         plan = make_plan((4, 4, 4), "kronecker", 2, 2)

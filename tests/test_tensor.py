@@ -97,6 +97,28 @@ class TestModeProduct:
         for j, (a, path) in enumerate(zip(mats, paths), start=1):
             assert np.allclose(mode_product(x, a, j), np.einsum(path, a, x), atol=1e-13)
 
+    @given(shapes, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_einsum_for_every_layout(self, shape, data) -> None:
+        """C-contiguous, F-contiguous and strided-view operands, every mode,
+        d = 1..4: values within 1e-13 of einsum and the expected shape."""
+        j = data.draw(st.integers(min_value=1, max_value=len(shape)))
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if layout == "strided":
+            big = rng.standard_normal(tuple(2 * n for n in shape))
+            x = big[tuple(slice(None, None, 2) for _ in shape)]
+        else:
+            x = np.asarray(rng.standard_normal(shape), order=layout)
+        a = rng.standard_normal((rows, shape[j - 1]))
+        idx = list(range(len(shape)))
+        out_idx = idx[: j - 1] + [len(shape)] + idx[j:]
+        expect = np.einsum(a, [len(shape), j - 1], x, idx, out_idx)
+        got = mode_product(x, a, j)
+        assert got.shape == tuple(shape[: j - 1]) + (rows,) + tuple(shape[j:])
+        assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
+
     def test_multi_mode_equals_sequential(self) -> None:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 4, 5))
