@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
@@ -29,7 +27,6 @@ from .recover import TuckerFactorization, compute_core_twopass
 from .tensor import inner, mode_product, norm, unfold
 
 __all__ = [
-    "ErrorReport",
     "relative_error",
     "snr_db",
     "add_noise_snr",
@@ -42,18 +39,6 @@ __all__ = [
     "gen_superdiag_poly",
     "tail_baseline",
 ]
-
-
-@dataclass
-class ErrorReport:
-    """Per-trial evaluation record; fields are None when not applicable."""
-
-    relative_error_onepass: float | None = None
-    relative_error_twopass: float | None = None
-    snr_db: float | None = None
-    max_principal_angle_deg: list | None = None  # one entry per mode
-    bound_rhs: float | None = None
-    wall_times: dict = field(default_factory=dict)  # seconds per phase
 
 
 def relative_error(x_hat, x, x0=None):
@@ -119,7 +104,7 @@ def max_principal_angle(q, u):
         gram = a.T @ a
         if np.linalg.norm(gram - np.eye(a.shape[1])) > 1e-8:
             raise ConfigError(f"{name} basis does not have orthonormal columns")
-    smin = scipy.linalg.svdvals(q.T @ u).min() if q.shape[1] else 1.0
+    smin = np.linalg.svd(q.T @ u, compute_uv=False).min() if q.shape[1] else 1.0
     smin = min(max(smin, 0.0), 1.0)
     return float(np.clip(math.degrees(math.acos(smin)), 0.0, 90.0))
 
@@ -129,7 +114,7 @@ def tail_energy(x, r, j):
     m = unfold(x, j)
     if r > min(m.shape):
         raise RankError(f"rank {r} exceeds min dimension {min(m.shape)} of the mode-{j} unfolding")
-    s = scipy.linalg.svdvals(m)
+    s = np.linalg.svd(m, compute_uv=False)
     return float(np.sum(s[r:] ** 2))
 
 
@@ -144,7 +129,7 @@ def hosvd_truncate(x, r):
         raise RankError(f"rank {r} exceeds smallest mode length {min(x.shape)}")
     factors = []
     for j in range(1, x.ndim + 1):
-        u, _, _ = scipy.linalg.svd(unfold(x, j), full_matrices=False)
+        u, _, _ = np.linalg.svd(unfold(x, j), full_matrices=False)
         factors.append(u[:, :r])
     core = compute_core_twopass(x, factors)
     return TuckerFactorization(core=core, factors=factors)
@@ -174,7 +159,7 @@ def gen_lowrank(n, d, r, seed):
     factors = []
     for i in range(1, d + 1):
         g = keyed_generator(seed, "lowrank-factor", i).standard_normal((n, r))
-        q, _ = scipy.linalg.qr(g, mode="economic")
+        q, _ = np.linalg.qr(g)
         factors.append(q)
     x = core
     for i, q in enumerate(factors, start=1):

@@ -19,12 +19,14 @@ Four magics:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from .ensembles import FAMILIES, FAMILY_NAMES, EnsembleSpec
-from .errors import IOFormatError
+from .ensembles import FAMILIES, FAMILY_NAMES
+from .errors import ConfigError, IOFormatError, ShapeError
 from .recover import TuckerFactorization
 from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk
 
@@ -48,10 +50,12 @@ _KIND_NAMES = {i: kind for kind, i in _KIND_IDS.items()}
 
 
 def _read_exact(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise IOFormatError(f"truncated file while reading {what} ({len(buf)} of {n} bytes)")
-    return buf
+    # Checked against the bytes left in the file before reading, so a corrupt
+    # length field fails here instead of driving an allocation.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise IOFormatError(f"truncated file while reading {what} ({left} of {n} bytes)")
+    return f.read(n)
 
 
 def _expect_magic(f, magic):
@@ -98,7 +102,7 @@ def read_tensor(path):
     with f:
         _expect_magic(f, b"TNSR")
         shape = _shape_header(f)
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         data = _read_f64(f, count, "tensor entries")
         if f.read(1):
             raise IOFormatError(f"trailing bytes after {count} tensor entries")
@@ -148,7 +152,7 @@ def read_chunks(path):
     with f:
         _expect_magic(f, b"TSKC")
         shape = _shape_header(f)
-        slab_entries = int(np.prod(shape[:-1], dtype=np.int64))
+        slab_entries = math.prod(shape[:-1])
         while True:
             head = f.read(16)
             if not head:
@@ -156,6 +160,8 @@ def read_chunks(path):
             if len(head) != 16:
                 raise IOFormatError("truncated chunk record header")
             start, count = struct.unpack("<QQ", head)
+            if start + count > shape[-1]:
+                raise IOFormatError(f"chunk [{start}, {start + count}) exceeds mode length {shape[-1]}")
             data = _read_f64(f, slab_entries * count, f"chunk [{start}, {start + count})")
             yield SlabChunk(
                 int(start), int(count), data.reshape(shape[:-1] + (int(count),), order="F")
@@ -165,11 +171,12 @@ def read_chunks(path):
 def read_chunks_dense(path):
     """Assemble a chunk stream into one dense tensor, checking full coverage."""
     shape = read_chunk_shape(path)
+    # Bounded by the file before allocating: full coverage takes 8 bytes per entry.
+    if 8 * math.prod(shape) > os.path.getsize(path):
+        raise IOFormatError(f"chunk stream is too short to cover a tensor of shape {shape}")
     x = np.zeros(shape, order="F")
     seen = np.zeros(shape[-1], dtype=bool)
     for c in read_chunks(path):
-        if c.start + c.count > shape[-1]:
-            raise IOFormatError(f"chunk [{c.start}, {c.start + c.count}) exceeds mode length")
         if seen[c.start : c.start + c.count].any():
             raise IOFormatError(f"chunk [{c.start}, {c.start + c.count}) overlaps earlier data")
         seen[c.start : c.start + c.count] = True
@@ -187,10 +194,11 @@ def _write_matrix(f, a):
     f.write(np.asarray(a, dtype=np.float64).ravel(order="F").astype("<f8").tobytes())
 
 
-def _read_matrix(f, what):
-    rows, cols = struct.unpack("<QQ", _read_exact(f, 16, f"{what} dimensions"))
-    data = _read_f64(f, rows * cols, what)
-    return data.reshape((rows, cols), order="F")
+def _read_matrix(f, shape, what):
+    dims = struct.unpack("<QQ", _read_exact(f, 16, f"{what} dimensions"))
+    if dims != shape:
+        raise IOFormatError(f"{what} is {dims[0]}x{dims[1]}, the plan makes it {shape[0]}x{shape[1]}")
+    return _read_f64(f, shape[0] * shape[1], what).reshape(shape, order="F")
 
 
 def write_bundle(path, bundle):
@@ -217,6 +225,12 @@ def write_bundle(path, bundle):
         f.write(struct.pack("<B", 1 if bundle.partial else 0))
 
 
+def _family(family_id):
+    if family_id not in FAMILY_NAMES:
+        raise IOFormatError(f"unknown family id {family_id}")
+    return FAMILY_NAMES[family_id]
+
+
 def read_bundle(path):
     try:
         f = open(path, "rb")
@@ -240,23 +254,26 @@ def read_bundle(path):
                 loo_kind=_KIND_NAMES[kind_id],
                 m=int(m),
                 m_c=int(m_c),
-                loo_families=tuple(FAMILY_NAMES[b] for b in loo_ids),
-                core_families=tuple(FAMILY_NAMES[b] for b in core_ids),
-                diag_family=FAMILY_NAMES[diag_id],
+                loo_families=tuple(_family(b) for b in loo_ids),
+                core_families=tuple(_family(b) for b in core_ids),
+                diag_family=_family(diag_id),
                 seed=int(seed),
             )
-        except KeyError as e:
-            raise IOFormatError(f"unknown family id {e}")
+        except (ConfigError, ShapeError) as e:
+            raise IOFormatError(f"bundle holds an invalid plan: {e}") from e
+        # The stored spec table must repeat the plan's, record for record.
+        specs = plan.all_specs()
         (n_specs,) = struct.unpack("<I", _read_exact(f, 4, "spec count"))
-        stored = []
-        for _ in range(n_specs):
-            j, i, fam, rows, cols, sd = struct.unpack(
-                "<IIBQQQ", _read_exact(f, 33, "ensemble spec record")
-            )
-            stored.append((j, i, EnsembleSpec(FAMILY_NAMES[fam], int(rows), int(cols), int(sd))))
-        if stored != plan.all_specs():
-            raise IOFormatError("stored measurement specs do not match the plan (corrupt bundle)")
-        loo = [_read_matrix(f, f"mode-{j} sketch") for j in range(1, d + 1)]
+        if n_specs != len(specs):
+            raise IOFormatError(f"bundle stores {n_specs} measurement specs, the plan has {len(specs)}")
+        for j, i, spec in specs:
+            record = struct.unpack("<IIBQQQ", _read_exact(f, 33, "ensemble spec record"))
+            if record != (j, i, FAMILIES[spec.family], spec.rows, spec.cols, spec.seed):
+                raise IOFormatError("stored measurement specs do not match the plan (corrupt bundle)")
+        loo = [
+            _read_matrix(f, (n, plan.loo_cols()), f"mode-{j} sketch")
+            for j, n in enumerate(shape, start=1)
+        ]
         core = _read_f64(f, plan.m_c**d, "core sketch").reshape((plan.m_c,) * d, order="F")
         (partial,) = struct.unpack("<B", _read_exact(f, 1, "partial flag"))
         if f.read(1):
@@ -312,10 +329,8 @@ def read_factorization(path):
         raise IOFormatError(f"cannot open {path}: {e}")
     with f:
         _expect_magic(f, b"TUCK")
-        (d,) = struct.unpack("<I", _read_exact(f, 4, "mode count"))
-        if d < 1:
-            raise IOFormatError("mode count must be >= 1")
-        shape = struct.unpack(f"<{d}Q", _read_exact(f, 8 * d, "mode lengths"))
+        shape = _shape_header(f)
+        d = len(shape)
         (r,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
         core = _read_f64(f, r**d, "core").reshape((r,) * d, order="F")
         factors = []

@@ -25,15 +25,15 @@ sketched additively: each slab contributes through the map columns its index
 range selects. ``SketchAccumulator`` holds exactly the fixed-size measurement
 arrays (never the slabs themselves), supports merging with a disjoint peer,
 and finalizes into a :class:`SketchBundle`. Batch sketching is the special
-case of one slab covering the whole mode, which is how the convenience
-functions below are implemented.
+case of one slab covering the whole mode, which is how ``sketch`` is
+implemented.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,6 @@ __all__ = [
     "SlabChunk",
     "SketchBundle",
     "SketchAccumulator",
-    "accumulator_init",
-    "accumulator_update",
-    "accumulator_merge",
-    "accumulator_finalize",
-    "kron_loo_sketch",
-    "khat_loo_sketch",
-    "unstructured_loo_sketch",
-    "core_sketch",
     "sketch",
     "slab_chunks",
 ]
@@ -179,11 +171,13 @@ class SketchPlan:
         """
         return float(self.m) ** ((self.d - 2) / 2.0)
 
+    def loo_cols(self):
+        """Columns of every B_j: m^(d-1) for kronecker plans, m otherwise."""
+        return self.m ** (self.d - 1) if self.loo_kind == "kronecker" else self.m
+
     def loo_entry_count(self):
         """Total stored leave-one-out entries across all d sketches."""
-        if self.loo_kind == "kronecker":
-            return sum(self.shape) * self.m ** (self.d - 1)
-        return sum(self.shape) * self.m
+        return sum(self.shape) * self.loo_cols()
 
     def core_entry_count(self):
         return self.m_c**self.d
@@ -327,6 +321,10 @@ class SketchAccumulator:
         want = self.plan.shape[:-1] + (chunk.count,)
         if payload.shape != want:
             raise ShapeError(f"payload shape {payload.shape}, expected {want}")
+        if not np.isfinite(payload).all():
+            raise ConfigError(
+                f"slab [{chunk.start}, {chunk.start + chunk.count}) has non-finite entries"
+            )
         for s, c in self._covered:
             if chunk.count and c and chunk.start < s + c and s < chunk.start + chunk.count:
                 raise ConfigError(
@@ -432,7 +430,7 @@ class SketchAccumulator:
             for s2, c2 in other._covered:
                 if c and c2 and s < s2 + c2 and s2 < s + c:
                     raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
-        out = SketchAccumulator(self.plan)
+        out = copy.copy(self)  # shares the plan's read-only materialized maps
         out._loo = [a + b for a, b in zip(self._loo, other._loo)]
         out._core = self._core + other._core
         out._covered = sorted(self._covered + other._covered)
@@ -462,62 +460,11 @@ class SketchAccumulator:
         )
 
 
-# Spec-style free-function aliases around the accumulator.
-
-
-def accumulator_init(plan):
-    return SketchAccumulator(plan)
-
-
-def accumulator_update(acc, chunk):
-    acc.update(chunk)
-
-
-def accumulator_merge(a, b):
-    return a.merge(b)
-
-
-def accumulator_finalize(acc):
-    return acc.finalize()
-
-
-def _full_chunk(x, plan):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != plan.shape:
-        raise ShapeError(f"tensor shape {x.shape} does not match plan shape {plan.shape}")
-    return SlabChunk(0, plan.shape[-1], x)
-
-
 def sketch(x, plan):
     """Batch sketch: one slab covering the whole last mode, then finalize."""
     acc = SketchAccumulator(plan)
-    acc.update(_full_chunk(x, plan))
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != plan.shape:
+        raise ShapeError(f"tensor shape {x.shape} does not match plan shape {plan.shape}")
+    acc.update(SlabChunk(0, plan.shape[-1], x))
     return acc.finalize()
-
-
-def _loo_of_kind(x, plan, kind):
-    if plan.loo_kind != kind:
-        raise ConfigError(f"plan.loo_kind is {plan.loo_kind!r}, expected {kind!r}")
-    return sketch(x, plan).loo
-
-
-def kron_loo_sketch(x, plan):
-    """The d leave-one-out sketches of a kronecker plan (B_j is n_j x m^(d-1))."""
-    return _loo_of_kind(x, plan, "kronecker")
-
-
-def khat_loo_sketch(x, plan):
-    """The d leave-one-out sketches of a khatri_rao plan (B_j is n_j x m)."""
-    return _loo_of_kind(x, plan, "khatri_rao")
-
-
-def unstructured_loo_sketch(x, plan):
-    """The d leave-one-out sketches of an unstructured plan (B_j is n_j x m)."""
-    return _loo_of_kind(x, plan, "unstructured")
-
-
-def core_sketch(x, plan):
-    """The all-modes-compressed core measurement tensor, every side m_c."""
-    acc = SketchAccumulator(plan)
-    acc.update(_full_chunk(x, plan))
-    return acc.finalize().core

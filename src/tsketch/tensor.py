@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ShapeError
 
@@ -32,11 +31,7 @@ __all__ = [
     "multi_mode_product",
     "inner",
     "norm",
-    "kron",
-    "kron_all",
-    "khatri_rao",
     "face_split",
-    "face_split_all",
 ]
 
 
@@ -153,45 +148,10 @@ def norm(x):
     return float(np.linalg.norm(_as_tensor(x).ravel(order="K")))
 
 
-def kron(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.kron(a, b)
-
-
-def kron_all(mats):
-    """Kronecker product of a sequence, left to right: mats[0] kron mats[1] kron ..."""
-    out = np.asarray(mats[0], dtype=np.float64)
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=np.float64))
-    return out
-
-
-def khatri_rao(a, b):
-    """Column-wise Kronecker product: column k of the result is a[:, k] kron b[:, k]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return scipy.linalg.khatri_rao(a, b)
-
-
 def face_split(a, b):
-    """Row-wise Kronecker product: row k of the result is a[k, :] kron b[k, :].
-
-    Satisfies face_split(a, b).T == khatri_rao(a.T, b.T) bitwise; that is how
-    it is computed.
-    """
+    """Row-wise Kronecker product: row k of the result is a[k, :] kron b[k, :]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return khatri_rao(a.T, b.T).T
-
-
-def face_split_all(mats):
-    """Row-wise Kronecker product of a sequence, left to right."""
-    out = np.asarray(mats[0], dtype=np.float64)
-    for m in mats[1:]:
-        out = face_split(out, m)
-    return out
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)

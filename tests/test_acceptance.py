@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ from tsketch import (
     write_bundle,
 )
 from tsketch.cli import main
-from tsketch.tensor import kron_all
 
 SHAPE = (100, 100, 100)
 
@@ -276,13 +276,13 @@ def test_08_small_instance_oracles(report):
     plan = make_plan(x.shape, "kronecker", 2, 2, seed=derive_seed(0, "accept", 8, 0, 1))
     b = sketch(x, plan)
     phis = [materialize(plan.core_spec(i)) for i in (1, 2, 3)]
-    oracle = kron_all(phis[::-1]) @ vec(x)
+    oracle = reduce(np.kron, phis[::-1]) @ vec(x)
     err_core = float(np.linalg.norm(vec(b.core) - oracle) / np.linalg.norm(oracle))
 
     err_loo = 0.0
     for j in (1, 2, 3):
         others = [materialize(plan.loo_spec(j, i)) for i in (3, 2, 1) if i != j]
-        expect = unfold(x, j) @ kron_all(others).T
+        expect = unfold(x, j) @ reduce(np.kron, others).T
         err_loo = max(err_loo, float(np.linalg.norm(b.loo[j - 1] - expect) / np.linalg.norm(expect)))
 
     # Khatri-Rao sketch against the row-by-row fiber loop.
@@ -301,7 +301,7 @@ def test_08_small_instance_oracles(report):
     b2 = sketch(x0, plan2)
     qs = recover_factors(b2, 3)
     phis2 = [materialize(plan2.core_spec(i)) for i in (1, 2, 3)]
-    system = kron_all([phis2[2] @ qs[2], phis2[1] @ qs[1], phis2[0] @ qs[0]])
+    system = reduce(np.kron, [phis2[2] @ qs[2], phis2[1] @ qs[1], phis2[0] @ qs[0]])
     direct = np.linalg.pinv(system) @ vec(b2.core)
     got = recover_core_onepass(b2.core, phis2, qs)
     err_solve = float(np.linalg.norm(vec(got) - direct) / np.linalg.norm(direct))

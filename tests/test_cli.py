@@ -10,7 +10,8 @@ import pytest
 
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES
-from tsketch.formats import read_bundle, read_tensor, write_tensor
+from tsketch.formats import read_bundle, read_tensor, write_chunks, write_tensor
+from tsketch.sketch import slab_chunks
 
 
 def run(*argv):
@@ -211,6 +212,45 @@ class TestErrorReporting:
             "--rank", "3", "--two-pass", "--chunks", str(other), capsys=capsys,
         )
 
+    def test_unknown_family_in_spec_record_is_io(self, pipeline_files, capsys) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle = tmp / "b.tskb"
+        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        data = bytearray(bundle.read_bytes())
+        # plan block of a 3-mode bundle, then the u32 spec count; byte 8 of a
+        # spec record is its family id.
+        data[4 + 4 + 4 + 24 + 1 + 16 + 1 + 3 + 3 + 8 + 4 + 8] = 250
+        bundle.write_bytes(bytes(data))
+        self.check(
+            "io", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
+            "--rank", "3", capsys=capsys,
+        )
+
+    def test_non_finite_chunk_is_config(self, pipeline_files, capsys) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        x = read_tensor(tensor)
+        x[3, 1, 9] = np.nan
+        stream = tmp / "x.tskc"
+        write_chunks(stream, x.shape, slab_chunks(x, 2))
+        msg = self.check(
+            "config", "sketch", "--config", sketch_cfg, "--chunks", str(stream),
+            "--output", str(tmp / "b.tskb"), capsys=capsys,
+        )
+        assert "[7, 14)" in msg
+
+    def test_chunk_record_past_the_mode_is_io(self, pipeline_files, capsys) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        x = read_tensor(tensor)
+        stream = tmp / "x.tskc"
+        write_chunks(stream, x.shape, slab_chunks(x, 2))
+        data = bytearray(stream.read_bytes())
+        data[4 + 4 + 4 + 24 + 5] = 1  # start of the first record becomes 2^40
+        stream.write_bytes(bytes(data))
+        self.check(
+            "io", "sketch", "--config", sketch_cfg, "--chunks", str(stream),
+            "--output", str(tmp / "b.tskb"), capsys=capsys,
+        )
+
     def test_exit_code_table_is_total(self) -> None:
         assert EXIT_CODES == {"config": 2, "io": 3, "shape": 4, "rank": 5, "singular": 6}
 
@@ -347,3 +387,14 @@ def test_console_script_round_trip(tmp_path) -> None:
     )
     assert bad.returncode == EXIT_CODES["io"]
     assert json.loads(bad.stderr)["error"]["category"] == "io"
+
+
+def test_cli_import_loads_no_scipy() -> None:
+    """The package depends on NumPy alone; SciPy is only a test oracle."""
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tsketch.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsketch.errors import IOFormatError
 from tsketch.evaluate import gen_lowrank, relative_error
@@ -161,6 +163,46 @@ class TestCorruption:
         with pytest.raises(IOFormatError):
             read_bundle(p)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("family of the first spec record", 250),
+            ("rows of B_1", 2**40),
+            ("swapped dimensions of B_1", None),
+        ],
+    )
+    def test_hostile_bundle_field(self, tmp_path, tensor, field, value) -> None:
+        """Unknown ids and dimensions the plan does not make are format errors
+        raised before anything is allocated from them."""
+        plan = make_plan(tensor.shape, "kronecker", 3, 4, seed=5)
+        p = tmp_path / "b.tskb"
+        write_bundle(p, sketch(tensor, plan))
+        data = bytearray(p.read_bytes())
+        specs_at = 4 + 4 + 4 + 24 + 1 + 16 + 1 + 3 + 3 + 8 + 4
+        b1_at = specs_at + 33 * len(plan.all_specs())
+        assert struct.unpack_from("<QQ", data, b1_at) == (5, 9)
+        if field.startswith("family"):
+            data[specs_at + 8] = value
+        elif field.startswith("rows"):
+            struct.pack_into("<Q", data, b1_at, value)
+        else:
+            struct.pack_into("<QQ", data, b1_at, 9, 5)
+        p.write_bytes(bytes(data))
+        with pytest.raises(IOFormatError):
+            read_bundle(p)
+
+    @pytest.mark.parametrize("n", [2**40, 2**58, 2**63])
+    def test_hostile_tensor_shape(self, tmp_path, tensor, n) -> None:
+        """A mode length far beyond the file is a format error, not a
+        MemoryError, an OverflowError or a product wrapped to int64."""
+        p = tmp_path / "x.tnsr"
+        write_tensor(p, tensor)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<Q", data, 12, n)
+        p.write_bytes(bytes(data))
+        with pytest.raises(IOFormatError):
+            read_tensor(p)
+
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(IOFormatError):
             read_tensor(tmp_path / "absent.tnsr")
@@ -177,3 +219,52 @@ def test_partial_bundle_round_trips_the_flag(tmp_path, tensor) -> None:
     p = tmp_path / "partial.tskb"
     write_bundle(p, b)
     assert read_bundle(p).partial
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One small valid file of each format, as bytes, with its reader."""
+    d = tmp_path_factory.mktemp("valid")
+    x = np.random.default_rng(7).standard_normal((4, 3, 5))
+    files = {
+        "tnsr": (lambda p: write_tensor(p, x), read_tensor),
+        "tskc": (lambda p: write_chunks(p, x.shape, slab_chunks(x, 2)), read_chunks_dense),
+        "tskb-kronecker": (
+            lambda p: write_bundle(p, sketch(x, make_plan(x.shape, "kronecker", 2, 2, seed=8))),
+            read_bundle,
+        ),
+        "tskb-khatri_rao": (
+            lambda p: write_bundle(p, sketch(x, make_plan(x.shape, "khatri_rao", 3, 2, seed=9))),
+            read_bundle,
+        ),
+        "tuck": (
+            lambda p: write_factorization(
+                p, one_pass(sketch(x, make_plan(x.shape, "kronecker", 3, 3, seed=10)), 2)
+            ),
+            read_factorization,
+        ),
+    }
+    out = {}
+    for name, (writer, reader) in files.items():
+        writer(d / name)
+        out[name] = ((d / name).read_bytes(), reader)
+    return d, out
+
+
+@pytest.mark.parametrize("name", ["tnsr", "tskc", "tskb-kronecker", "tskb-khatri_rao", "tuck"])
+@given(flips=st.lists(st.tuples(st.integers(0, 2**32), st.integers(1, 255)), min_size=1, max_size=3))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_byte_flips_read_or_raise_io_error(valid_files, name, flips) -> None:
+    """Flipping one to three bytes of a valid file either still reads or
+    raises IOFormatError; no other exception escapes the reader."""
+    d, files = valid_files
+    raw, reader = files[name]
+    data = bytearray(raw)
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    p = d / f"flipped-{name}"
+    p.write_bytes(bytes(data))
+    try:
+        reader(p)
+    except IOFormatError:
+        pass

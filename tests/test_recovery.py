@@ -1,5 +1,7 @@
 """Factor and core recovery from sketch bundles."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,7 @@ from tsketch.recover import (
     two_pass,
 )
 from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch
-from tsketch.tensor import fold, kron_all, norm, unfold, vec
+from tsketch.tensor import fold, norm, unfold, vec
 
 
 @pytest.mark.parametrize(
@@ -76,7 +78,7 @@ def test_onepass_core_equals_pseudoinverse_oracle() -> None:
     qs = recover_factors(b, 3)
     phis = [materialize(plan.core_spec(i)) for i in (1, 2, 3)]
     core = recover_core_onepass(b.core, phis, qs)
-    pinv = np.linalg.pinv(kron_all([phis[2] @ qs[2], phis[1] @ qs[1], phis[0] @ qs[0]]))
+    pinv = np.linalg.pinv(reduce(np.kron, [phis[2] @ qs[2], phis[1] @ qs[1], phis[0] @ qs[0]]))
     oracle = (pinv @ vec(b.core)).reshape((3, 3, 3), order="F")
     assert np.allclose(core, oracle, atol=1e-10)
 
@@ -111,7 +113,7 @@ def test_reconstruct_unfolds_to_factored_form() -> None:
     x = reconstruct(t)
     for j in (1, 2, 3):
         others = [qs[i] for i in (2, 1, 0) if i != j - 1]
-        expect = qs[j - 1] @ unfold(core, j) @ kron_all(others).T
+        expect = qs[j - 1] @ unfold(core, j) @ reduce(np.kron, others).T
         assert np.allclose(unfold(x, j), expect, atol=1e-12)
 
 

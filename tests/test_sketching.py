@@ -1,6 +1,8 @@
 """Leave-one-out and core sketching: oracles, streaming, merging, accounting."""
 
+import importlib
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,19 +12,11 @@ from tsketch.errors import ConfigError, ShapeError
 from tsketch.sketch import (
     SketchAccumulator,
     SlabChunk,
-    accumulator_finalize,
-    accumulator_init,
-    accumulator_merge,
-    accumulator_update,
-    core_sketch,
-    khat_loo_sketch,
-    kron_loo_sketch,
     make_plan,
     sketch,
     slab_chunks,
-    unstructured_loo_sketch,
 )
-from tsketch.tensor import kron_all, multi_mode_product, unfold
+from tsketch.tensor import multi_mode_product, unfold
 
 
 def random_tensor(shape, seed):
@@ -33,7 +27,7 @@ def loo_composite(plan, j):
     """Explicit dense leave-mode-j composite map, built the slow way."""
     others = [materialize(plan.loo_spec(j, i)) for i in range(plan.d, 0, -1) if i != j]
     if plan.loo_kind == "kronecker":
-        return kron_all(others)
+        return reduce(np.kron, others)
     rows = []
     for p in range(plan.m):
         w = np.array([1.0])
@@ -49,7 +43,7 @@ class TestAgainstExplicitOperators:
     def test_kronecker_matches_vec_oracle(self) -> None:
         x = random_tensor((4, 3, 2), seed=0)
         plan = make_plan(x.shape, "kronecker", 2, 2, seed=1)
-        b = kron_loo_sketch(x, plan)
+        b = sketch(x, plan).loo
         for j in (1, 2, 3):
             diag = materialize(plan.diag_spec(j))
             expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
@@ -58,7 +52,7 @@ class TestAgainstExplicitOperators:
     def test_khatri_rao_matches_row_loop_oracle(self) -> None:
         x = random_tensor((4, 3, 2), seed=2)
         plan = make_plan(x.shape, "khatri_rao", 5, 2, seed=3)
-        b = khat_loo_sketch(x, plan)
+        b = sketch(x, plan).loo
         for j in (1, 2, 3):
             expect = unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(b[j - 1], expect, atol=1e-12)
@@ -66,7 +60,7 @@ class TestAgainstExplicitOperators:
     def test_unstructured_matches_its_stored_map(self) -> None:
         x = random_tensor((4, 3, 2), seed=4)
         plan = make_plan(x.shape, "unstructured", 5, 2, seed=5)
-        b = unstructured_loo_sketch(x, plan)
+        b = sketch(x, plan).loo
         for j in (1, 2, 3):
             omega = materialize(plan.unstructured_spec(j))
             assert np.allclose(b[j - 1], unfold(x, j) @ omega.T, atol=1e-12)
@@ -75,12 +69,12 @@ class TestAgainstExplicitOperators:
         x = random_tensor((4, 3, 2), seed=6)
         plan = make_plan(x.shape, "kronecker", 2, 3, seed=7)
         phis = [(materialize(plan.core_spec(i)), i) for i in (1, 2, 3)]
-        assert np.allclose(core_sketch(x, plan), multi_mode_product(x, phis), atol=1e-12)
+        assert np.allclose(sketch(x, plan).core, multi_mode_product(x, phis), atol=1e-12)
 
     def test_gaussian_diagonal_map_is_applied(self) -> None:
         x = random_tensor((4, 3, 2), seed=8)
         plan = make_plan(x.shape, "kronecker", 2, 2, diag_family="gaussian", seed=9)
-        b = kron_loo_sketch(x, plan)
+        b = sketch(x, plan).loo
         for j in (1, 2, 3):
             diag = materialize(plan.diag_spec(j))
             assert diag.shape == (x.shape[j - 1], x.shape[j - 1])
@@ -226,10 +220,10 @@ class TestStreaming:
     def test_empty_chunk_is_a_no_op(self) -> None:
         x = random_tensor((5, 4, 6), seed=36)
         plan = make_plan(x.shape, "khatri_rao", 4, 3, seed=37)
-        acc = accumulator_init(plan)
-        accumulator_update(acc, SlabChunk(2, 0, x[..., 2:2]))
-        accumulator_update(acc, SlabChunk(0, 6, x))
-        b = accumulator_finalize(acc)
+        acc = SketchAccumulator(plan)
+        acc.update(SlabChunk(2, 0, x[..., 2:2]))
+        acc.update(SlabChunk(0, 6, x))
+        b = acc.finalize()
         assert not b.partial
         ref = sketch(x, plan)
         assert np.allclose(b.loo[0], ref.loo[0], rtol=1e-12, atol=1e-14)
@@ -250,6 +244,17 @@ class TestStreaming:
             acc.update(SlabChunk(6, 4, x[..., :4]))  # runs past the end
         with pytest.raises(ShapeError):
             acc.update(SlabChunk(0, 4, x[..., :3]))  # count/payload mismatch
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slab_rejected(self, bad) -> None:
+        x = random_tensor((4, 4, 8), seed=46)
+        plan = make_plan(x.shape, "kronecker", 2, 2, seed=47)
+        acc = SketchAccumulator(plan)
+        slab = np.array(x[..., 3:6])
+        slab[1, 2, 0] = bad
+        with pytest.raises(ConfigError, match=r"\[3, 6\)"):
+            acc.update(SlabChunk(3, 3, slab))
+        assert not acc._covered
 
     def test_partial_finalize_sets_flag(self) -> None:
         x = random_tensor((4, 4, 8), seed=42)
@@ -290,7 +295,7 @@ class TestMerge:
         plan = make_plan(x.shape, "khatri_rao", 5, 3, seed=51)
         batch = sketch(x, plan)
         a, b, c = self.make_parts(plan, x, [3, 6])
-        merged = accumulator_merge(accumulator_merge(a, b), c)
+        merged = a.merge(b).merge(c)
         got = merged.finalize()
         assert not got.partial
         for u, v in zip(batch.loo + [batch.core], got.loo + [got.core]):
@@ -300,10 +305,20 @@ class TestMerge:
         x = random_tensor((6, 5, 9), seed=52)
         plan = make_plan(x.shape, "kronecker", 3, 3, seed=53)
         a, b, c = self.make_parts(plan, x, [3, 6])
-        left = accumulator_merge(accumulator_merge(a, b), c).finalize()
-        right = accumulator_merge(c, accumulator_merge(b, a)).finalize()
+        left = a.merge(b).merge(c).finalize()
+        right = c.merge(b.merge(a)).finalize()
         for u, v in zip(left.loo + [left.core], right.loo + [right.core]):
             assert np.allclose(u, v, rtol=1e-12, atol=1e-13)
+
+    def test_merge_shares_the_materialized_maps(self, monkeypatch) -> None:
+        x = random_tensor((6, 5, 9), seed=56)
+        plan = make_plan(x.shape, "khatri_rao", 5, 3, diag_family="gaussian", seed=57)
+        a, b = self.make_parts(plan, x, [4])
+        calls = []
+        module = importlib.import_module("tsketch.sketch")  # the package's `sketch` is the function
+        monkeypatch.setattr(module, "materialize", lambda spec: calls.append(spec) or materialize(spec))
+        a.merge(b)
+        assert calls == []
 
     def test_merge_rejects_different_plans(self) -> None:
         x = random_tensor((4, 4, 4), seed=54)
@@ -311,7 +326,7 @@ class TestMerge:
         p2 = make_plan(x.shape, "kronecker", 2, 2, seed=2)
         a, b = SketchAccumulator(p1), SketchAccumulator(p2)
         with pytest.raises(ConfigError):
-            accumulator_merge(a, b)
+            a.merge(b)
 
     def test_merge_rejects_overlapping_coverage(self) -> None:
         x = random_tensor((4, 4, 4), seed=55)
@@ -356,9 +371,3 @@ class TestPlanValidation:
         plan = make_plan((4, 4, 4), "kronecker", 2, 2)
         with pytest.raises(ShapeError):
             sketch(random_tensor((4, 4, 5), 60), plan)
-
-    def test_kind_specific_helpers_check_the_plan(self) -> None:
-        x = random_tensor((4, 4, 4), seed=61)
-        plan = make_plan(x.shape, "kronecker", 2, 2)
-        with pytest.raises(ConfigError):
-            khat_loo_sketch(x, plan)

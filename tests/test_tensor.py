@@ -5,20 +5,19 @@ every other module leans on, so these tests pin it down with hand-computed
 values and index-arithmetic oracles before anything statistical runs.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsketch.errors import ConfigError, ShapeError
 from tsketch.tensor import (
     face_split,
-    face_split_all,
     fold,
     inner,
-    khatri_rao,
-    kron,
-    kron_all,
     mode_product,
     multi_mode_product,
     norm,
@@ -143,34 +142,11 @@ class TestModeProduct:
         x = rng.standard_normal((4, 3, 2))
         mats = [rng.standard_normal((2, n)) for n in x.shape]
         y = multi_mode_product(x, [(a, j) for j, a in enumerate(mats, start=1)])
-        big = kron_all([mats[2], mats[1], mats[0]])
+        big = reduce(np.kron, [mats[2], mats[1], mats[0]])
         assert np.allclose(vec(y), big @ vec(x), atol=1e-12)
 
 
 class TestStructuredProducts:
-    def test_kron_column_vectors(self) -> None:
-        a = np.array([[1.0], [2.0]])
-        b = np.array([[3.0], [4.0]])
-        assert kron(a, b).ravel().tolist() == [3.0, 4.0, 6.0, 8.0]
-
-    def test_kron_all_composes_left_to_right(self) -> None:
-        rng = np.random.default_rng(5)
-        a, b, c = (rng.standard_normal((2, 3)) for _ in range(3))
-        assert np.array_equal(kron_all([a, b, c]), kron(kron(a, b), c))
-
-    def test_khatri_rao_columns(self) -> None:
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((2, 4))
-        kr = khatri_rao(a, b)
-        assert kr.shape == (6, 4)
-        for k in range(4):
-            assert np.allclose(kr[:, k], np.kron(a[:, k], b[:, k]), atol=1e-14)
-
-    def test_khatri_rao_column_mismatch(self) -> None:
-        with pytest.raises(ShapeError):
-            khatri_rao(np.ones((2, 3)), np.ones((2, 4)))
-
     def test_face_split_rows(self) -> None:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 3))
@@ -184,14 +160,11 @@ class TestStructuredProducts:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal((5, 2))
-        assert np.array_equal(face_split(a, b), khatri_rao(a.T, b.T).T)
+        assert np.array_equal(face_split(a, b), scipy.linalg.khatri_rao(a.T, b.T).T)
 
-    def test_face_split_all_pairs_left_to_right(self) -> None:
-        rng = np.random.default_rng(9)
-        mats = [rng.standard_normal((3, k)) for k in (2, 3, 4)]
-        assert np.array_equal(
-            face_split_all(mats), face_split(face_split(mats[0], mats[1]), mats[2])
-        )
+    def test_face_split_row_mismatch(self) -> None:
+        with pytest.raises(ShapeError):
+            face_split(np.ones((3, 2)), np.ones((4, 2)))
 
 
 class TestNormsAndInner:
