@@ -5,8 +5,9 @@ Subcommands: gen, sketch, recover, eval, experiment. Each takes a JSON config
 --two-pass, --threads) overriding the merged values; --print-config shows the
 result and exits. Tensor-bearing inputs arrive either as a whole-tensor TNSR
 file (--input) or a TSKC slab stream (--chunks); recover --two-pass and eval
-accept either format through --chunks. Failures exit nonzero with one JSON
-line on stderr: {"error": {"category": ..., "message": ...}}.
+accept either format through --chunks and read it slab by slab, never whole.
+Failures exit nonzero with one JSON line on stderr:
+{"error": {"category": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 from .ensembles import derive_seed
-from .errors import EXIT_CODES, ConfigError, IOFormatError, TsketchError
+from .errors import EXIT_CODES, ConfigError, IOFormatError, ShapeError, TsketchError
 from .evaluate import (
     add_noise_snr,
     bound_rhs,
@@ -29,11 +31,13 @@ from .evaluate import (
     gen_superdiag_poly,
     max_principal_angle,
     relative_error,
+    score,
     snr_db,
     tail_baseline,
     tail_energy,
 )
 from .formats import (
+    TensorFile,
     read_bundle,
     read_chunk_shape,
     read_chunks,
@@ -272,24 +276,6 @@ def _require(value, flag):
     return value
 
 
-def _sniff_magic(path):
-    try:
-        with open(path, "rb") as f:
-            return f.read(4)
-    except OSError as e:
-        raise IOFormatError(f"cannot open {path}: {e}")
-
-
-def _load_tensor_any(path):
-    """Read a tensor from either a TNSR file or a TSKC slab stream."""
-    magic = _sniff_magic(path)
-    if magic == b"TNSR":
-        return read_tensor(path)
-    if magic == b"TSKC":
-        return read_chunks_dense(path)
-    raise IOFormatError(f"{path}: expected a TNSR or TSKC file, found magic {magic!r}")
-
-
 # -- gen -----------------------------------------------------------------
 
 
@@ -378,10 +364,8 @@ def cmd_recover(args):
     if cfg["two_pass"]:
         if not args.chunks:
             raise ConfigError("--two-pass needs the tensor via --chunks")
-        # TODO: stream the second-pass core update slab by slab instead of
-        # assembling the full tensor.
-        x = _load_tensor_any(args.chunks)
-        t = two_pass(bundle, x, rank)
+        with TensorFile(args.chunks) as x:
+            t = two_pass(bundle, x.slabs(), rank)
     else:
         t = one_pass(bundle, rank)
     write_factorization(output, t)
@@ -397,22 +381,25 @@ def cmd_eval(args):
         _print_config(cfg)
         return 0
     t = read_factorization(_require(args.input, "--input"))
-    x = _load_tensor_any(_require(args.chunks, "--chunks"))
-    x_hat = reconstruct(t)
-    if x_hat.shape != x.shape:
-        raise ConfigError(
-            f"factorization reconstructs to {x_hat.shape}, tensor has shape {x.shape}"
-        )
-    report = {
-        "shape": list(x.shape),
-        "rank": t.rank,
-        "relative_error": relative_error(x_hat, x),
-    }
-    if cfg["clean"] is not None:
-        x0 = _load_tensor_any(cfg["clean"])
-        report["relative_error_clean"] = relative_error(x_hat, x0)
-        report["snr_db"] = snr_db(x, x0)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    with ExitStack() as files:
+        x = files.enter_context(TensorFile(_require(args.chunks, "--chunks")))
+        if t.shape != x.shape:
+            raise ConfigError(f"factorization reconstructs to {t.shape}, tensor has shape {x.shape}")
+        x0 = None
+        if cfg["clean"] is not None:
+            x0 = files.enter_context(TensorFile(cfg["clean"]))
+            if x0.shape != x.shape:
+                raise ShapeError(f"shape mismatch: {x0.shape} vs {x.shape}")
+        # The clean tensor is read over the observed slab's range, whatever its own records.
+        slabs = ((c, None if x0 is None else x0.slab(c.start, c.start + c.count).payload)
+                 for c in x.slabs())
+        report = {"shape": list(x.shape), "rank": t.rank, **score(t, slabs)}
+    if math.isinf(report.get("snr_db", 0.0)):
+        report["snr_db"] = None  # noiseless: the clean tensor equals the observed one
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"the factorization scores a non-finite error: {report}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -472,7 +459,7 @@ def _load_experiment_input(cfg):
         path = cfg["input"]
         if not path:
             raise ConfigError('generator "file" needs an input tensor path in the config')
-        return _load_tensor_any(path)
+        return read_chunks_dense(path)  # a TNSR file or a TSKC stream
     return None
 
 

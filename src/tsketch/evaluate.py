@@ -23,11 +23,12 @@ import numpy as np
 
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
-from .recover import TuckerFactorization, compute_core_twopass
+from .recover import TuckerFactorization, compute_core_twopass, reconstruct
 from .tensor import inner, mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
+    "score",
     "snr_db",
     "add_noise_snr",
     "max_principal_angle",
@@ -41,16 +42,23 @@ __all__ = [
 ]
 
 
+def _ratio(err, ref):
+    if ref == 0.0:
+        raise ConfigError("relative error is undefined against a zero reference tensor")
+    return err / ref
+
+
+def _decibels(signal, noise):
+    return math.inf if noise == 0.0 else 10.0 * math.log10(signal / noise)
+
+
 def relative_error(x_hat, x, x0=None):
     """||x_hat - x|| / ||x0||; x0 defaults to x (the noiseless convention)."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x_hat.shape != x.shape:
         raise ShapeError(f"shape mismatch: {x_hat.shape} vs {x.shape}")
-    denom = norm(x if x0 is None else x0)
-    if denom == 0.0:
-        raise ConfigError("relative error is undefined against a zero reference tensor")
-    return norm(x_hat - x) / denom
+    return _ratio(norm(x_hat - x), norm(x if x0 is None else x0))
 
 
 def snr_db(x, x0):
@@ -59,10 +67,61 @@ def snr_db(x, x0):
     x0 = np.asarray(x0, dtype=np.float64)
     if x.shape != x0.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {x0.shape}")
-    noise = norm(x0 - x)
-    if noise == 0.0:
-        return math.inf
-    return 10.0 * math.log10(norm(x) / noise)
+    return _decibels(norm(x), norm(x0 - x))
+
+
+def _slab_squares(t, chunk, clean):
+    """Squared norms of one slab: ||x_hat - x||^2 and ||x||^2, then, with the
+    clean slab x0, ||x_hat - x0||^2, ||x0||^2 and ||x0 - x||^2 (zeros without)."""
+    x = np.asarray(chunk.payload, dtype=np.float64)
+    x_hat = reconstruct(t, chunk.start, chunk.start + chunk.count)
+    if x_hat.shape != x.shape:
+        raise ShapeError(
+            f"slab [{chunk.start}, {chunk.start + chunk.count}) has shape {x.shape}, "
+            f"the factorization reconstructs it to {x_hat.shape}"
+        )
+    out = np.zeros(5)
+    out[1] = inner(x, x)
+    if clean is not None:
+        x0 = np.asarray(clean, dtype=np.float64)
+        if x0.shape != x.shape:
+            raise ShapeError(f"shape mismatch: {x0.shape} vs {x.shape}")
+        diff = x_hat - x0
+        out[2] = inner(diff, diff)
+        out[3] = inner(x0, x0)
+        np.subtract(x0, x, out=diff)
+        out[4] = inner(diff, diff)
+    x_hat -= x
+    out[0] = inner(x_hat, x_hat)
+    return out
+
+
+def score(t, slabs):
+    """Relative errors of factorization `t` against a tensor read slab by slab.
+
+    `slabs` yields pairs (chunk, clean): a ``SlabChunk`` of the observed tensor
+    x and the same last-mode range of the clean tensor x0, or None when there
+    is no clean tensor. The chunks cover the last mode once. Each slab of the
+    reconstruction x_hat is built from its own rows of the last factor (see
+    ``reconstruct``), so nothing tensor-sized is held. Returns
+    ``relative_error`` ||x_hat - x|| / ||x|| and, with clean slabs,
+    ``relative_error_clean`` ||x_hat - x0|| / ||x0|| and ``snr_db`` as
+    ``snr_db(x, x0)`` computes it.
+    """
+    sums, covered, has_clean = np.zeros(5), 0, False
+    for chunk, clean in slabs:
+        sums += _slab_squares(t, chunk, clean)
+        covered += chunk.count
+        has_clean = clean is not None
+    n = t.shape[-1]
+    if covered != n:
+        raise ShapeError(f"slabs cover {covered} of the {n} indices of the last mode")
+    res, xx, res0, x0x0, noise = np.sqrt(sums)
+    out = {"relative_error": _ratio(float(res), float(xx))}
+    if has_clean:
+        out["relative_error_clean"] = _ratio(float(res0), float(x0x0))
+        out["snr_db"] = _decibels(float(xx), float(noise))
+    return out
 
 
 def add_noise_snr(x0, target_db, seed):

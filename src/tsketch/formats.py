@@ -15,10 +15,16 @@ Four magics:
   recording that each factor column was sign-normalized (largest-magnitude
   entry positive) at write time, with the core adjusted so the reconstruction
   is unchanged.
+
+A TNSR file and a TSKC stream both hold last-mode slabs stored
+first-mode-fastest, so any last-mode range of a slab is one contiguous run of
+bytes. ``TensorFile`` reads either format by such ranges, for a second look at
+the data in bounded pieces.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -31,6 +37,7 @@ from .recover import TuckerFactorization
 from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk
 
 __all__ = [
+    "TensorFile",
     "write_tensor",
     "read_tensor",
     "write_chunks",
@@ -49,12 +56,28 @@ _KIND_IDS = {kind: i for i, kind in enumerate(LOO_KINDS)}
 _KIND_NAMES = {i: kind for kind, i in _KIND_IDS.items()}
 
 
-def _read_exact(f, n, what):
+# A second look at a tensor reads it in pieces of at most this many bytes (and
+# at least one last-mode slice), whatever record sizes it was written in.
+_PIECE_BYTES = 2**20
+
+
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise IOFormatError(f"cannot open {path}: {e}")
+
+
+def _need(f, n, what):
     # Checked against the bytes left in the file before reading, so a corrupt
     # length field fails here instead of driving an allocation.
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise IOFormatError(f"truncated file while reading {what} ({left} of {n} bytes)")
+
+
+def _read_exact(f, n, what):
+    _need(f, n, what)
     return f.read(n)
 
 
@@ -67,8 +90,17 @@ def _expect_magic(f, magic):
         raise IOFormatError(f"unsupported {magic.decode()} version {version}")
 
 
+def _fill(f, out, what):
+    """Read straight into the contiguous array `out`, with no intermediate bytes object."""
+    if f.readinto(out) != out.nbytes:
+        raise IOFormatError(f"truncated file while reading {what}")
+
+
 def _read_f64(f, count, what):
-    return np.frombuffer(_read_exact(f, 8 * count, what), dtype="<f8").copy()
+    _need(f, 8 * count, what)
+    out = np.empty(count, dtype="<f8")
+    _fill(f, out, what)
+    return out
 
 
 def _shape_header(f):
@@ -95,11 +127,7 @@ def write_tensor(path, x):
 
 
 def read_tensor(path):
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise IOFormatError(f"cannot open {path}: {e}")
-    with f:
+    with _open(path) as f:
         _expect_magic(f, b"TNSR")
         shape = _shape_header(f)
         count = math.prod(shape)
@@ -134,56 +162,134 @@ def write_chunks(path, shape, chunks):
 
 def read_chunk_shape(path):
     """Just the declared tensor shape of a chunk stream."""
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise IOFormatError(f"cannot open {path}: {e}")
-    with f:
+    with _open(path) as f:
         _expect_magic(f, b"TSKC")
         return _shape_header(f)
 
 
+def _records(f, shape):
+    """Yield (start, count, offset) for each record of a chunk stream.
+
+    `f` starts at the first record header. Each header is checked against the
+    mode length and each payload against the bytes left; `f` is left at the
+    payload, for the caller to read or skip.
+    """
+    slab_bytes = 8 * math.prod(shape[:-1])
+    end = f.tell()
+    while True:
+        f.seek(end)
+        head = f.read(16)
+        if not head:
+            return
+        if len(head) != 16:
+            raise IOFormatError("truncated chunk record header")
+        start, count = struct.unpack("<QQ", head)
+        if start + count > shape[-1]:
+            raise IOFormatError(f"chunk [{start}, {start + count}) exceeds mode length {shape[-1]}")
+        _need(f, slab_bytes * count, f"chunk [{start}, {start + count})")
+        offset = f.tell()
+        end = offset + slab_bytes * count
+        yield int(start), int(count), offset
+
+
 def read_chunks(path):
-    """Yield the slabs of a chunk stream one at a time (generator)."""
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise IOFormatError(f"cannot open {path}: {e}")
-    with f:
+    """Yield the slabs of a chunk stream one at a time, as stored (generator)."""
+    with _open(path) as f:
         _expect_magic(f, b"TSKC")
         shape = _shape_header(f)
-        slab_entries = math.prod(shape[:-1])
-        while True:
-            head = f.read(16)
-            if not head:
-                return
-            if len(head) != 16:
-                raise IOFormatError("truncated chunk record header")
-            start, count = struct.unpack("<QQ", head)
-            if start + count > shape[-1]:
-                raise IOFormatError(f"chunk [{start}, {start + count}) exceeds mode length {shape[-1]}")
-            data = _read_f64(f, slab_entries * count, f"chunk [{start}, {start + count})")
-            yield SlabChunk(
-                int(start), int(count), data.reshape(shape[:-1] + (int(count),), order="F")
-            )
+        for start, count, _ in _records(f, shape):
+            data = _read_f64(f, math.prod(shape[:-1]) * count, f"chunk [{start}, {start + count})")
+            yield SlabChunk(start, count, data.reshape(shape[:-1] + (count,), order="F"))
+
+
+class TensorFile:
+    """A TNSR tensor or a TSKC chunk stream, opened for reads by last-mode range.
+
+    Opening reads the header and, for a stream, every record header (not the
+    payloads), and checks that the records tile the last mode: none overlaps
+    another and together they cover it. A TNSR file is one record covering
+    the whole mode. Use as a context manager, or call ``close``.
+    """
+
+    def __init__(self, path):
+        self._f = _open(path)
+        try:
+            self._index(path)
+        except BaseException:
+            self._f.close()
+            raise
+
+    def _index(self, path):
+        f = self._f
+        magic = f.read(4)
+        if magic not in (b"TNSR", b"TSKC"):
+            raise IOFormatError(f"{path}: expected a TNSR or TSKC file, found magic {magic!r}")
+        f.seek(0)
+        _expect_magic(f, magic)
+        self.shape = _shape_header(f)
+        self._slab_bytes = 8 * math.prod(self.shape[:-1])
+        n = self.shape[-1]
+        if magic == b"TNSR":
+            _need(f, self._slab_bytes * n, "tensor entries")
+            if os.fstat(f.fileno()).st_size - f.tell() > self._slab_bytes * n:
+                raise IOFormatError(f"trailing bytes after {math.prod(self.shape)} tensor entries")
+            records = [(0, n, f.tell())]
+        else:
+            records = sorted(r for r in _records(f, self.shape) if r[1])
+            end = 0
+            for start, count, _ in records:
+                if start < end:
+                    raise IOFormatError(f"chunk [{start}, {start + count}) overlaps earlier data")
+                end = start + count
+            if sum(count for _, count, _ in records) != n:
+                raise IOFormatError("chunk stream does not cover the full tensor")
+        self._records = records
+        self._starts = [start for start, _, _ in records]
+
+    def close(self):
+        self._f.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def read(self, lo, hi):
+        """The last-mode slices [lo, hi) as a first-mode-fastest array."""
+        n = self.shape[-1]
+        if not 0 <= lo <= hi <= n:
+            raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
+        per = self._slab_bytes // 8
+        out = np.empty(per * (hi - lo), dtype="<f8")
+        i = max(bisect.bisect_right(self._starts, lo) - 1, 0)
+        for start, count, offset in self._records[i:]:
+            if start >= hi:
+                break
+            a, b = max(lo, start), min(hi, start + count)
+            self._f.seek(offset + self._slab_bytes * (a - start))
+            _fill(self._f, out[per * (a - lo) : per * (b - lo)], f"slab [{a}, {b})")
+        return out.reshape(self.shape[:-1] + (hi - lo,), order="F")
+
+    def slab(self, lo, hi):
+        """The last-mode slices [lo, hi) as a SlabChunk, refused if any entry is not finite."""
+        payload = self.read(lo, hi)
+        if not np.isfinite(payload).all():
+            raise ConfigError(f"slab [{lo}, {hi}) has non-finite entries")
+        return SlabChunk(lo, hi - lo, payload)
+
+    def slabs(self):
+        """Yield the whole tensor as finite slabs of at most _PIECE_BYTES, in last-mode order."""
+        width = max(1, _PIECE_BYTES // self._slab_bytes)
+        for start, count, _ in self._records:
+            for lo in range(start, start + count, width):
+                yield self.slab(lo, min(lo + width, start + count))
 
 
 def read_chunks_dense(path):
-    """Assemble a chunk stream into one dense tensor, checking full coverage."""
-    shape = read_chunk_shape(path)
-    # Bounded by the file before allocating: full coverage takes 8 bytes per entry.
-    if 8 * math.prod(shape) > os.path.getsize(path):
-        raise IOFormatError(f"chunk stream is too short to cover a tensor of shape {shape}")
-    x = np.zeros(shape, order="F")
-    seen = np.zeros(shape[-1], dtype=bool)
-    for c in read_chunks(path):
-        if seen[c.start : c.start + c.count].any():
-            raise IOFormatError(f"chunk [{c.start}, {c.start + c.count}) overlaps earlier data")
-        seen[c.start : c.start + c.count] = True
-        x[..., c.start : c.start + c.count] = c.payload
-    if not seen.all():
-        raise IOFormatError("chunk stream does not cover the full tensor")
-    return x
+    """Assemble a chunk stream (or a TNSR file) into one dense tensor, checking full coverage."""
+    with TensorFile(path) as x:
+        return x.read(0, x.shape[-1])
 
 
 # -- sketch bundles ----------------------------------------------------------
@@ -232,11 +338,7 @@ def _family(family_id):
 
 
 def read_bundle(path):
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise IOFormatError(f"cannot open {path}: {e}")
-    with f:
+    with _open(path) as f:
         _expect_magic(f, b"TSKB")
         shape = _shape_header(f)
         d = len(shape)
@@ -323,11 +425,7 @@ def write_factorization(path, t):
 
 
 def read_factorization(path):
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise IOFormatError(f"cannot open {path}: {e}")
-    with f:
+    with _open(path) as f:
         _expect_magic(f, b"TUCK")
         shape = _shape_header(f)
         d = len(shape)

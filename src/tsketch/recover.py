@@ -38,12 +38,14 @@ matrices, so the cost of recovery does not grow with the tensor.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import materialize
 from .errors import ConfigError, RankError, ShapeError, SingularError
+from .sketch import SlabChunk
 from .tensor import mode_product, multi_mode_product, unfold
 
 __all__ = [
@@ -252,12 +254,44 @@ def _onepass_factors(bundle, r, phis):
     return [q @ u for q, u in zip(qs, us)]
 
 
-def compute_core_twopass(x, qs):
-    """Optimal core for the given factors, computed by projecting the data: G = X x_i Q_i^T."""
+def _as_slabs(x):
+    """The last-mode slabs of `x`: an iterator or a list of SlabChunk as given,
+    anything else as one dense tensor, the single slab covering its last mode."""
+    if isinstance(x, Iterator) or (isinstance(x, (list, tuple)) and x and isinstance(x[0], SlabChunk)):
+        return x
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != len(qs):
-        raise ShapeError(f"tensor has {x.ndim} modes but {len(qs)} factors were given")
-    return multi_mode_product(x, [(q.T, i) for i, q in enumerate(qs, start=1)])
+    if x.ndim < 1:
+        raise ShapeError("tensor must have at least one mode")
+    return [SlabChunk(0, x.shape[-1], x)]
+
+
+def compute_core_twopass(x, qs):
+    """Optimal core for the given factors, computed by projecting the data: G = X x_i Q_i^T.
+
+    `x` is a dense tensor or an iterable of last-mode slabs (``SlabChunk``)
+    that cover the last mode once. The projection is linear, so the core is a
+    sum over slabs, slab [lo, hi) projected on rows lo..hi-1 of Q_d; a dense
+    tensor is the one-slab case. One slab is held at a time.
+    """
+    shape = tuple(q.shape[0] for q in qs)
+    mats = [(q.T, i) for i, q in enumerate(qs[:-1], start=1)]
+    core, covered = None, 0
+    for c in _as_slabs(x):
+        payload = np.asarray(c.payload, dtype=np.float64)
+        if payload.shape[:-1] != shape[:-1] or c.start + c.count > shape[-1]:
+            raise ShapeError(
+                f"slab [{c.start}, {c.start + c.count}) of shape {payload.shape} does not fit "
+                f"the factors' shape {shape}"
+            )
+        g = multi_mode_product(payload, mats + [(qs[-1][c.start : c.start + c.count].T, len(qs))])
+        if core is None:
+            core = g
+        else:
+            core += g
+        covered += c.count
+    if covered != shape[-1]:
+        raise ShapeError(f"slabs cover {covered} of the {shape[-1]} indices of the last mode")
+    return core
 
 
 def one_pass(bundle, r):
@@ -279,20 +313,24 @@ def one_pass(bundle, r):
 def two_pass(bundle, x, r):
     """The factors of ``one_pass``, with the core from a second pass over the tensor.
 
-    The projection core is the best core for given factors, so against the
-    observed tensor two-pass is never worse than one-pass.
+    `x` is the dense tensor or its last-mode slabs, as ``compute_core_twopass``
+    takes them. The projection core is the best core for given factors, so
+    against the observed tensor two-pass is never worse than one-pass.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != bundle.plan.shape:
-        raise ShapeError(f"tensor shape {x.shape} does not match plan shape {bundle.plan.shape}")
     qs = _onepass_factors(bundle, r, _core_maps(bundle.plan))
     core = compute_core_twopass(x, qs)
     return TuckerFactorization(core=core, factors=qs)
 
 
-def reconstruct(t):
-    """Expand a factorization back to a dense tensor: core x_1 Q_1 ... x_d Q_d."""
-    out = np.asarray(t.core, dtype=np.float64)
-    for i, q in enumerate(t.factors, start=1):
+def reconstruct(t, lo=0, hi=None):
+    """Expand a factorization back to a dense tensor: core x_1 Q_1 ... x_d Q_d.
+
+    With a last-mode range [lo, hi), only those slices are built, from rows
+    lo..hi-1 of Q_d. The last mode is expanded first, so building the tensor
+    slab by slab costs about what building it whole does.
+    """
+    d = len(t.factors)
+    out = mode_product(t.core, t.factors[-1][lo:hi], d)
+    for i, q in enumerate(t.factors[:-1], start=1):
         out = mode_product(out, q, i)
     return out

@@ -31,6 +31,7 @@ implemented.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import os
 from dataclasses import dataclass
@@ -236,6 +237,21 @@ def slab_chunks(x, n_slabs):
     ]
 
 
+def _overlap(covered, start, count):
+    """The slab of `covered` that [start, start + count) overlaps, or None.
+
+    `covered` is a sorted list of disjoint, non-empty (start, count) slabs, so
+    their ends ascend too and only the last slab starting before the new end
+    can overlap it.
+    """
+    i = bisect.bisect_left(covered, (start + count,))
+    if count and i:
+        s, c = covered[i - 1]
+        if s + c > start:
+            return s, c
+    return None
+
+
 @dataclass
 class SketchBundle:
     """The complete output of a measurement campaign.
@@ -307,7 +323,7 @@ class SketchAccumulator:
 
         self._phi = [materialize(plan.core_spec(i)) for i in range(1, d + 1)]
         self._core = np.zeros((plan.m_c,) * d)
-        self._covered = []  # disjoint (start, count) slabs seen so far
+        self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
 
     # -- streaming -----------------------------------------------------------
 
@@ -325,11 +341,12 @@ class SketchAccumulator:
             raise ConfigError(
                 f"slab [{chunk.start}, {chunk.start + chunk.count}) has non-finite entries"
             )
-        for s, c in self._covered:
-            if chunk.count and c and chunk.start < s + c and s < chunk.start + chunk.count:
-                raise ConfigError(
-                    f"slab [{chunk.start}, {chunk.start + chunk.count}) overlaps [{s}, {s + c})"
-                )
+        hit = _overlap(self._covered, chunk.start, chunk.count)
+        if hit:
+            s, c = hit
+            raise ConfigError(
+                f"slab [{chunk.start}, {chunk.start + chunk.count}) overlaps [{s}, {s + c})"
+            )
         return payload
 
     def update(self, chunk):
@@ -349,8 +366,7 @@ class SketchAccumulator:
             g = mode_product(g, self._phi[i - 1], i)
         self._core += mode_product(g, self._phi[d - 1][:, lo:hi], d)
 
-        self._covered.append((chunk.start, chunk.count))
-        self._covered.sort()
+        bisect.insort(self._covered, (chunk.start, chunk.count))
 
     def _add_loo(self, j, payload, lo, hi):
         d = self.plan.d
@@ -426,10 +442,11 @@ class SketchAccumulator:
             raise ConfigError("can only merge SketchAccumulators")
         if self.plan != other.plan:
             raise ConfigError("cannot merge accumulators built from different plans")
-        for s, c in self._covered:
-            for s2, c2 in other._covered:
-                if c and c2 and s < s2 + c2 and s2 < s + c:
-                    raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
+        for s2, c2 in other._covered:
+            hit = _overlap(self._covered, s2, c2)
+            if hit:
+                s, c = hit
+                raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
         out = copy.copy(self)  # shares the plan's read-only materialized maps
         out._loo = [a + b for a, b in zip(self._loo, other._loo)]
         out._core = self._core + other._core
@@ -438,9 +455,7 @@ class SketchAccumulator:
 
     def coverage_complete(self):
         pos = 0
-        for s, c in sorted(self._covered):
-            if c == 0:
-                continue
+        for s, c in self._covered:
             if s != pos:
                 return False
             pos = s + c

@@ -4,14 +4,26 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES
-from tsketch.formats import read_bundle, read_tensor, write_chunks, write_tensor
-from tsketch.sketch import slab_chunks
+from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error, snr_db
+from tsketch.formats import (
+    read_bundle,
+    read_factorization,
+    read_tensor,
+    write_bundle,
+    write_chunks,
+    write_factorization,
+    write_tensor,
+)
+from tsketch.recover import one_pass, reconstruct, two_pass
+from tsketch.sketch import SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.tensor import norm
 
 
 def run(*argv):
@@ -123,6 +135,93 @@ def test_eval_against_chunk_stream_and_clean(pipeline_files, capsys) -> None:
     assert report["snr_db"] == pytest.approx(30.0, abs=1e-6)
     assert report["relative_error_clean"] < 0.05
     assert report["relative_error"] < 0.05
+
+
+def write_slabs(path, x, ranges):
+    write_chunks(path, x.shape, [SlabChunk(lo, hi - lo, x[..., lo:hi]) for lo, hi in ranges])
+
+
+def test_streamed_second_look_matches_dense(tmp_path) -> None:
+    """recover --two-pass and eval read a TNSR file or a TSKC stream slab by
+    slab (uneven, out-of-order records; the clean tensor chunked differently)
+    and agree with the dense library calls to 1e-13."""
+    x0, _ = gen_lowrank(14, 3, 3, seed=17)
+    x = add_noise_snr(x0, 25.0, seed=18)
+    b = sketch(x, make_plan(x.shape, "kronecker", 6, 8, seed=19))
+    bundle = tmp_path / "b.tskb"
+    write_bundle(bundle, b)
+    write_slabs(tmp_path / "x.tskc", x, [(9, 14), (0, 3), (3, 9)])
+    write_tensor(tmp_path / "x.tnsr", x)
+    write_slabs(tmp_path / "x0.tskc", x0, [(0, 7), (7, 14)])
+    write_tensor(tmp_path / "x0.tnsr", x0)
+    x_hat = reconstruct(two_pass(b, x, 3))
+    dense = {
+        "relative_error": relative_error(x_hat, x),
+        "relative_error_clean": relative_error(x_hat, x0),
+        "snr_db": snr_db(x, x0),
+    }
+    for observed, clean in [("x.tskc", "x0.tskc"), ("x.tnsr", "x0.tskc"), ("x.tskc", "x0.tnsr")]:
+        tuck, out = tmp_path / "t.tuck", tmp_path / "e.json"
+        assert run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3",
+                   "--two-pass", "--chunks", str(tmp_path / observed)) == 0
+        assert norm(reconstruct(read_factorization(tuck)) - x_hat) <= 1e-13 * norm(x_hat)
+        cfg = write_json(tmp_path / "ev.json", {"clean": str(tmp_path / clean)})
+        assert run("eval", "--config", cfg, "--input", str(tuck),
+                   "--chunks", str(tmp_path / observed), "--output", str(out)) == 0
+        report = json.loads(out.read_text())
+        for key, value in dense.items():
+            assert report[key] == pytest.approx(value, rel=1e-13, abs=0.0), (observed, clean, key)
+
+
+def test_eval_report_is_strict_json(pipeline_files, capsys) -> None:
+    """A noiseless clean tensor has an infinite SNR, reported as null, not as
+    the non-JSON token Infinity."""
+    tmp, _, sketch_cfg, tensor = pipeline_files
+    bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
+    run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+    run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
+    cfg = write_json(tmp / "ev.json", {"clean": str(tensor)})
+    assert run("eval", "--config", cfg, "--input", str(tuck), "--chunks", str(tensor)) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["snr_db"] is None
+
+
+class TestStreamingMemory:
+    """The second look at the data holds a slab and the sketch, never the tensor."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("memory")
+        x, _ = gen_lowrank(128, 3, 4, seed=23)  # 16 MiB
+        write_chunks(d / "x.tskc", x.shape, slab_chunks(x, 16))
+        write_tensor(d / "x.tnsr", x)
+        b = sketch(x, make_plan(x.shape, "kronecker", 8, 12, seed=24))
+        write_bundle(d / "b.tskb", b)
+        write_factorization(d / "t.tuck", one_pass(b, 4))
+        return d, x.nbytes
+
+    @pytest.mark.parametrize("name", ["x.tskc", "x.tnsr"])
+    @pytest.mark.parametrize("step", ["recover", "eval"])
+    def test_peak_below_a_quarter_of_the_tensor(self, files, step, name) -> None:
+        d, nbytes = files
+        if step == "recover":
+            argv = ["recover", "--two-pass", "--rank", "4", "--input", str(d / "b.tskb"),
+                    "--chunks", str(d / name), "--output", str(d / "t2.tuck")]
+        else:
+            argv = ["eval", "--input", str(d / "t.tuck"), "--chunks", str(d / name),
+                    "--output", str(d / "e.json")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < nbytes / 4, (peak, nbytes)
 
 
 def test_print_config_merges_defaults_file_and_flags(tmp_path, capsys) -> None:
@@ -237,6 +336,36 @@ class TestErrorReporting:
             "--output", str(tmp / "b.tskb"), capsys=capsys,
         )
         assert "[7, 14)" in msg
+
+    @pytest.mark.parametrize("fmt", ["tskc", "tnsr"])
+    @pytest.mark.parametrize("step", ["recover", "eval", "eval-clean"])
+    def test_non_finite_second_look_is_config(self, pipeline_files, capsys, fmt, step) -> None:
+        """A NaN in the second look at the data is refused, naming the slab
+        read: a TSKC record, or the one piece a small TNSR file is read in."""
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
+        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
+        x = read_tensor(tensor)
+        x[3, 1, 9] = np.nan
+        bad = tmp / f"bad.{fmt}"
+        if fmt == "tnsr":
+            write_tensor(bad, x)
+            slab = "[0, 14)"
+        else:
+            write_chunks(bad, x.shape, slab_chunks(x, 2))
+            slab = "[7, 14)"
+        if step == "recover":
+            argv = ["recover", "--input", str(bundle), "--output", str(tmp / "t2.tuck"),
+                    "--rank", "3", "--two-pass", "--chunks", str(bad)]
+        elif step == "eval":
+            argv = ["eval", "--input", str(tuck), "--chunks", str(bad)]
+        else:
+            cfg = write_json(tmp / "ev.json", {"clean": str(bad)})
+            argv = ["eval", "--config", cfg, "--input", str(tuck), "--chunks", str(tensor)]
+            slab = "[0, 14)"  # the clean tensor is read over the observed TNSR's ranges
+        msg = self.check("config", *argv, capsys=capsys)
+        assert slab in msg and "non-finite" in msg
 
     def test_chunk_record_past_the_mode_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files

@@ -15,11 +15,13 @@ from tsketch.evaluate import (
     hosvd_truncate,
     max_principal_angle,
     relative_error,
+    score,
     snr_db,
     tail_baseline,
     tail_energy,
 )
 from tsketch.recover import reconstruct
+from tsketch.sketch import SlabChunk
 from tsketch.tensor import inner, norm
 
 
@@ -232,6 +234,47 @@ class TestHosvd:
 
         with pytest.raises(RankError):
             hosvd_truncate(x, 6)
+
+
+class TestScore:
+    """Error measures summed over last-mode slabs equal the dense metrics."""
+
+    @pytest.fixture
+    def problem(self):
+        x0, _ = gen_lowrank(11, 3, 3, seed=14)
+        x = add_noise_snr(x0, 20.0, seed=15)
+        t = hosvd_truncate(x, 3)
+        x_hat = reconstruct(t)
+        dense = {
+            "relative_error": relative_error(x_hat, x),
+            "relative_error_clean": relative_error(x_hat, x0),
+            "snr_db": snr_db(x, x0),
+        }
+        return x0, x, t, dense
+
+    @staticmethod
+    def close(got, dense):
+        assert got.keys() == dense.keys()
+        for key, value in dense.items():
+            assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+    def test_one_slab(self, problem) -> None:
+        x0, x, t, dense = problem
+        self.close(score(t, [(SlabChunk(0, 11, x), x0)]), dense)
+        self.close(score(t, [(SlabChunk(0, 11, x), None)]), {"relative_error": dense["relative_error"]})
+
+    def test_uneven_out_of_order_slabs(self, problem) -> None:
+        x0, x, t, dense = problem
+        ranges = [(6, 11), (0, 1), (1, 6)]
+        pairs = [(SlabChunk(lo, hi - lo, x[..., lo:hi]), x0[..., lo:hi]) for lo, hi in ranges]
+        self.close(score(t, pairs), dense)
+
+    def test_slabs_must_cover_the_mode(self, problem) -> None:
+        x0, x, t, _ = problem
+        with pytest.raises(ShapeError, match="cover 6 of the 11"):
+            score(t, [(SlabChunk(0, 6, x[..., :6]), None)])
+        with pytest.raises(ShapeError):
+            score(t, [(SlabChunk(0, 11, x[:4]), None)])
 
 
 def test_shape_mismatch_errors() -> None:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsketch.errors import IOFormatError
+from tsketch import formats
+from tsketch.errors import ConfigError, IOFormatError, ShapeError
 from tsketch.evaluate import gen_lowrank, relative_error
 from tsketch.formats import (
+    TensorFile,
     read_bundle,
     read_chunk_shape,
     read_chunks,
@@ -22,7 +24,7 @@ from tsketch.formats import (
     write_tensor,
 )
 from tsketch.recover import one_pass, reconstruct
-from tsketch.sketch import make_plan, sketch, slab_chunks
+from tsketch.sketch import SlabChunk, make_plan, sketch, slab_chunks
 
 
 @pytest.fixture
@@ -60,6 +62,65 @@ def test_chunks_dense_requires_full_coverage(tmp_path, tensor) -> None:
     write_chunks(p, tensor.shape, chunks[:2])
     with pytest.raises(IOFormatError):
         read_chunks_dense(p)
+
+
+def test_chunks_dense_refuses_overlap(tmp_path, tensor) -> None:
+    p = tmp_path / "overlap.tskc"
+    write_chunks(p, tensor.shape, [SlabChunk(0, 4, tensor[..., :4]), SlabChunk(3, 3, tensor[..., 3:])])
+    with pytest.raises(IOFormatError, match=r"chunk \[3, 6\) overlaps earlier data"):
+        read_chunks_dense(p)
+
+
+class TestTensorFile:
+    """Reads by last-mode range from a TNSR file or a TSKC stream."""
+
+    @pytest.fixture
+    def files(self, tmp_path, tensor):
+        # uneven TSKC records, out of order
+        chunks = [SlabChunk(lo, hi - lo, tensor[..., lo:hi]) for lo, hi in [(4, 6), (0, 1), (1, 4)]]
+        write_chunks(tmp_path / "x.tskc", tensor.shape, chunks)
+        write_tensor(tmp_path / "x.tnsr", tensor)
+        return [tmp_path / "x.tskc", tmp_path / "x.tnsr"]
+
+    def test_any_range_equals_the_tensor_slices(self, files, tensor) -> None:
+        for p in files:
+            with TensorFile(p) as f:
+                assert f.shape == tensor.shape
+                for lo in range(7):
+                    for hi in range(lo, 7):
+                        got = f.read(lo, hi)
+                        assert got.flags.f_contiguous
+                        assert np.array_equal(got, tensor[..., lo:hi])
+                with pytest.raises(ShapeError):
+                    f.read(2, 7)
+
+    def test_slabs_are_bounded_and_tile_the_mode(self, files, tensor, monkeypatch) -> None:
+        monkeypatch.setattr(formats, "_PIECE_BYTES", 2 * 8 * 5 * 4)  # two last-mode slices
+        for p in files:
+            with TensorFile(p) as f:
+                slabs = list(f.slabs())
+            assert all(1 <= c.count <= 2 for c in slabs)
+            assert [c.start for c in slabs] == sorted(c.start for c in slabs)
+            assert sum(c.count for c in slabs) == tensor.shape[-1]
+            assert np.array_equal(np.concatenate([c.payload for c in slabs], axis=-1), tensor)
+
+    def test_non_finite_slab_is_refused_naming_its_range(self, tmp_path, tensor) -> None:
+        x = np.array(tensor)
+        x[1, 2, 4] = np.nan
+        p = tmp_path / "nan.tnsr"
+        write_tensor(p, x)
+        with TensorFile(p) as f:
+            assert np.isnan(f.read(3, 6)).any()  # a plain range read passes data through
+            with pytest.raises(ConfigError, match=r"\[3, 6\)"):
+                f.slab(3, 6)
+            with pytest.raises(ConfigError, match="non-finite"):
+                list(f.slabs())
+
+    def test_refuses_other_formats(self, tmp_path, tensor) -> None:
+        p = tmp_path / "t.tuck"
+        write_factorization(p, one_pass(sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4)), 2))
+        with pytest.raises(IOFormatError, match="expected a TNSR or TSKC file"):
+            TensorFile(p)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 
 from tsketch.ensembles import materialize
-from tsketch.errors import ConfigError, RankError, SingularError
+from tsketch import formats
+from tsketch.errors import ConfigError, RankError, ShapeError, SingularError
 from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error
 from tsketch.recover import (
     TuckerFactorization,
@@ -20,7 +21,8 @@ from tsketch.recover import (
     two_pass,
 )
 from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch
-from tsketch.tensor import fold, norm, unfold, vec
+from tsketch.formats import TensorFile, write_chunks, write_tensor
+from tsketch.tensor import fold, multi_mode_product, norm, unfold, vec
 
 
 @pytest.mark.parametrize(
@@ -103,6 +105,61 @@ def test_twopass_never_worse_than_onepass_on_noise() -> None:
     e1 = relative_error(reconstruct(one_pass(b, 4)), x)
     e2 = relative_error(reconstruct(two_pass(b, x, 4)), x)
     assert e2 <= e1 + 1e-12
+
+
+class TestStreamedTwoPass:
+    """The two-pass core summed over last-mode slabs equals the dense projection."""
+
+    @pytest.fixture
+    def problem(self):
+        x0, _ = gen_lowrank(12, 3, 4, seed=114)
+        x = add_noise_snr(x0, 25.0, seed=114)
+        return x, sketch(x, make_plan(x.shape, "kronecker", 6, 9, seed=115))
+
+    def test_dense_core_is_the_projection_bitwise(self, problem) -> None:
+        x, b = problem
+        t = two_pass(b, x, 4)
+        expect = multi_mode_product(x, [(q.T, i) for i, q in enumerate(t.factors, start=1)])
+        assert np.array_equal(t.core, expect)
+
+    @pytest.mark.parametrize("fmt", ["tnsr", "tskc"])
+    def test_streamed_file_matches_dense(self, problem, tmp_path, monkeypatch, fmt) -> None:
+        x, b = problem
+        monkeypatch.setattr(formats, "_PIECE_BYTES", 3 * 8 * 12 * 12)  # three last-mode slices
+        p = tmp_path / f"x.{fmt}"
+        if fmt == "tnsr":
+            write_tensor(p, x)
+        else:  # uneven records, out of order
+            ranges = [(7, 12), (0, 2), (2, 7)]
+            write_chunks(p, x.shape, [SlabChunk(lo, hi - lo, x[..., lo:hi]) for lo, hi in ranges])
+        dense = two_pass(b, x, 4)
+        with TensorFile(p) as f:
+            streamed = two_pass(b, f.slabs(), 4)
+        for q, q2 in zip(dense.factors, streamed.factors):
+            assert np.array_equal(q, q2)
+        assert norm(streamed.core - dense.core) <= 1e-13 * norm(dense.core)
+        x_hat = reconstruct(dense)
+        assert norm(reconstruct(streamed) - x_hat) <= 1e-13 * norm(x_hat)
+
+    def test_slabs_must_fit_and_cover_the_mode(self, problem) -> None:
+        x, b = problem
+        qs = two_pass(b, x, 4).factors
+        with pytest.raises(ShapeError, match="cover 7 of the 12"):
+            compute_core_twopass([SlabChunk(0, 7, x[..., :7])], qs)
+        with pytest.raises(ShapeError, match="does not fit"):
+            compute_core_twopass([SlabChunk(0, 12, x[:5])], qs)
+        with pytest.raises(ShapeError):
+            two_pass(b, x[..., :7], 4)
+
+
+def test_reconstruct_slab_is_the_slice_of_the_whole() -> None:
+    rng = np.random.default_rng(116)
+    core = rng.standard_normal((2, 3, 4))
+    qs = [np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in ((5, 2), (6, 3), (9, 4))]
+    t = TuckerFactorization(core=core, factors=qs)
+    whole = reconstruct(t)
+    for lo, hi in [(0, 9), (0, 1), (3, 7), (8, 9)]:
+        assert np.allclose(reconstruct(t, lo, hi), whole[..., lo:hi], rtol=1e-14, atol=1e-14)
 
 
 def test_reconstruct_unfolds_to_factored_form() -> None:

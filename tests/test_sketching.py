@@ -236,6 +236,22 @@ class TestStreaming:
         with pytest.raises(ConfigError):
             acc.update(SlabChunk(4, 4, x[..., 4:]))
 
+    def test_adjacent_out_of_order_slabs(self) -> None:
+        """Slabs that touch without overlapping are accepted in any order; the
+        kept-sorted coverage then names the slab a later overlap hits."""
+        x = random_tensor((4, 4, 8), seed=48)
+        plan = make_plan(x.shape, "kronecker", 2, 2, seed=49)
+        acc = SketchAccumulator(plan)
+        for lo, hi in [(4, 8), (0, 2), (2, 4)]:
+            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        assert acc._covered == [(0, 2), (2, 2), (4, 4)]
+        with pytest.raises(ConfigError, match=r"overlaps \[2, 4\)"):
+            acc.update(SlabChunk(3, 1, x[..., 3:4]))
+        got, ref = acc.finalize(), sketch(x, plan)
+        assert not got.partial
+        for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]):
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+
     def test_chunk_validation(self) -> None:
         x = random_tensor((4, 4, 8), seed=40)
         plan = make_plan(x.shape, "kronecker", 2, 2, seed=41)
