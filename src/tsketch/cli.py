@@ -3,9 +3,11 @@
 Subcommands: gen, sketch, recover, eval, experiment. Each takes a JSON config
 (--config) merged over built-in defaults, with a few flags (--seed, --rank,
 --two-pass, --threads) overriding the merged values; --print-config shows the
-result and exits. Tensor-bearing inputs arrive either as a whole-tensor TNSR
-file (--input) or a TSKC slab stream (--chunks); recover --two-pass and eval
-accept either format through --chunks and read it slab by slab, never whole.
+result and exits. Every tensor-bearing input is a whole-tensor TNSR file or a
+TSKC slab stream, told apart by its magic: sketch takes it through --input or
+--chunks and reads it record by record; recover --two-pass and eval take it
+through --chunks and read it slab by slab, never whole. A stream whose records
+overlap or leave a gap is refused before any of it is used.
 Failures exit nonzero with one JSON line on stderr:
 {"error": {"category": ..., "message": ...}}.
 """
@@ -39,11 +41,8 @@ from .evaluate import (
 from .formats import (
     TensorFile,
     read_bundle,
-    read_chunk_shape,
-    read_chunks,
     read_chunks_dense,
     read_factorization,
-    read_tensor,
     write_bundle,
     write_chunks,
     write_factorization,
@@ -204,8 +203,8 @@ def _build_parser():
     })
     add("sketch", "sketch a tensor into a bundle", {
         "config": True,
-        "input": "whole tensor to sketch (TNSR)",
-        "chunks": "slab stream to sketch (TSKC), streamed chunk by chunk",
+        "input": "tensor to sketch (TNSR or TSKC), read record by record",
+        "chunks": "tensor to sketch (TNSR or TSKC); same as --input",
         "output": "bundle file to write (TSKB)",
         "seed": True,
     })
@@ -255,19 +254,76 @@ def _merge_config(command, args):
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
         cfg.update(loaded)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "rank", None) is not None:
-        cfg["rank"] = args.rank
+    for key in ("seed", "rank", "threads"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "two_pass", False):
         cfg["two_pass"] = True
-    if getattr(args, "threads", None) is not None:
-        cfg["threads"] = args.threads
+    _check_values(command, cfg)
+    for v_idx, overrides in enumerate(cfg.get("variants") or ()):
+        unknown = sorted(set(overrides) - _VARIANT_KEYS)
+        if unknown:
+            raise ConfigError(f"variant {v_idx} overrides unknown keys: {', '.join(unknown)}")
+        _check_values(command, overrides, f"variants[{v_idx}].")
     return cfg
 
 
-def _print_config(cfg):
-    print(json.dumps(cfg, indent=2, sort_keys=True))
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _positive(v):
+    return _is_int(v) and v >= 1
+
+
+# What each config value must be, as (description, test). A JSON integer is
+# required wherever an integer is meant, so "6" and true are refused. A key
+# whose default is null may also be null.
+_CHECKS = {
+    **dict.fromkeys(
+        ("generator", "input", "clean", "loo_kind", "diag_family"),
+        ("a string", lambda v: isinstance(v, str)),
+    ),
+    **dict.fromkeys(
+        ("n", "d", "r_true", "r_fit", "rank", "slabs", "trials", "threads", "m", "m_c"),
+        ("a positive integer", _positive),
+    ),
+    **dict.fromkeys(
+        ("loo_family", "core_family"),
+        (
+            "a family name or a list of them",
+            lambda v: isinstance(v, str) or (isinstance(v, list) and all(isinstance(f, str) for f in v)),
+        ),
+    ),
+    "snr_db": ("a finite number", _is_real),
+    "bound_eps": ("a number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1),
+    # The bundle stores the seed as a u64.
+    "seed": ("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 2**64),
+    "two_pass": ("true or false", lambda v: isinstance(v, bool)),
+    "variants": (
+        "a list of config-override objects",
+        lambda v: isinstance(v, list) and all(isinstance(o, dict) for o in v),
+    ),
+}
+
+# An experiment sweeps m and m_c over lists.
+_SWEEP = (
+    "a positive integer or a non-empty list of them",
+    lambda v: _positive(v) or (isinstance(v, list) and v and all(_positive(x) for x in v)),
+)
+
+
+def _check_values(command, cfg, where=""):
+    for key, value in cfg.items():
+        if value is None and _DEFAULTS[command][key] is None:
+            continue
+        what, ok = _SWEEP if command == "experiment" and key in ("m", "m_c") else _CHECKS[key]
+        if not ok(value):
+            raise ConfigError(f"config key {where}{key} must be {what}, got {value!r}")
 
 
 def _require(value, flag):
@@ -283,8 +339,7 @@ def _generate_clean(cfg, seed):
     gen = cfg["generator"]
     n, d, r = cfg["n"], cfg["d"], cfg["r_true"]
     if gen == "lowrank":
-        x0, factors = gen_lowrank(n, d, r, seed=seed)
-        return x0, factors
+        return gen_lowrank(n, d, r, seed=seed)
     if gen == "superdiag_exp":
         return gen_superdiag_exp(n, d, r), None
     if gen == "superdiag_poly":
@@ -292,11 +347,7 @@ def _generate_clean(cfg, seed):
     raise ConfigError(f"unknown generator {gen!r}")
 
 
-def cmd_gen(args):
-    cfg = _merge_config("gen", args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_gen(args, cfg):
     output = _require(args.output, "--output")
     x0, _ = _generate_clean(cfg, cfg["seed"])
     x = x0 if cfg["snr_db"] is None else add_noise_snr(x0, cfg["snr_db"], seed=cfg["seed"])
@@ -304,8 +355,6 @@ def cmd_gen(args):
     if slabs is None:
         write_tensor(output, x)
     else:
-        if not isinstance(slabs, int) or slabs < 1:
-            raise ConfigError(f"slabs must be a positive integer, got {slabs!r}")
         write_chunks(output, x.shape, slab_chunks(x, slabs))
     return 0
 
@@ -326,40 +375,25 @@ def _plan_from_config(cfg, shape):
     )
 
 
-def cmd_sketch(args):
-    cfg = _merge_config("sketch", args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_sketch(args, cfg):
     output = _require(args.output, "--output")
     if bool(args.input) == bool(args.chunks):
         raise ConfigError("exactly one of --input and --chunks is required")
-    if args.input:
-        x = read_tensor(args.input)
-        bundle = sketch(x, _plan_from_config(cfg, x.shape))
-    else:
-        shape = read_chunk_shape(args.chunks)
-        acc = SketchAccumulator(_plan_from_config(cfg, shape))
-        for chunk in read_chunks(args.chunks):
+    with TensorFile(args.input or args.chunks) as x:
+        acc = SketchAccumulator(_plan_from_config(cfg, x.shape))
+        for chunk in x.records():
             acc.update(chunk)
-        bundle = acc.finalize()
-    write_bundle(output, bundle)
+    write_bundle(output, acc.finalize())
     return 0
 
 
 # -- recover -------------------------------------------------------------
 
 
-def cmd_recover(args):
-    cfg = _merge_config("recover", args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_recover(args, cfg):
     bundle_path = _require(args.input, "--input")
     output = _require(args.output, "--output")
-    rank = cfg["rank"]
-    if rank is None:
-        raise ConfigError("--rank is required")
+    rank = _require(cfg["rank"], "--rank")
     bundle = read_bundle(bundle_path)
     if cfg["two_pass"]:
         if not args.chunks:
@@ -375,11 +409,7 @@ def cmd_recover(args):
 # -- eval ----------------------------------------------------------------
 
 
-def cmd_eval(args):
-    cfg = _merge_config("eval", args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_eval(args, cfg):
     t = read_factorization(_require(args.input, "--input"))
     with ExitStack() as files:
         x = files.enter_context(TensorFile(_require(args.chunks, "--chunks")))
@@ -411,35 +441,18 @@ def cmd_eval(args):
 # -- experiment ----------------------------------------------------------
 
 
-def _as_sweep(value, key):
-    if isinstance(value, int):
-        value = [value]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a positive integer or non-empty list")
-    for v in value:
-        if not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{key} entries must be positive integers, got {v!r}")
-    return list(value)
+def _as_sweep(value):
+    return value if isinstance(value, list) else [value]
 
 
 def _experiment_tasks(cfg):
     """Expand (variant, m, m_c, trial) cross product into per-row task dicts."""
-    variants = cfg["variants"]
-    if variants is None:
-        variants = [{}]
-    if not isinstance(variants, list) or not all(isinstance(v, dict) for v in variants):
-        raise ConfigError("variants must be a list of config-override objects")
-    if cfg["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
     tasks = []
-    for v_idx, overrides in enumerate(variants):
-        unknown = sorted(set(overrides) - _VARIANT_KEYS)
-        if unknown:
-            raise ConfigError(f"variant {v_idx} overrides unknown keys: {', '.join(unknown)}")
+    for v_idx, overrides in enumerate(cfg["variants"] or [{}]):
         row_cfg = dict(cfg)
         row_cfg.update(overrides)
-        for m in _as_sweep(row_cfg["m"], "m"):
-            for m_c in _as_sweep(row_cfg["m_c"], "m_c"):
+        for m in _as_sweep(row_cfg["m"]):
+            for m_c in _as_sweep(row_cfg["m_c"]):
                 for trial in range(cfg["trials"]):
                     tasks.append(
                         {
@@ -466,32 +479,18 @@ def _load_experiment_input(cfg):
 def _run_trial(task, file_tensor, shared):
     cfg = task["cfg"]
     seed = task["seed"]
-    n, d, r_fit = cfg["n"], cfg["d"], cfg["r_fit"]
+    r_fit = cfg["r_fit"]
 
-    factors_true = None
     if cfg["generator"] == "file":
-        x0 = file_tensor
-        n, d = x0.shape[0], x0.ndim
-    elif cfg["generator"] == "lowrank":
-        x0, factors_true = gen_lowrank(n, d, cfg["r_true"], seed=seed)
-    elif cfg["generator"] == "superdiag_exp":
-        x0 = shared["superdiag"]
-    elif cfg["generator"] == "superdiag_poly":
-        x0 = shared["superdiag"]
+        x0, factors_true = file_tensor, None
+    elif "superdiag" in shared:
+        x0, factors_true = shared["superdiag"], None
     else:
-        raise ConfigError(f"unknown generator {cfg['generator']!r}")
+        x0, factors_true = _generate_clean(cfg, seed)
+    n, d = x0.shape[0], x0.ndim
     x = x0 if cfg["snr_db"] is None else add_noise_snr(x0, cfg["snr_db"], seed=seed)
 
-    plan = make_plan(
-        x.shape,
-        cfg["loo_kind"],
-        task["m"],
-        task["m_c"],
-        loo_family=cfg["loo_family"],
-        core_family=cfg["core_family"],
-        diag_family=cfg["diag_family"],
-        seed=seed,
-    )
+    plan = _plan_from_config({**cfg, "m": task["m"], "m_c": task["m_c"], "seed": seed}, x.shape)
 
     t0 = time.perf_counter()
     bundle = sketch(x, plan)
@@ -570,8 +569,7 @@ def _shared_state(task, file_tensor, cache):
         return {}
     key = (cfg["generator"], cfg["n"], cfg["d"], cfg["r_true"], cfg["r_fit"], cfg["snr_db"])
     if key not in cache:
-        gen = gen_superdiag_exp if cfg["generator"] == "superdiag_exp" else gen_superdiag_poly
-        x0 = gen(cfg["n"], cfg["d"], cfg["r_true"])
+        x0, _ = _generate_clean(cfg, None)  # super-diagonal tensors take no seed
         shared = {"superdiag": x0}
         if cfg["snr_db"] is None:
             shared["deltas"] = [tail_energy(x0, cfg["r_fit"], j) for j in range(1, x0.ndim + 1)]
@@ -593,8 +591,6 @@ def run_experiment(cfg):
     cache = {}
     shared = [_shared_state(t, file_tensor, cache) for t in tasks]
     threads = cfg["threads"]
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     if threads == 1:
         rows = [_run_trial(t, file_tensor, s) for t, s in zip(tasks, shared)]
     else:
@@ -613,11 +609,7 @@ def write_csv(path, rows):
             writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
 
 
-def cmd_experiment(args):
-    cfg = _merge_config("experiment", args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_experiment(args, cfg):
     output = _require(args.output, "--output")
     rows = run_experiment(cfg)
     write_csv(output, rows)
@@ -639,7 +631,11 @@ _COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _merge_config(args.command, args)
+        if args.print_config:
+            print(json.dumps(cfg, indent=2, sort_keys=True))
+            return 0
+        return _COMMANDS[args.command](args, cfg)
     except TsketchError as e:
         line = json.dumps({"error": {"category": e.category, "message": str(e)}})
         sys.stderr.write(line + "\n")

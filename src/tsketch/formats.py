@@ -42,7 +42,6 @@ __all__ = [
     "read_tensor",
     "write_chunks",
     "read_chunks",
-    "read_chunk_shape",
     "read_chunks_dense",
     "write_bundle",
     "read_bundle",
@@ -160,13 +159,6 @@ def write_chunks(path, shape, chunks):
             del payload
 
 
-def read_chunk_shape(path):
-    """Just the declared tensor shape of a chunk stream."""
-    with _open(path) as f:
-        _expect_magic(f, b"TSKC")
-        return _shape_header(f)
-
-
 def _records(f, shape):
     """Yield (start, count, offset) for each record of a chunk stream.
 
@@ -277,6 +269,15 @@ class TensorFile:
         if not np.isfinite(payload).all():
             raise ConfigError(f"slab [{lo}, {hi}) has non-finite entries")
         return SlabChunk(lo, hi - lo, payload)
+
+    def records(self):
+        """Yield each stored record whole, as a SlabChunk, in last-mode order.
+
+        A TNSR file is one record. Entries are not checked for finiteness here;
+        ``SketchAccumulator.update`` checks every slab it is given.
+        """
+        for start, count, _ in self._records:
+            yield SlabChunk(start, count, self.read(start, start + count))
 
     def slabs(self):
         """Yield the whole tensor as finite slabs of at most _PIECE_BYTES, in last-mode order."""

@@ -46,7 +46,7 @@ import numpy as np
 from .ensembles import materialize
 from .errors import ConfigError, RankError, ShapeError, SingularError
 from .sketch import SlabChunk
-from .tensor import mode_product, multi_mode_product, unfold
+from .tensor import mode_product, multi_mode_product, slab_product, unfold
 
 __all__ = [
     "TuckerFactorization",
@@ -274,7 +274,7 @@ def compute_core_twopass(x, qs):
     tensor is the one-slab case. One slab is held at a time.
     """
     shape = tuple(q.shape[0] for q in qs)
-    mats = [(q.T, i) for i, q in enumerate(qs[:-1], start=1)]
+    qts = [q.T for q in qs]
     core, covered = None, 0
     for c in _as_slabs(x):
         payload = np.asarray(c.payload, dtype=np.float64)
@@ -283,7 +283,7 @@ def compute_core_twopass(x, qs):
                 f"slab [{c.start}, {c.start + c.count}) of shape {payload.shape} does not fit "
                 f"the factors' shape {shape}"
             )
-        g = multi_mode_product(payload, mats + [(qs[-1][c.start : c.start + c.count].T, len(qs))])
+        g = slab_product(payload, qts, c.start, c.start + c.count)
         if core is None:
             core = g
         else:

@@ -5,7 +5,9 @@ tensor it defines:
 
 * d leave-one-out sketches. Sketch j compresses every mode except mode j,
   which stays at full length n_j and is hit only by a square "diagonal" map
-  (identity by default). Three structures are supported:
+  D_j (identity by default). D_j commutes with the sum over slabs, so it is
+  applied once per sketch, when the sketch is finalized, never per slab.
+  Three structures are supported:
 
   - ``kronecker``: one small map per (sketch, mode) pair, applied modewise;
     the composite acting on the unfolding is their Kronecker product in
@@ -22,17 +24,20 @@ tensor it defines:
 
 All measurements are linear, so a tensor arriving in last-mode slabs can be
 sketched additively: each slab contributes through the map columns its index
-range selects. ``SketchAccumulator`` holds exactly the fixed-size measurement
-arrays (never the slabs themselves), supports merging with a disjoint peer,
-and finalizes into a :class:`SketchBundle`. Batch sketching is the special
-case of one slab covering the whole mode, which is how ``sketch`` is
-implemented.
+range selects. The core sketch and every kronecker sketch contract a slab
+through one helper, ``tensor.slab_product``, which applies one map per mode
+and cuts the last mode's map to the slab. ``SketchAccumulator`` holds exactly
+the fixed-size measurement arrays (never the slabs themselves), supports
+merging with a disjoint peer, and finalizes into a :class:`SketchBundle`.
+Batch sketching is the special case of one slab covering the whole mode,
+which is how ``sketch`` is implemented.
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
+import math
 import os
 from dataclasses import dataclass
 
@@ -40,7 +45,7 @@ import numpy as np
 
 from .ensembles import FAMILIES, EnsembleSpec, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import mode_product, unfold
+from .tensor import mode_product, slab_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -101,6 +106,8 @@ class SketchPlan:
             raise ConfigError(f"loo_kind must be one of {LOO_KINDS}, got {self.loo_kind!r}")
         if self.m < 1 or self.m_c < 1:
             raise ConfigError("sketch dimensions m and m_c must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2^64), as a bundle stores it, got {self.seed}")
         if len(self.loo_families) != self.d or len(self.core_families) != self.d:
             raise ConfigError("need one leave-one-out family and one core family per mode")
         if self.diag_family not in _DIAG_FAMILIES:
@@ -276,9 +283,11 @@ class SketchBundle:
 class SketchAccumulator:
     """Single-writer additive state for one measurement campaign.
 
-    Holds the plan, the materialized maps, and fixed-size measurement arrays.
-    Chunks are folded in by `update` and never retained; `merge` combines two
-    accumulators built from the same plan over disjoint slab ranges.
+    Holds the plan, the materialized compressing maps, and fixed-size
+    measurement arrays. Chunks are folded in by `update` and never retained;
+    `merge` combines two accumulators built from the same plan over disjoint
+    slab ranges. The diagonal maps are not held: `finalize` builds and applies
+    them.
     """
 
     def __init__(self, plan):
@@ -288,27 +297,7 @@ class SketchAccumulator:
         d = plan.d
         shape = plan.shape
 
-        self._diag = [None] * d  # None encodes an identity diagonal map
-        if plan.diag_family != "identity":
-            self._diag = [materialize(plan.diag_spec(j)) for j in range(1, d + 1)]
-
-        if plan.loo_kind == "kronecker":
-            # Per-sketch modewise maps; measurement tensors keep mode j uncompressed.
-            self._maps = [
-                [None if i == j else materialize(plan.loo_spec(j, i)) for i in range(1, d + 1)]
-                for j in range(1, d + 1)
-            ]
-            self._loo = [
-                np.zeros(tuple(shape[j - 1] if i == j else plan.m for i in range(1, d + 1)))
-                for j in range(1, d + 1)
-            ]
-        elif plan.loo_kind == "khatri_rao":
-            self._maps = [
-                [None if i == j else materialize(plan.loo_spec(j, i)) for i in range(1, d + 1)]
-                for j in range(1, d + 1)
-            ]
-            self._loo = [np.zeros((shape[j - 1], plan.m)) for j in range(1, d + 1)]
-        else:
+        if plan.loo_kind == "unstructured":
             cap_mb = _mem_cap_mb()
             for j in range(1, d + 1):
                 spec = plan.unstructured_spec(j)
@@ -319,6 +308,19 @@ class SketchAccumulator:
                         f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
                     )
             self._maps = [materialize(plan.unstructured_spec(j)) for j in range(1, d + 1)]
+        else:
+            # Per-(sketch, mode) maps; None marks the mode sketch j leaves uncompressed.
+            self._maps = [
+                [None if i == j else materialize(plan.loo_spec(j, i)) for i in range(1, d + 1)]
+                for j in range(1, d + 1)
+            ]
+        if plan.loo_kind == "kronecker":
+            # Measurement tensors keep mode j at full length.
+            self._loo = [
+                np.zeros(tuple(shape[j - 1] if i == j else plan.m for i in range(1, d + 1)))
+                for j in range(1, d + 1)
+            ]
+        else:
             self._loo = [np.zeros((shape[j - 1], plan.m)) for j in range(1, d + 1)]
 
         self._phi = [materialize(plan.core_spec(i)) for i in range(1, d + 1)]
@@ -354,63 +356,32 @@ class SketchAccumulator:
         payload = self._check_chunk(chunk)
         if chunk.count == 0:
             return
-        d = self.plan.d
         lo, hi = chunk.start, chunk.start + chunk.count
-
-        for j in range(1, d + 1):
+        for j in range(1, self.plan.d + 1):
             self._add_loo(j, payload, lo, hi)
-
-        # Core: every mode compressed; the last mode uses only the slab's columns.
-        g = payload
-        for i in range(1, d):
-            g = mode_product(g, self._phi[i - 1], i)
-        self._core += mode_product(g, self._phi[d - 1][:, lo:hi], d)
-
+        self._core += slab_product(payload, self._phi, lo, hi)
         bisect.insort(self._covered, (chunk.start, chunk.count))
 
     def _add_loo(self, j, payload, lo, hi):
+        """Add the slab's contribution to sketch j, before its diagonal map."""
         d = self.plan.d
         kind = self.plan.loo_kind
-        diag = self._diag[j - 1]
-
         if kind == "kronecker":
-            g = payload
-            # Compressed modes ascending; the uncompressed (leave-out) mode last.
-            for i in range(1, d + 1):
-                if i == j:
-                    continue
-                a = self._maps[j - 1][i - 1]
-                g = mode_product(g, a[:, lo:hi] if i == d else a, i)
-            if j == d:
-                block = g if diag is None else mode_product(g, diag[:, lo:hi], d)
-                if diag is None:
-                    self._loo[j - 1][..., lo:hi] += block
-                else:
-                    self._loo[j - 1] += block
-            else:
-                self._loo[j - 1] += g if diag is None else mode_product(g, diag, j)
+            # The slab covers mode d, so with j == d it fills only those slices.
+            out = self._loo[j - 1][..., lo:hi] if j == d else self._loo[j - 1]
+            out += slab_product(payload, self._maps[j - 1], lo, hi)
             return
-
         if kind == "khatri_rao":
             contrib = self._khat_contrib(j, payload, lo, hi)
         else:
             omega = self._maps[j - 1]
-            if j == d:
-                composite = omega
-            else:
-                stride = 1
-                for k in range(1, d + 1):
-                    if k != j and k != d:
-                        stride *= self.plan.shape[k - 1]
-                composite = omega[:, lo * stride : hi * stride]
-            contrib = unfold(payload, j) @ composite.T
-        if j == d:
-            if diag is None:
-                self._loo[j - 1][lo:hi, :] += contrib
-            else:
-                self._loo[j - 1] += diag[:, lo:hi] @ contrib
-        else:
-            self._loo[j - 1] += contrib if diag is None else diag @ contrib
+            if j != d:
+                # Mode d is the slowest of the composite's columns.
+                stride = math.prod(self.plan.shape[:-1]) // self.plan.shape[j - 1]
+                omega = omega[:, lo * stride : hi * stride]
+            contrib = unfold(payload, j) @ omega.T
+        out = self._loo[j - 1][lo:hi] if j == d else self._loo[j - 1]
+        out += contrib
 
     def _khat_contrib(self, j, payload, lo, hi):
         """unfold(payload, j) @ composite.T for the khatri_rao composite, matrix-free.
@@ -462,13 +433,22 @@ class SketchAccumulator:
         return pos == self.plan.shape[-1]
 
     def finalize(self):
-        """Produce the bundle. Incomplete coverage is allowed but flagged partial."""
-        if self.plan.loo_kind == "kronecker":
-            loo = [unfold(t, j) for j, t in enumerate(self._loo, start=1)]
+        """Produce the bundle. Incomplete coverage is allowed but flagged partial.
+
+        The square diagonal map D_j commutes with the sum over slabs, so it is
+        applied here, once per sketch: B_j = D_j times the accumulated sketch.
+        """
+        plan = self.plan
+        loo = self._loo
+        if plan.loo_kind == "kronecker":
+            loo = [unfold(t, j) for j, t in enumerate(loo, start=1)]
+        if plan.diag_family != "identity":
+            loo = [materialize(plan.diag_spec(j)) @ b for j, b in enumerate(loo, start=1)]
         else:
-            loo = [b.copy() for b in self._loo]
+            # `unfold` may return a view: the bundle must not change with later slabs.
+            loo = [b.copy(order="K") for b in loo]
         return SketchBundle(
-            plan=self.plan,
+            plan=plan,
             loo=loo,
             core=self._core.copy(),
             partial=not self.coverage_complete(),

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsketch
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES
 from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error, snr_db
@@ -28,6 +31,13 @@ from tsketch.tensor import norm
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_python(*argv):
+    """`python argv...` in a child process that imports this tsketch, installed or not."""
+    paths = [str(Path(tsketch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def write_json(path, obj):
@@ -105,6 +115,11 @@ def test_sketching_a_chunk_stream_matches_the_whole_file(pipeline_files) -> None
     run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(b_file))
     run("sketch", "--config", sketch_cfg, "--chunks", str(stream1), "--output", str(b_one))
     assert b_file.read_bytes() == b_one.read_bytes()
+    # either flag takes either format
+    for flag, path in [("--chunks", tensor), ("--input", stream1)]:
+        b_swap = tmp / "bs.tskb"
+        assert run("sketch", "--config", sketch_cfg, flag, str(path), "--output", str(b_swap)) == 0
+        assert b_swap.read_bytes() == b_file.read_bytes()
 
     # multi-slab streaming agrees to rounding
     stream5 = tmp / "x5.tskc"
@@ -264,6 +279,40 @@ class TestErrorReporting:
         )
         assert "nn" in msg
 
+    @pytest.mark.parametrize(
+        "command,values",
+        [
+            ("gen", {"n": "40"}),
+            ("gen", {"d": 0}),
+            ("gen", {"snr_db": "loud"}),
+            ("gen", {"snr_db": float("nan")}),
+            ("sketch", {"m": "6"}),
+            ("sketch", {"m": True}),
+            ("sketch", {"seed": -1}),
+            ("sketch", {"seed": 2**64}),
+            ("experiment", {"trials": "2"}),
+            ("experiment", {"bound_eps": "x"}),
+            ("experiment", {"variants": [{"m_c": "6"}]}),
+            ("eval", {"clean": 5}),
+        ],
+    )
+    def test_bad_config_value_is_config(self, pipeline_files, capsys, command, values) -> None:
+        """Each config value is checked when the config is merged: a wrong type
+        or an out-of-range value is a config error, and nothing is written."""
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        tuck, out = tmp / "t.tuck", tmp / "out"
+        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(tmp / "b.tskb"))
+        run("recover", "--input", str(tmp / "b.tskb"), "--output", str(tuck), "--rank", "3")
+        base = {"experiment": {"n": 8, "r_true": 2, "r_fit": 2, "m": 4, "m_c": 6}}.get(command, {})
+        cfg = write_json(tmp / "bad.json", {**base, **values})
+        inputs = {"sketch": ["--input", str(tensor)], "eval": ["--input", str(tuck), "--chunks", str(tensor)]}
+        msg = self.check(
+            "config", command, "--config", cfg, *inputs.get(command, []), "--output", str(out),
+            capsys=capsys,
+        )
+        assert next(iter(values)) in msg
+        assert not out.exists()
+
     def test_missing_file_is_io(self, tmp_path, capsys) -> None:
         self.check(
             "io", "sketch", "--input", str(tmp_path / "absent.tnsr"),
@@ -366,6 +415,24 @@ class TestErrorReporting:
             slab = "[0, 14)"  # the clean tensor is read over the observed TNSR's ranges
         msg = self.check("config", *argv, capsys=capsys)
         assert slab in msg and "non-finite" in msg
+
+    @pytest.mark.parametrize("ranges", [[(0, 5), (9, 14)], [(0, 8), (6, 14)]], ids=["gap", "overlap"])
+    def test_stream_that_does_not_tile_the_mode_is_io(self, pipeline_files, capsys, ranges) -> None:
+        """Every step that reads the data refuses a gappy or overlapping stream
+        the same way, before sketching or scoring any of it."""
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, tuck, bad = tmp / "b.tskb", tmp / "t.tuck", tmp / "bad.tskc"
+        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
+        write_slabs(bad, read_tensor(tensor), ranges)
+        for argv in [
+            ["sketch", "--config", sketch_cfg, "--chunks", str(bad), "--output", str(tmp / "b2.tskb")],
+            ["recover", "--input", str(bundle), "--output", str(tmp / "t2.tuck"), "--rank", "3",
+             "--two-pass", "--chunks", str(bad)],
+            ["eval", "--input", str(tuck), "--chunks", str(bad)],
+        ]:
+            self.check("io", *argv, capsys=capsys)
+        assert not (tmp / "b2.tskb").exists()
 
     def test_chunk_record_past_the_mode_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
@@ -501,29 +568,20 @@ def test_console_script_round_trip(tmp_path) -> None:
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"generator": "lowrank", "n": 8, "d": 3, "r_true": 2}))
     tensor = tmp_path / "x.tnsr"
-    ok = subprocess.run(
-        [sys.executable, "-m", "tsketch.cli", "gen", "--config", str(cfg),
-         "--output", str(tensor)],
-        capture_output=True, text=True,
-    )
+    ok = run_python("-m", "tsketch.cli", "gen", "--config", str(cfg), "--output", str(tensor))
     assert ok.returncode == 0, ok.stderr
     assert read_tensor(tensor).shape == (8, 8, 8)
 
-    bad = subprocess.run(
-        [sys.executable, "-m", "tsketch.cli", "recover", "--input", str(tensor),
-         "--output", str(tmp_path / "t.tuck"), "--rank", "2"],
-        capture_output=True, text=True,
-    )
+    bad = run_python("-m", "tsketch.cli", "recover", "--input", str(tensor),
+                     "--output", str(tmp_path / "t.tuck"), "--rank", "2")
     assert bad.returncode == EXIT_CODES["io"]
     assert json.loads(bad.stderr)["error"]["category"] == "io"
 
 
 def test_cli_import_loads_no_scipy() -> None:
     """The package depends on NumPy alone; SciPy is only a test oracle."""
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tsketch.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-        capture_output=True, text=True,
+    probe = run_python(
+        "-c", "import sys, tsketch.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from tsketch.evaluate import gen_lowrank, relative_error
 from tsketch.formats import (
     TensorFile,
     read_bundle,
-    read_chunk_shape,
     read_chunks,
     read_chunks_dense,
     read_factorization,
@@ -50,7 +49,8 @@ def test_tensor_entries_are_first_mode_fastest(tmp_path) -> None:
 def test_chunk_round_trip(tmp_path, tensor) -> None:
     p = tmp_path / "x.tskc"
     write_chunks(p, tensor.shape, slab_chunks(tensor, 3))
-    assert read_chunk_shape(p) == tensor.shape
+    with TensorFile(p) as f:
+        assert f.shape == tensor.shape
     got = list(read_chunks(p))
     assert [c.start for c in got] == [0, 2, 4]
     assert np.array_equal(read_chunks_dense(p), tensor)
@@ -103,6 +103,15 @@ class TestTensorFile:
             assert [c.start for c in slabs] == sorted(c.start for c in slabs)
             assert sum(c.count for c in slabs) == tensor.shape[-1]
             assert np.array_equal(np.concatenate([c.payload for c in slabs], axis=-1), tensor)
+
+    def test_records_are_the_stored_records_in_order(self, files, tensor) -> None:
+        for p, ranges in zip(files, [[(0, 1), (1, 4), (4, 6)], [(0, 6)]]):
+            with TensorFile(p) as f:
+                records = list(f.records())
+            assert [(c.start, c.start + c.count) for c in records] == ranges
+            for c in records:
+                assert c.payload.flags.f_contiguous
+                assert np.array_equal(c.payload, tensor[..., c.start : c.start + c.count])
 
     def test_non_finite_slab_is_refused_naming_its_range(self, tmp_path, tensor) -> None:
         x = np.array(tensor)

@@ -25,6 +25,8 @@ def random_tensor(shape, seed):
 
 def loo_composite(plan, j):
     """Explicit dense leave-mode-j composite map, built the slow way."""
+    if plan.loo_kind == "unstructured":
+        return materialize(plan.unstructured_spec(j))
     others = [materialize(plan.loo_spec(j, i)) for i in range(plan.d, 0, -1) if i != j]
     if plan.loo_kind == "kronecker":
         return reduce(np.kron, others)
@@ -71,15 +73,30 @@ class TestAgainstExplicitOperators:
         phis = [(materialize(plan.core_spec(i)), i) for i in (1, 2, 3)]
         assert np.allclose(sketch(x, plan).core, multi_mode_product(x, phis), atol=1e-12)
 
-    def test_gaussian_diagonal_map_is_applied(self) -> None:
-        x = random_tensor((4, 3, 2), seed=8)
-        plan = make_plan(x.shape, "kronecker", 2, 2, diag_family="gaussian", seed=9)
-        b = sketch(x, plan).loo
+    @pytest.mark.parametrize("kind,m", [("kronecker", 2), ("khatri_rao", 5), ("unstructured", 5)])
+    @pytest.mark.parametrize("feeding", ["batch", "uneven", "merged"])
+    def test_gaussian_diagonal_map_is_applied(self, kind, m, feeding) -> None:
+        """D_j enters B_j exactly once, whether the tensor arrives whole, as
+        uneven out-of-order slabs, or as two shards merged before finalizing."""
+        x = random_tensor((4, 3, 5), seed=8)
+        plan = make_plan(x.shape, kind, m, 2, diag_family="gaussian", seed=9)
+        if feeding == "batch":
+            b = sketch(x, plan).loo
+        else:
+            shards = [[(3, 5), (0, 1), (1, 3)]] if feeding == "uneven" else [[(3, 5), (0, 1)], [(1, 3)]]
+            accs = []
+            for ranges in shards:
+                acc = SketchAccumulator(plan)
+                for lo, hi in ranges:
+                    acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+                accs.append(acc)
+            acc = accs[0] if len(accs) == 1 else accs[0].merge(accs[1])
+            b = acc.finalize().loo
         for j in (1, 2, 3):
             diag = materialize(plan.diag_spec(j))
             assert diag.shape == (x.shape[j - 1], x.shape[j - 1])
             expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
-            assert np.allclose(b[j - 1], expect, atol=1e-12)
+            assert np.allclose(b[j - 1], expect, rtol=1e-12, atol=1e-12)
 
 
 class TestMatrixFreeKhatriRao:
@@ -280,6 +297,17 @@ class TestStreaming:
         assert not acc.coverage_complete()
         assert acc.finalize().partial
 
+    @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
+    def test_finalized_bundle_is_not_changed_by_later_slabs(self, kind, m) -> None:
+        x = random_tensor((5, 6), seed=58)
+        plan = make_plan(x.shape, kind, m, 3, seed=59)
+        acc = SketchAccumulator(plan)
+        acc.update(SlabChunk(0, 3, x[:, :3]))
+        b = acc.finalize()
+        frozen = [a.copy() for a in b.loo + [b.core]]
+        acc.update(SlabChunk(3, 3, x[:, 3:]))
+        assert all(np.array_equal(a, f) for a, f in zip(b.loo + [b.core], frozen))
+
     def test_accumulator_does_not_retain_chunks(self) -> None:
         """Feeding a slab, mutating the caller's buffer afterwards, and
         finalizing must give the same bundle as with an untouched buffer."""
@@ -378,6 +406,12 @@ class TestPlanValidation:
             SketchAccumulator(plan)
         monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "64")
         SketchAccumulator(plan)  # fits comfortably now
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_a_u64(self, seed) -> None:
+        with pytest.raises(ConfigError, match="seed"):
+            make_plan((4, 4, 4), "kronecker", 2, 2, seed=seed)
+        assert make_plan((4, 4, 4), "kronecker", 2, 2, seed=2**64 - 1).seed == 2**64 - 1
 
     def test_khatri_rao_needs_two_modes(self) -> None:
         with pytest.raises(ConfigError):

@@ -21,6 +21,7 @@ from tsketch.tensor import (
     mode_product,
     multi_mode_product,
     norm,
+    slab_product,
     unfold,
     vec,
 )
@@ -125,6 +126,22 @@ class TestModeProduct:
         a3 = rng.standard_normal((6, 5))
         expect = mode_product(mode_product(x, a1, 1), a3, 3)
         assert np.allclose(multi_mode_product(x, [(a1, 1), (a3, 3)]), expect, atol=1e-13)
+
+    @pytest.mark.parametrize("skip", [None, 2, 3])
+    def test_slab_products_sum_to_the_whole(self, skip) -> None:
+        """Summed over slabs that tile the last mode, with the last map cut to
+        each slab's columns, the slab products equal the whole product; a
+        None map leaves its mode, the last one included, untouched."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 4, 7))
+        mats = [None if i == skip else rng.standard_normal((2, n)) for i, n in enumerate(x.shape, 1)]
+        expect = multi_mode_product(x, [(a, i) for i, a in enumerate(mats, 1) if a is not None])
+        parts = [(lo, hi, slab_product(x[..., lo:hi], mats, lo, hi)) for lo, hi in [(4, 7), (0, 1), (1, 4)]]
+        if skip == 3:
+            got = np.concatenate([g for _, _, g in sorted(parts)], axis=-1)
+        else:
+            got = sum(g for _, _, g in parts)
+        assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
 
     def test_multi_mode_rejects_repeated_mode(self) -> None:
         x = seq_tensor((2, 2))
