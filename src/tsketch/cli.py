@@ -421,7 +421,7 @@ def cmd_eval(args, cfg):
             if x0.shape != x.shape:
                 raise ShapeError(f"shape mismatch: {x0.shape} vs {x.shape}")
         # The clean tensor is read over the observed slab's range, whatever its own records.
-        slabs = ((c, None if x0 is None else x0.slab(c.start, c.start + c.count).payload)
+        slabs = ((c, None if x0 is None else x0.read(c.start, c.start + c.count))
                  for c in x.slabs())
         report = {"shape": list(x.shape), "rank": t.rank, **score(t, slabs)}
     if math.isinf(report.get("snr_db", 0.0)):

@@ -24,6 +24,7 @@ import numpy as np
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, compute_core_twopass, reconstruct
+from .sketch import SlabChunk, _require_coverage, _take_slab
 from .tensor import inner, mode_product, norm, unfold
 
 __all__ = [
@@ -70,22 +71,13 @@ def snr_db(x, x0):
     return _decibels(norm(x), norm(x0 - x))
 
 
-def _slab_squares(t, chunk, clean):
+def _slab_squares(t, chunk, x, x0):
     """Squared norms of one slab: ||x_hat - x||^2 and ||x||^2, then, with the
     clean slab x0, ||x_hat - x0||^2, ||x0||^2 and ||x0 - x||^2 (zeros without)."""
-    x = np.asarray(chunk.payload, dtype=np.float64)
     x_hat = reconstruct(t, chunk.start, chunk.start + chunk.count)
-    if x_hat.shape != x.shape:
-        raise ShapeError(
-            f"slab [{chunk.start}, {chunk.start + chunk.count}) has shape {x.shape}, "
-            f"the factorization reconstructs it to {x_hat.shape}"
-        )
     out = np.zeros(5)
     out[1] = inner(x, x)
-    if clean is not None:
-        x0 = np.asarray(clean, dtype=np.float64)
-        if x0.shape != x.shape:
-            raise ShapeError(f"shape mismatch: {x0.shape} vs {x.shape}")
+    if x0 is not None:
         diff = x_hat - x0
         out[2] = inner(diff, diff)
         out[3] = inner(x0, x0)
@@ -101,21 +93,28 @@ def score(t, slabs):
 
     `slabs` yields pairs (chunk, clean): a ``SlabChunk`` of the observed tensor
     x and the same last-mode range of the clean tensor x0, or None when there
-    is no clean tensor. The chunks cover the last mode once. Each slab of the
-    reconstruction x_hat is built from its own rows of the last factor (see
-    ``reconstruct``), so nothing tensor-sized is held. Returns
-    ``relative_error`` ||x_hat - x|| / ||x|| and, with clean slabs,
-    ``relative_error_clean`` ||x_hat - x0|| / ||x0|| and ``snr_db`` as
-    ``snr_db(x, x0)`` computes it.
+    is no clean tensor. Every pair has a clean slab or none does. The chunks
+    tile the last mode, and each slab, observed or clean, is checked as
+    ``SketchAccumulator.update`` checks it. Each slab of the reconstruction
+    x_hat is built from its own rows of the last factor (see ``reconstruct``),
+    so nothing tensor-sized is held. Returns ``relative_error``
+    ||x_hat - x|| / ||x|| and, with clean slabs, ``relative_error_clean``
+    ||x_hat - x0|| / ||x0|| and ``snr_db`` as ``snr_db(x, x0)`` computes it.
     """
-    sums, covered, has_clean = np.zeros(5), 0, False
+    sums, covered, clean_covered, has_clean = np.zeros(5), [], [], None
     for chunk, clean in slabs:
-        sums += _slab_squares(t, chunk, clean)
-        covered += chunk.count
-        has_clean = clean is not None
-    n = t.shape[-1]
-    if covered != n:
-        raise ShapeError(f"slabs cover {covered} of the {n} indices of the last mode")
+        x = _take_slab(covered, t.shape, chunk)
+        if has_clean is None:
+            has_clean = clean is not None
+        if has_clean != (clean is not None):
+            raise ConfigError(f"slab [{chunk.start}, {chunk.start + chunk.count}) has "
+                              f"{'no' if has_clean else 'a'} clean slab, unlike the first slab")
+        if clean is not None:
+            clean_chunk = SlabChunk(chunk.start, chunk.count, clean)
+            clean = _take_slab(clean_covered, t.shape, clean_chunk, "clean slab")
+        if chunk.count:
+            sums += _slab_squares(t, chunk, x, clean)
+    _require_coverage(covered, t.shape[-1])
     res, xx, res0, x0x0, noise = np.sqrt(sums)
     out = {"relative_error": _ratio(float(res), float(xx))}
     if has_clean:

@@ -19,7 +19,9 @@ Four magics:
 A TNSR file and a TSKC stream both hold last-mode slabs stored
 first-mode-fastest, so any last-mode range of a slab is one contiguous run of
 bytes. ``TensorFile`` reads either format by such ranges, for a second look at
-the data in bounded pieces.
+the data in bounded pieces. It checks the file (headers, lengths, records that
+tile the last mode) and passes the entries through as stored: whether a slab's
+entries are fit to use is decided where slabs are used (``sketch._take_slab``).
 """
 
 from __future__ import annotations
@@ -185,13 +187,10 @@ def _records(f, shape):
 
 
 def read_chunks(path):
-    """Yield the slabs of a chunk stream one at a time, as stored (generator)."""
-    with _open(path) as f:
-        _expect_magic(f, b"TSKC")
-        shape = _shape_header(f)
-        for start, count, _ in _records(f, shape):
-            data = _read_f64(f, math.prod(shape[:-1]) * count, f"chunk [{start}, {start + count})")
-            yield SlabChunk(start, count, data.reshape(shape[:-1] + (count,), order="F"))
+    """Yield the records of a chunk stream one at a time, in last-mode order (generator),
+    after ``TensorFile`` has checked that they tile the last mode."""
+    with TensorFile(path) as x:
+        yield from x.records()
 
 
 class TensorFile:
@@ -263,28 +262,22 @@ class TensorFile:
             _fill(self._f, out[per * (a - lo) : per * (b - lo)], f"slab [{a}, {b})")
         return out.reshape(self.shape[:-1] + (hi - lo,), order="F")
 
-    def slab(self, lo, hi):
-        """The last-mode slices [lo, hi) as a SlabChunk, refused if any entry is not finite."""
-        payload = self.read(lo, hi)
-        if not np.isfinite(payload).all():
-            raise ConfigError(f"slab [{lo}, {hi}) has non-finite entries")
-        return SlabChunk(lo, hi - lo, payload)
-
     def records(self):
         """Yield each stored record whole, as a SlabChunk, in last-mode order.
 
-        A TNSR file is one record. Entries are not checked for finiteness here;
-        ``SketchAccumulator.update`` checks every slab it is given.
+        A TNSR file is one record. Entries are passed through as stored: every
+        consumer of slabs checks them (see ``sketch._take_slab``).
         """
         for start, count, _ in self._records:
             yield SlabChunk(start, count, self.read(start, start + count))
 
     def slabs(self):
-        """Yield the whole tensor as finite slabs of at most _PIECE_BYTES, in last-mode order."""
+        """Yield the whole tensor as SlabChunks of at most _PIECE_BYTES, in last-mode order."""
         width = max(1, _PIECE_BYTES // self._slab_bytes)
         for start, count, _ in self._records:
             for lo in range(start, start + count, width):
-                yield self.slab(lo, min(lo + width, start + count))
+                hi = min(lo + width, start + count)
+                yield SlabChunk(lo, hi - lo, self.read(lo, hi))
 
 
 def read_chunks_dense(path):

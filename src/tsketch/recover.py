@@ -45,7 +45,7 @@ import numpy as np
 
 from .ensembles import materialize
 from .errors import ConfigError, RankError, ShapeError, SingularError
-from .sketch import SlabChunk
+from .sketch import SlabChunk, _require_coverage, _take_slab
 from .tensor import mode_product, multi_mode_product, slab_product, unfold
 
 __all__ = [
@@ -269,28 +269,21 @@ def compute_core_twopass(x, qs):
     """Optimal core for the given factors, computed by projecting the data: G = X x_i Q_i^T.
 
     `x` is a dense tensor or an iterable of last-mode slabs (``SlabChunk``)
-    that cover the last mode once. The projection is linear, so the core is a
-    sum over slabs, slab [lo, hi) projected on rows lo..hi-1 of Q_d; a dense
-    tensor is the one-slab case. One slab is held at a time.
+    that tile the last mode, each checked as ``SketchAccumulator.update``
+    checks it. The projection is linear, so the core is a sum over slabs,
+    slab [lo, hi) projected on rows lo..hi-1 of Q_d; a dense tensor is the
+    one-slab case. One slab is held at a time.
     """
     shape = tuple(q.shape[0] for q in qs)
     qts = [q.T for q in qs]
-    core, covered = None, 0
+    core, covered = None, []
     for c in _as_slabs(x):
-        payload = np.asarray(c.payload, dtype=np.float64)
-        if payload.shape[:-1] != shape[:-1] or c.start + c.count > shape[-1]:
-            raise ShapeError(
-                f"slab [{c.start}, {c.start + c.count}) of shape {payload.shape} does not fit "
-                f"the factors' shape {shape}"
-            )
+        payload = _take_slab(covered, shape, c)
+        if not c.count:
+            continue
         g = slab_product(payload, qts, c.start, c.start + c.count)
-        if core is None:
-            core = g
-        else:
-            core += g
-        covered += c.count
-    if covered != shape[-1]:
-        raise ShapeError(f"slabs cover {covered} of the {shape[-1]} indices of the last mode")
+        core = g if core is None else core + g
+    _require_coverage(covered, shape[-1])
     return core
 
 

@@ -31,6 +31,11 @@ the fixed-size measurement arrays (never the slabs themselves), supports
 merging with a disjoint peer, and finalizes into a :class:`SketchBundle`.
 Batch sketching is the special case of one slab covering the whole mode,
 which is how ``sketch`` is implemented.
+
+A streamed sketch, the two-pass core and the error of a factorization are
+each a sum over slabs, right only if every slab is finite and fits the tensor
+and the slabs tile the last mode once. ``_take_slab`` and ``_require_coverage``
+hold that rule for the accumulator, ``compute_core_twopass`` and ``score``.
 """
 
 from __future__ import annotations
@@ -259,6 +264,39 @@ def _overlap(covered, start, count):
     return None
 
 
+def _take_slab(covered, shape, chunk, what="slab"):
+    """Check one last-mode slab of a tensor of `shape`, record its range in
+    the sorted `covered` (unless empty), and return its payload as float64.
+
+    In order: the range lies in the last mode and the payload has the tensor's
+    other mode lengths (``ShapeError``); every entry is finite and the range
+    overlaps no slab in `covered` (``ConfigError``).
+    """
+    lo, hi, n = chunk.start, chunk.start + chunk.count, shape[-1]
+    if lo < 0 or chunk.count < 0 or hi > n:
+        raise ShapeError(f"{what} [{lo}, {hi}) outside mode of length {n}")
+    payload = np.asarray(chunk.payload, dtype=np.float64)
+    if payload.shape != shape[:-1] + (chunk.count,):
+        raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
+                         f"the tensor's shape {shape}")
+    if not np.isfinite(payload).all():
+        raise ConfigError(f"{what} [{lo}, {hi}) has non-finite entries")
+    hit = _overlap(covered, lo, chunk.count)
+    if hit:
+        s, c = hit
+        raise ConfigError(f"{what} [{lo}, {hi}) overlaps [{s}, {s + c})")
+    if chunk.count:
+        bisect.insort(covered, (lo, chunk.count))
+    return payload
+
+
+def _require_coverage(covered, n):
+    """Refuse slabs recorded by ``_take_slab`` that leave part of a last mode of length n."""
+    got = sum(c for _, c in covered)
+    if got != n:
+        raise ShapeError(f"slabs cover {got} of the {n} indices of the last mode")
+
+
 @dataclass
 class SketchBundle:
     """The complete output of a measurement campaign.
@@ -329,38 +367,15 @@ class SketchAccumulator:
 
     # -- streaming -----------------------------------------------------------
 
-    def _check_chunk(self, chunk):
-        n_last = self.plan.shape[-1]
-        if chunk.start < 0 or chunk.count < 0 or chunk.start + chunk.count > n_last:
-            raise ShapeError(
-                f"slab [{chunk.start}, {chunk.start + chunk.count}) outside mode of length {n_last}"
-            )
-        payload = np.asarray(chunk.payload, dtype=np.float64)
-        want = self.plan.shape[:-1] + (chunk.count,)
-        if payload.shape != want:
-            raise ShapeError(f"payload shape {payload.shape}, expected {want}")
-        if not np.isfinite(payload).all():
-            raise ConfigError(
-                f"slab [{chunk.start}, {chunk.start + chunk.count}) has non-finite entries"
-            )
-        hit = _overlap(self._covered, chunk.start, chunk.count)
-        if hit:
-            s, c = hit
-            raise ConfigError(
-                f"slab [{chunk.start}, {chunk.start + chunk.count}) overlaps [{s}, {s + c})"
-            )
-        return payload
-
     def update(self, chunk):
         """Fold one slab into the sketches. The chunk is not retained."""
-        payload = self._check_chunk(chunk)
+        payload = _take_slab(self._covered, self.plan.shape, chunk)
         if chunk.count == 0:
             return
         lo, hi = chunk.start, chunk.start + chunk.count
         for j in range(1, self.plan.d + 1):
             self._add_loo(j, payload, lo, hi)
         self._core += slab_product(payload, self._phi, lo, hi)
-        bisect.insort(self._covered, (chunk.start, chunk.count))
 
     def _add_loo(self, j, payload, lo, hi):
         """Add the slab's contribution to sketch j, before its diagonal map."""
@@ -425,12 +440,11 @@ class SketchAccumulator:
         return out
 
     def coverage_complete(self):
-        pos = 0
-        for s, c in self._covered:
-            if s != pos:
-                return False
-            pos = s + c
-        return pos == self.plan.shape[-1]
+        try:
+            _require_coverage(self._covered, self.plan.shape[-1])
+        except ShapeError:
+            return False
+        return True
 
     def finalize(self):
         """Produce the bundle. Incomplete coverage is allowed but flagged partial.

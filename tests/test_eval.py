@@ -276,6 +276,16 @@ class TestScore:
         with pytest.raises(ShapeError):
             score(t, [(SlabChunk(0, 11, x[:4]), None)])
 
+    @pytest.mark.parametrize("clean_half", [0, 1])
+    def test_clean_slabs_come_with_every_slab_or_none(self, problem, clean_half) -> None:
+        """A clean tensor over half the mode would score that half alone, or be dropped."""
+        x0, x, t, _ = problem
+        pairs = [(SlabChunk(lo, hi - lo, x[..., lo:hi]), None) for lo, hi in [(0, 6), (6, 11)]]
+        c, _ = pairs[clean_half]
+        pairs[clean_half] = (c, x0[..., c.start : c.start + c.count])
+        with pytest.raises(ConfigError, match=r"slab \[6, 11\) has (a|no) clean slab"):
+            score(t, pairs)
+
 
 def test_shape_mismatch_errors() -> None:
     with pytest.raises(ShapeError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tsketch import formats
 from tsketch.errors import ConfigError, IOFormatError, ShapeError
-from tsketch.evaluate import gen_lowrank, relative_error
+from tsketch.evaluate import gen_lowrank, relative_error, score
 from tsketch.formats import (
     TensorFile,
     read_bundle,
@@ -22,7 +22,7 @@ from tsketch.formats import (
     write_factorization,
     write_tensor,
 )
-from tsketch.recover import one_pass, reconstruct
+from tsketch.recover import one_pass, reconstruct, two_pass
 from tsketch.sketch import SlabChunk, make_plan, sketch, slab_chunks
 
 
@@ -62,13 +62,16 @@ def test_chunks_dense_requires_full_coverage(tmp_path, tensor) -> None:
     write_chunks(p, tensor.shape, chunks[:2])
     with pytest.raises(IOFormatError):
         read_chunks_dense(p)
+    with pytest.raises(IOFormatError, match="does not cover"):
+        next(read_chunks(p))
 
 
 def test_chunks_dense_refuses_overlap(tmp_path, tensor) -> None:
     p = tmp_path / "overlap.tskc"
     write_chunks(p, tensor.shape, [SlabChunk(0, 4, tensor[..., :4]), SlabChunk(3, 3, tensor[..., 3:])])
-    with pytest.raises(IOFormatError, match=r"chunk \[3, 6\) overlaps earlier data"):
-        read_chunks_dense(p)
+    for read in (read_chunks_dense, lambda p: next(read_chunks(p))):
+        with pytest.raises(IOFormatError, match=r"chunk \[3, 6\) overlaps earlier data"):
+            read(p)
 
 
 class TestTensorFile:
@@ -113,17 +116,23 @@ class TestTensorFile:
                 assert c.payload.flags.f_contiguous
                 assert np.array_equal(c.payload, tensor[..., c.start : c.start + c.count])
 
-    def test_non_finite_slab_is_refused_naming_its_range(self, tmp_path, tensor) -> None:
+    def test_non_finite_slab_is_refused_naming_its_range(self, tmp_path, tensor, monkeypatch) -> None:
+        """The file passes a NaN through; the consumers of its slabs refuse it."""
+        monkeypatch.setattr(formats, "_PIECE_BYTES", 3 * 8 * 5 * 4)  # three last-mode slices
+        b = sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4))
+        t = one_pass(b, 2)
         x = np.array(tensor)
         x[1, 2, 4] = np.nan
         p = tmp_path / "nan.tnsr"
         write_tensor(p, x)
         with TensorFile(p) as f:
-            assert np.isnan(f.read(3, 6)).any()  # a plain range read passes data through
-            with pytest.raises(ConfigError, match=r"\[3, 6\)"):
-                f.slab(3, 6)
-            with pytest.raises(ConfigError, match="non-finite"):
-                list(f.slabs())
+            assert np.isnan(f.read(3, 6)).any()
+            pieces = [(c.start, c.count, np.isnan(c.payload).any()) for c in f.slabs()]
+            assert pieces == [(0, 3, False), (3, 3, True)]
+            with pytest.raises(ConfigError, match=r"slab \[3, 6\) has non-finite entries"):
+                two_pass(b, f.slabs(), 2)
+            with pytest.raises(ConfigError, match=r"slab \[3, 6\) has non-finite entries"):
+                score(t, ((c, None) for c in f.slabs()))
 
     def test_refuses_other_formats(self, tmp_path, tensor) -> None:
         p = tmp_path / "t.tuck"

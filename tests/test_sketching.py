@@ -9,6 +9,8 @@ import pytest
 
 from tsketch.ensembles import materialize
 from tsketch.errors import ConfigError, ShapeError
+from tsketch.evaluate import score
+from tsketch.recover import TuckerFactorization, compute_core_twopass
 from tsketch.sketch import (
     SketchAccumulator,
     SlabChunk,
@@ -421,3 +423,108 @@ class TestPlanValidation:
         plan = make_plan((4, 4, 4), "kronecker", 2, 2)
         with pytest.raises(ShapeError):
             sketch(random_tensor((4, 4, 5), 60), plan)
+
+
+class TestSlabRule:
+    """Every consumer of a slab stream refuses the same slabs the same way.
+
+    The data, the maps and the factors are small integers (identity maps), so
+    every sum is exact and a valid tiling in any order must give the dense
+    result bit for bit: a slab dropped or counted twice would show.
+    """
+
+    N = 5
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(70)
+        n = self.N
+        x = rng.integers(-3, 4, (n, n, n)).astype(np.float64)
+        x0 = rng.integers(-3, 4, (n, n, n)).astype(np.float64)
+        t = TuckerFactorization(
+            core=rng.integers(-2, 3, (2, 2, 2)).astype(np.float64),
+            factors=[rng.integers(-1, 2, (n, 2)).astype(np.float64) for _ in range(3)],
+        )
+        plan = make_plan(x.shape, "kronecker", n, n, loo_family="identity", seed=71)
+        return x, x0, t, plan
+
+    @staticmethod
+    def consume(consumer, data, chunks):
+        """Run one consumer over `chunks`; the result as a list of arrays."""
+        x, x0, t, plan = data
+        if consumer == "update":
+            acc = SketchAccumulator(plan)
+            for c in chunks:
+                acc.update(c)
+            b = acc.finalize()
+            assert not b.partial
+            return [*b.loo, b.core]
+        if consumer == "compute_core_twopass":
+            return [compute_core_twopass(iter(chunks), t.factors)]
+        if consumer == "score":
+            pairs = ((c, None) for c in chunks)
+        else:
+            # The chunk's payload is given as the clean slab, next to a valid
+            # observed slab over the same range: range faults fail on the
+            # observed slab, payload faults on the clean one.
+            pairs = (
+                (SlabChunk(c.start, c.count, x0[..., max(c.start, 0) : c.start + c.count]), c.payload)
+                for c in chunks
+            )
+        return [np.array(list(score(t, pairs).values()))]
+
+    @staticmethod
+    def stream(x, ranges, bad=None):
+        chunks = [SlabChunk(lo, hi - lo, np.array(x[..., max(lo, 0) : hi])) for lo, hi in ranges]
+        if bad is not None:
+            chunks[-1].payload[1, 2, 0] = bad
+        return chunks
+
+    CONSUMERS = ["update", "compute_core_twopass", "score", "score_clean"]
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize(
+        "ranges,error,match",
+        [
+            ([(0, 3), (2, 5)], ConfigError, r"\[2, 5\) overlaps \[0, 3\)"),
+            ([(3, 7)], ShapeError, r"\[3, 7\) outside mode of length 5"),
+            ([(-1, 2)], ShapeError, r"\[-1, 2\) outside mode of length 5"),
+        ],
+        ids=["overlap", "past-the-mode", "negative-start"],
+    )
+    def test_bad_range(self, data, consumer, ranges, error, match) -> None:
+        chunks = self.stream(data[0], ranges)
+        with pytest.raises(error, match=match):
+            self.consume(consumer, data, chunks)
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    def test_payload_that_does_not_fit(self, data, consumer) -> None:
+        x = data[0]
+        with pytest.raises(ShapeError, match=r"\[0, 5\) of shape \(4, 5, 5\) does not fit"):
+            self.consume(consumer, data, [SlabChunk(0, 5, x[:4])])
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slab(self, data, consumer, bad) -> None:
+        x = data[0]
+        chunks = self.stream(x, [(0, 2), (2, 5)], bad)
+        with pytest.raises(ConfigError, match=r"slab \[2, 5\) has non-finite entries"):
+            self.consume(consumer, data, chunks)
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize(
+        "ranges",
+        [[(2, 2), (0, 5), (5, 5)], [(4, 5), (0, 1), (1, 4)]],
+        ids=["empty-slabs", "uneven-out-of-order"],
+    )
+    def test_valid_tiling_equals_the_dense_result(self, data, consumer, ranges) -> None:
+        x = data[0]
+        dense = self.consume(consumer, data, [SlabChunk(0, self.N, x)])
+        got = self.consume(consumer, data, self.stream(x, ranges))
+        assert all(np.array_equal(a, b) for a, b in zip(got, dense))
+
+    @pytest.mark.parametrize("consumer", ["compute_core_twopass", "score", "score_clean"])
+    def test_slabs_must_cover_the_mode(self, data, consumer) -> None:
+        x = data[0]
+        with pytest.raises(ShapeError, match="slabs cover 3 of the 5 indices"):
+            self.consume(consumer, data, self.stream(x, [(3, 5), (0, 1)]))
