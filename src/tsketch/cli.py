@@ -50,12 +50,11 @@ from .formats import (
 )
 from .recover import (
     TuckerFactorization,
-    _core_maps,
-    _onepass_factors,
     compute_core_twopass,
     one_pass,
     reconstruct,
     recover_core_onepass,
+    recover_factors,
     two_pass,
 )
 from .sketch import SketchAccumulator, make_plan, sketch, slab_chunks
@@ -414,7 +413,7 @@ def cmd_eval(args, cfg):
     with ExitStack() as files:
         x = files.enter_context(TensorFile(_require(args.chunks, "--chunks")))
         if t.shape != x.shape:
-            raise ConfigError(f"factorization reconstructs to {t.shape}, tensor has shape {x.shape}")
+            raise ShapeError(f"factorization reconstructs to {t.shape}, tensor has shape {x.shape}")
         x0 = None
         if cfg["clean"] is not None:
             x0 = files.enter_context(TensorFile(cfg["clean"]))
@@ -496,15 +495,13 @@ def _run_trial(task, file_tensor, shared):
     bundle = sketch(x, plan)
     t_sketch = time.perf_counter() - t0
 
-    # The stages of one_pass, timed separately: factor estimation (with the
-    # joint truncation) and the final core solve. Two-pass keeps the factors.
+    # The two stages of one_pass, timed separately. Two-pass keeps the factors.
     t0 = time.perf_counter()
-    phis = _core_maps(plan)
-    qs = _onepass_factors(bundle, r_fit, phis)
+    qs = recover_factors(bundle, r_fit)
     t_factor = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    core = recover_core_onepass(bundle.core, phis, qs)
+    core = recover_core_onepass(bundle.core, plan.core_maps, qs)
     t_core = time.perf_counter() - t0
 
     x_hat = reconstruct(TuckerFactorization(core=core, factors=qs))

@@ -128,13 +128,17 @@ def add_noise_snr(x0, target_db, seed):
 
     With rho = 10^(target/10) and N the unit draw, the scale s must satisfy
     ||x0 + s N|| = rho * s * ||N||, a quadratic in s solved in closed form;
-    the positive root is taken. Raises when no positive solution exists
-    (targets at or below 0 dB can be unreachable for a given draw).
+    the positive root is taken. Raises ConfigError when no positive finite
+    solution exists: targets at or below 0 dB can be unreachable for a given
+    draw, and a target so high that the ratio overflows is unreachable too.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     rng = keyed_generator(seed, "noise", *x0.shape)
     noise = rng.standard_normal(x0.shape)
-    rho = 10.0 ** (float(target_db) / 10.0)
+    try:
+        rho = 10.0 ** (float(target_db) / 10.0)
+    except OverflowError:
+        rho = math.inf
     nn = norm(noise) ** 2
     xx = norm(x0) ** 2
     xn = inner(x0, noise)
@@ -143,8 +147,8 @@ def add_noise_snr(x0, target_db, seed):
         raise ConfigError(f"snr target {target_db} dB is not reachable (needs a positive ratio)")
     disc = xn * xn + a * xx
     s = (xn + math.sqrt(disc)) / a
-    if s <= 0.0:
-        raise ConfigError(f"no positive noise scale reaches {target_db} dB")
+    if not 0.0 < s < math.inf:  # NaN once the ratio overflows
+        raise ConfigError(f"no positive finite noise scale reaches {target_db} dB")
     return x0 + s * noise
 
 

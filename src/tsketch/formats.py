@@ -424,6 +424,8 @@ def read_factorization(path):
         shape = _shape_header(f)
         d = len(shape)
         (r,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
+        if r < 1:
+            raise IOFormatError("factorization rank must be >= 1")
         core = _read_f64(f, r**d, "core").reshape((r,) * d, order="F")
         factors = []
         for n in shape:

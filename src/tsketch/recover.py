@@ -9,14 +9,15 @@ The pipeline, given a bundle of d leave-one-out sketches plus a core sketch:
    too ill-conditioned at the requested rank, from a Householder QR of the
    transposed sketch followed by an SVD of its small triangular factor. A
    tall sketch (fewer columns than n_i) takes its thin SVD directly.
-2. Joint truncation (``one_pass`` and ``two_pass``): the factors are first
-   estimated at an oversampled rank k = r + 5, capped by half the core sketch
-   side and by the sketch sizes. The k^d core solved from the core sketch is
-   truncated to rank r in every mode at once, by higher-order orthogonal
-   iteration (HOOI) started from its HOSVD, and the factors are rotated into
-   that truncation. Truncating each mode on its own would let each mode break
-   ties at its r-th singular value its own way; the small core sees all modes
-   together and picks one consistent subspace.
+2. Joint truncation (``recover_factors``, which ``one_pass`` and ``two_pass``
+   both call): the factors are first estimated at an oversampled rank
+   k = r + 5, capped by half the core sketch side and by the sketch sizes.
+   The k^d core solved from the core sketch is truncated to rank r in every
+   mode at once, by higher-order orthogonal iteration (HOOI) started from its
+   HOSVD, and the factors are rotated into that truncation. Truncating each
+   mode on its own would let each mode break ties at its r-th singular value
+   its own way; the small core sees all modes together and picks one
+   consistent subspace.
 3. Core, without touching the data again: peel the core sketch one mode at a
    time, multiplying by the pseudo-inverse of the small m_c x r matrix
    Phi_i Q_i, taken from its SVD, modes ascending. This equals multiplying
@@ -131,38 +132,36 @@ def _left_vectors(f, k, r):
     return u[:, :k]
 
 
-def _sketch_factors(bundle, k, r):
-    """Per-mode factors with k columns; r is the requested rank (k >= r)."""
+def recover_factors(bundle, r):
+    """The d orthonormal n_i x r factors, truncated to rank r in all modes jointly.
+
+    Per mode: solve the square diagonal system when one was applied, then take
+    the k leading left singular vectors, k = r + _OVERSAMPLE capped by m_c // 2
+    (so the k^d core solve stays well overdetermined) and by the smaller side
+    of every sketch. The k^d core solved from the core sketch is truncated by
+    HOOI and each factor Q_i is rotated into Q_i U_i. When the cap leaves no
+    room, or there is a single mode with no other mode to agree with, each
+    mode keeps its own r leading vectors.
+    """
     plan = bundle.plan
+    r = int(r)
     if r < 1:
         raise RankError(f"rank must be >= 1, got {r}")
-    factors = []
-    for i in range(1, plan.d + 1):
-        b = bundle.loo[i - 1]
+    cap = min(plan.m_c // 2, *(min(b.shape) for b in bundle.loo))
+    k = max(r, min(r + _OVERSAMPLE, cap)) if plan.d > 1 else r
+    qs = []
+    for i, b in enumerate(bundle.loo, start=1):
         if r > min(b.shape):
             raise RankError(
                 f"rank {r} exceeds the {min(b.shape)} singular vectors available in mode {i} "
                 f"(sketch is {b.shape[0]}x{b.shape[1]})"
             )
-        if plan.diag_family == "identity":
-            f = b
-        else:
-            f = _pinv(materialize(plan.diag_spec(i)), i) @ b
-        factors.append(_left_vectors(f, k, r))
-    return factors
-
-
-def recover_factors(bundle, r):
-    """Estimate the d orthonormal factors from the leave-one-out sketches.
-
-    Per mode: solve the square diagonal system when one was applied, then take
-    the r leading left singular vectors. Each mode is truncated on its own, so
-    a tie at the r-th singular value is broken independently in every mode
-    (the subspace is not unique in that case); ``one_pass`` avoids this by
-    truncating all modes jointly.
-    """
-    r = int(r)
-    return _sketch_factors(bundle, r, r)
+        f = b if plan.diag_family == "identity" else _pinv(materialize(plan.diag_spec(i)), i) @ b
+        qs.append(_left_vectors(f, k, r))
+    if k == r:
+        return qs
+    us = _truncate_core(recover_core_onepass(bundle.core, plan.core_maps, qs), r)
+    return [q @ u for q, u in zip(qs, us)]
 
 
 def _peel(h, maps, qs, what):
@@ -230,30 +229,6 @@ def _truncate_core(core, r):
     return us
 
 
-def _core_maps(plan):
-    return [materialize(plan.core_spec(i)) for i in range(1, plan.d + 1)]
-
-
-def _onepass_factors(bundle, r, phis):
-    """The factors ``one_pass`` and ``two_pass`` use: jointly truncated to rank r.
-
-    Estimates per-mode factors at k = r + _OVERSAMPLE, capped by m_c // 2 (so
-    the k^d core solve stays well overdetermined) and by the smaller side of
-    every sketch; solves the k^d core from the core sketch; truncates it by
-    HOOI; rotates each factor Q_i into Q_i U_i. When the cap leaves no room,
-    or there is a single mode with no other mode to agree with, this is the
-    per-mode truncation of ``recover_factors``.
-    """
-    r = int(r)
-    cap = min(bundle.plan.m_c // 2, *(min(b.shape) for b in bundle.loo))
-    k = max(r, min(r + _OVERSAMPLE, cap)) if bundle.plan.d > 1 else r
-    qs = _sketch_factors(bundle, k, r)
-    if k == r:
-        return qs
-    us = _truncate_core(recover_core_onepass(bundle.core, phis, qs), r)
-    return [q @ u for q, u in zip(qs, us)]
-
-
 def _as_slabs(x):
     """The last-mode slabs of `x`: an iterator or a list of SlabChunk as given,
     anything else as one dense tensor, the single slab covering its last mode."""
@@ -290,27 +265,25 @@ def compute_core_twopass(x, qs):
 def one_pass(bundle, r):
     """Factorization from the bundle alone; never sees the original tensor.
 
-    The factors are jointly truncated to rank r from an oversampled estimate
-    (see ``_onepass_factors``); the r^d core is then solved from the core
+    The factors of ``recover_factors``, then the r^d core solved from the core
     sketch for those factors.
     """
     if bundle.partial:
         raise ConfigError("bundle is partial (stream did not cover the last mode); "
                           "one-pass recovery needs a complete sketch")
-    phis = _core_maps(bundle.plan)
-    qs = _onepass_factors(bundle, r, phis)
-    core = recover_core_onepass(bundle.core, phis, qs)
+    qs = recover_factors(bundle, r)
+    core = recover_core_onepass(bundle.core, bundle.plan.core_maps, qs)
     return TuckerFactorization(core=core, factors=qs)
 
 
 def two_pass(bundle, x, r):
-    """The factors of ``one_pass``, with the core from a second pass over the tensor.
+    """The factors of ``recover_factors``, with the core from a second pass over the tensor.
 
     `x` is the dense tensor or its last-mode slabs, as ``compute_core_twopass``
     takes them. The projection core is the best core for given factors, so
     against the observed tensor two-pass is never worse than one-pass.
     """
-    qs = _onepass_factors(bundle, r, _core_maps(bundle.plan))
+    qs = recover_factors(bundle, r)
     core = compute_core_twopass(x, qs)
     return TuckerFactorization(core=core, factors=qs)
 

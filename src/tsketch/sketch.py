@@ -45,6 +45,7 @@ import copy
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +160,15 @@ class SketchPlan:
         return EnsembleSpec(
             self.core_families[i - 1], self.m_c, self.shape[i - 1], derive_seed(self.seed, "core", i)
         )
+
+    @cached_property
+    def core_maps(self):
+        """The d core maps Phi_i, built on first use and read-only, so that every
+        accumulator and every recovery of this plan shares one copy."""
+        maps = tuple(materialize(self.core_spec(i)) for i in range(1, self.d + 1))
+        for a in maps:
+            a.flags.writeable = False
+        return maps
 
     def all_specs(self):
         """(i, j, spec) records for every constituent map, in a fixed order."""
@@ -321,11 +331,11 @@ class SketchBundle:
 class SketchAccumulator:
     """Single-writer additive state for one measurement campaign.
 
-    Holds the plan, the materialized compressing maps, and fixed-size
-    measurement arrays. Chunks are folded in by `update` and never retained;
-    `merge` combines two accumulators built from the same plan over disjoint
-    slab ranges. The diagonal maps are not held: `finalize` builds and applies
-    them.
+    Holds the plan, the materialized leave-one-out maps, and fixed-size
+    measurement arrays; the core maps are the plan's own. Chunks are folded
+    in by `update` and never retained; `merge` combines two accumulators
+    built from the same plan over disjoint slab ranges. The diagonal maps are
+    not held: `finalize` builds and applies them.
     """
 
     def __init__(self, plan):
@@ -361,7 +371,6 @@ class SketchAccumulator:
         else:
             self._loo = [np.zeros((shape[j - 1], plan.m)) for j in range(1, d + 1)]
 
-        self._phi = [materialize(plan.core_spec(i)) for i in range(1, d + 1)]
         self._core = np.zeros((plan.m_c,) * d)
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
 
@@ -375,7 +384,7 @@ class SketchAccumulator:
         lo, hi = chunk.start, chunk.start + chunk.count
         for j in range(1, self.plan.d + 1):
             self._add_loo(j, payload, lo, hi)
-        self._core += slab_product(payload, self._phi, lo, hi)
+        self._core += slab_product(payload, self.plan.core_maps, lo, hi)
 
     def _add_loo(self, j, payload, lo, hi):
         """Add the slab's contribution to sketch j, before its diagonal map."""

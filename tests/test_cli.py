@@ -1,8 +1,10 @@
 """Command-line pipeline: gen -> sketch -> recover -> eval, plus experiment sweeps."""
 
+import ast
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import tsketch
+import tsketch.cli
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES
 from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error, snr_db
@@ -239,6 +242,21 @@ class TestStreamingMemory:
         assert peak < nbytes / 4, (peak, nbytes)
 
 
+def test_cli_imports_no_private_name_from_the_package() -> None:
+    """The CLI runs the library's public pipeline: an underscore name imported
+    from a tsketch module would be a stage it runs on its own."""
+    tree = ast.parse(Path(tsketch.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tsketch")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_print_config_merges_defaults_file_and_flags(tmp_path, capsys) -> None:
     cfg = write_json(tmp_path / "c.json", {"n": 10, "seed": 1})
     assert run("gen", "--config", cfg, "--print-config", "--seed", "9") == 0
@@ -312,6 +330,35 @@ class TestErrorReporting:
         )
         assert next(iter(values)) in msg
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", [2000.0, 5000.0])
+    def test_unreachable_snr_is_config(self, tmp_path, capsys, target) -> None:
+        cfg = write_json(tmp_path / "g.json", {"n": 6, "r_true": 2, "snr_db": target})
+        out = tmp_path / "x.tnsr"
+        msg = self.check("config", "gen", "--config", cfg, "--output", str(out), capsys=capsys)
+        assert "dB" in msg
+        assert not out.exists()
+
+    def test_rank_zero_factorization_is_io(self, pipeline_files, capsys) -> None:
+        tmp, _, _, tensor = pipeline_files
+        tuck = tmp / "t.tuck"
+        tuck.write_bytes(b"TUCK" + struct.pack("<II3QQB", 1, 3, 14, 14, 14, 0, 1))
+        self.check("io", "eval", "--input", str(tuck), "--chunks", str(tensor), capsys=capsys)
+
+    def test_eval_shape_mismatch_is_shape(self, tmp_path, capsys) -> None:
+        """A 12^3 factorization against a 13^3 tensor is a shape error, as a
+        13^3 clean tensor against a 12^3 observed one is, and as a mismatched
+        second-pass tensor is for recover."""
+        for n in (12, 13):
+            write_tensor(tmp_path / f"x{n}.tnsr", gen_lowrank(n, 3, 2, seed=n)[0])
+        x12, x13 = str(tmp_path / "x12.tnsr"), str(tmp_path / "x13.tnsr")
+        bundle, tuck = str(tmp_path / "b.tskb"), str(tmp_path / "t.tuck")
+        assert run("sketch", "--input", x12, "--output", bundle) == 0
+        assert run("recover", "--input", bundle, "--output", tuck, "--rank", "2") == 0
+        clean13 = write_json(tmp_path / "ev.json", {"clean": x13})
+        self.check("shape", "eval", "--input", tuck, "--chunks", x13, capsys=capsys)
+        self.check("shape", "eval", "--config", clean13, "--input", tuck, "--chunks", x12,
+                   capsys=capsys)
 
     def test_missing_file_is_io(self, tmp_path, capsys) -> None:
         self.check(

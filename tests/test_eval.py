@@ -90,6 +90,14 @@ class TestSnr:
             with pytest.raises(ConfigError):
                 add_noise_snr(x0, target, seed=0)
 
+    @pytest.mark.parametrize("target", [2000.0, 5000.0])
+    def test_targets_past_floating_point_unreachable(self, target) -> None:
+        """Past about 1540 dB the squared ratio overflows (at 2000 dB the scale
+        would be NaN, at 5000 dB the ratio itself overflows)."""
+        x0 = np.random.default_rng(4).standard_normal((6, 6))
+        with pytest.raises(ConfigError, match="finite"):
+            add_noise_snr(x0, target, seed=0)
+
     def test_noise_is_deterministic_in_seed(self) -> None:
         x0 = np.random.default_rng(3).standard_normal((6, 6, 6))
         assert np.array_equal(add_noise_snr(x0, 20, seed=7), add_noise_snr(x0, 20, seed=7))

@@ -282,6 +282,14 @@ class TestCorruption:
         with pytest.raises(IOFormatError):
             read_tensor(p)
 
+    def test_rank_zero_factorization(self, tmp_path) -> None:
+        """A TUCK header of rank 0 holds no factorization, though its empty
+        core and factors would otherwise read cleanly."""
+        p = tmp_path / "t.tuck"
+        p.write_bytes(b"TUCK" + struct.pack("<II3QQB", 1, 3, 5, 4, 6, 0, 1))
+        with pytest.raises(IOFormatError, match="rank"):
+            read_factorization(p)
+
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(IOFormatError):
             read_tensor(tmp_path / "absent.tnsr")

@@ -9,7 +9,14 @@ import scipy.linalg
 from tsketch.ensembles import materialize
 from tsketch import formats
 from tsketch.errors import ConfigError, RankError, ShapeError, SingularError
-from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error
+from tsketch.evaluate import (
+    add_noise_snr,
+    gen_lowrank,
+    gen_superdiag_exp,
+    max_principal_angle,
+    relative_error,
+    tail_baseline,
+)
 from tsketch.recover import (
     TuckerFactorization,
     compute_core_twopass,
@@ -105,6 +112,31 @@ def test_twopass_never_worse_than_onepass_on_noise() -> None:
     e1 = relative_error(reconstruct(one_pass(b, 4)), x)
     e2 = relative_error(reconstruct(two_pass(b, x, 4)), x)
     assert e2 <= e1 + 1e-12
+
+
+def test_recover_factors_is_the_factor_stage_of_both_pipelines() -> None:
+    """m_c = 16 leaves room to oversample (k = 8 > r = 3), so the factors go
+    through the joint truncation, in recover_factors as in one_pass and two_pass."""
+    x0, _ = gen_lowrank(18, 3, 3, seed=130)
+    x = add_noise_snr(x0, 20.0, seed=131)
+    b = sketch(x, make_plan(x.shape, "kronecker", 7, 16, seed=132))
+    qs = recover_factors(b, 3)
+    for t in (one_pass(b, 3), two_pass(b, x, 3)):
+        for q, q2 in zip(qs, t.factors):
+            assert np.array_equal(q, q2)
+
+
+def test_recover_factors_break_a_tie_at_the_rank_the_same_way_in_every_mode() -> None:
+    """The leading r + 1 entries of gen_superdiag_exp are equal, so every
+    unfolding ties at sigma_r. The joint truncation drops the same direction
+    in every mode, and projecting on the factors reaches the best rank-r error
+    (the tail norm); a tie broken per mode costs up to sqrt(3) times that."""
+    x = gen_superdiag_exp(20, 3, 3)
+    qs = recover_factors(sketch(x, make_plan(x.shape, "kronecker", 12, 20, seed=130)), 3)
+    for q in qs[1:]:
+        assert max_principal_angle(qs[0], q) < 1e-3
+    t = TuckerFactorization(core=compute_core_twopass(x, qs), factors=qs)
+    assert relative_error(reconstruct(t), x) <= 1.001 * tail_baseline(x, 3)
 
 
 class TestStreamedTwoPass:

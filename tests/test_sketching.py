@@ -366,6 +366,23 @@ class TestMerge:
         a.merge(b)
         assert calls == []
 
+    def test_accumulators_of_one_plan_share_its_core_maps(self, monkeypatch) -> None:
+        """The core maps belong to the plan: built once for every accumulator
+        of it, equal to their specs, and read-only."""
+        x = random_tensor((6, 5, 9), seed=58)
+        plan = make_plan(x.shape, "khatri_rao", 5, 3, loo_family="mix", seed=59)
+        calls = []
+        module = importlib.import_module("tsketch.sketch")
+        monkeypatch.setattr(module, "materialize", lambda spec: calls.append(spec) or materialize(spec))
+        self.make_parts(plan, x, [4])
+        core_specs = [plan.core_spec(i) for i in (1, 2, 3)]
+        assert [spec for spec in calls if spec in core_specs] == core_specs
+        for phi, spec in zip(plan.core_maps, core_specs):
+            assert np.array_equal(phi, materialize(spec))
+            assert not phi.flags.writeable
+        with pytest.raises(ValueError):
+            plan.core_maps[0][0, 0] = 1.0
+
     def test_merge_rejects_different_plans(self) -> None:
         x = random_tensor((4, 4, 4), seed=54)
         p1 = make_plan(x.shape, "kronecker", 2, 2, seed=1)
