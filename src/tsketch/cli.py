@@ -15,12 +15,10 @@ Failures exit nonzero with one JSON line on stderr:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 
 from .ensembles import derive_seed
@@ -591,6 +589,8 @@ def run_experiment(cfg):
     if threads == 1:
         rows = [_run_trial(t, file_tensor, s) for t, s in zip(tasks, shared)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only the experiment uses a pool
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_run_trial, tasks, [file_tensor] * len(tasks), shared))
     rows.sort(key=lambda r: (r["variant"], r["m"], r["m_c"], r["trial"]))
@@ -598,6 +598,8 @@ def run_experiment(cfg):
 
 
 def write_csv(path, rows):
+    import csv  # only the experiment writes CSV
+
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER_COMMENT + "\n")
         writer = csv.writer(f, lineterminator="\n")

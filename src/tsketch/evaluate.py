@@ -42,6 +42,9 @@ __all__ = [
     "tail_baseline",
 ]
 
+# add_noise_snr refuses a target that the float64 result misses by more than this.
+_SNR_TOL_DB = 0.1
+
 
 def _ratio(err, ref):
     if ref == 0.0:
@@ -131,6 +134,10 @@ def add_noise_snr(x0, target_db, seed):
     the positive root is taken. Raises ConfigError when no positive finite
     solution exists: targets at or below 0 dB can be unreachable for a given
     draw, and a target so high that the ratio overflows is unreachable too.
+    It also raises ConfigError when the float64 sum misses the target by more
+    than _SNR_TOL_DB, measured on the returned tensor: from about 160 dB up,
+    s N falls toward half an ulp of the entries and rounding, not N, sets the
+    noise, until the sum is the clean tensor itself.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     rng = keyed_generator(seed, "noise", *x0.shape)
@@ -149,14 +156,21 @@ def add_noise_snr(x0, target_db, seed):
     s = (xn + math.sqrt(disc)) / a
     if not 0.0 < s < math.inf:  # NaN once the ratio overflows
         raise ConfigError(f"no positive finite noise scale reaches {target_db} dB")
-    return x0 + s * noise
+    x = x0 + s * noise
+    measured = snr_db(x, x0)
+    if not abs(measured - float(target_db)) <= _SNR_TOL_DB:
+        raise ConfigError(f"snr target {target_db} dB is past float64 resolution: "
+                          f"the noisy tensor measures {measured:.1f} dB")
+    return x
 
 
 def max_principal_angle(q, u):
     """Largest canonical angle between the column spaces of q and u, in degrees.
 
     Both inputs must have orthonormal columns (checked to 1e-8). The angle is
-    arccos of the smallest singular value of q^T u, clamped to [0, 90].
+    atan2 of its sine, the largest singular value of u - q q^T u, and its
+    cosine, the smallest singular value of q^T u. The cosine alone resolves
+    nothing below about 1e-6 degrees; the sine keeps small angles accurate.
     """
     q = np.asarray(q, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -166,9 +180,12 @@ def max_principal_angle(q, u):
         gram = a.T @ a
         if np.linalg.norm(gram - np.eye(a.shape[1])) > 1e-8:
             raise ConfigError(f"{name} basis does not have orthonormal columns")
-    smin = np.linalg.svd(q.T @ u, compute_uv=False).min() if q.shape[1] else 1.0
-    smin = min(max(smin, 0.0), 1.0)
-    return float(np.clip(math.degrees(math.acos(smin)), 0.0, 90.0))
+    if not q.shape[1]:
+        return 0.0
+    c = q.T @ u
+    cos = np.linalg.svd(c, compute_uv=False).min()
+    sin = np.linalg.norm(u - q @ c, 2)
+    return float(np.clip(math.degrees(math.atan2(sin, cos)), 0.0, 90.0))
 
 
 def tail_energy(x, r, j):

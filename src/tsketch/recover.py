@@ -4,11 +4,18 @@ The pipeline, given a bundle of d leave-one-out sketches plus a core sketch:
 
 1. Factors: per mode i, undo the square diagonal map (a solve, skipped when it
    is the identity), then keep the leading left singular vectors of the
-   result. Only the left vectors are computed: from the eigenvectors of the
-   n_i x n_i Gram matrix when the sketch is wide, or, when that Gram matrix is
-   too ill-conditioned at the requested rank, from a Householder QR of the
-   transposed sketch followed by an SVD of its small triangular factor. A
-   tall sketch (fewer columns than n_i) takes its thin SVD directly.
+   result. Only the left vectors are computed, by one of three routes:
+   - a randomized range finder: the sketch times a keyed gaussian map, one
+     power step with a QR after every product, and the SVD of the small
+     projected sketch;
+   - the eigenvectors of the n_i x n_i Gram matrix when the sketch is wide,
+     or, when that Gram matrix is too ill-conditioned at the requested rank,
+     a Householder QR of the transposed sketch followed by an SVD of its
+     small triangular factor;
+   - the thin SVD of a tall sketch (fewer columns than n_i).
+   Two fixed rules choose: the range finder runs only where a flop count says
+   it is cheaper than the exact route, and its result is kept only where its
+   own singular values show a gap at the requested rank.
 2. Joint truncation (``recover_factors``, which ``one_pass`` and ``two_pass``
    both call): the factors are first estimated at an oversampled rank
    k = r + 5, capped by half the core sketch side and by the sketch sizes.
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import materialize
+from .ensembles import keyed_generator, materialize
 from .errors import ConfigError, RankError, ShapeError, SingularError
 from .sketch import SlabChunk, _require_coverage, _take_slab
 from .tensor import mode_product, multi_mode_product, slab_product, unfold
@@ -70,6 +77,11 @@ _OVERSAMPLE = 5
 # The Gram route squares the condition number: below this sigma_r / sigma_1
 # the leading left vectors come from a QR of the sketch instead.
 _GRAM_RCOND = 1e-3
+
+# The randomized range finder samples k + _RANGE_OVERSAMPLE directions, and is
+# trusted only where the last of them carries at most _RANGE_GAP of sigma_r.
+_RANGE_OVERSAMPLE = 10
+_RANGE_GAP = 0.5
 
 # HOOI stops once a sweep grows the core norm by no more than this fraction,
 # or after this many sweeps.
@@ -114,8 +126,8 @@ def _pinv(a, mode):
     return (vt.T / s) @ u.T
 
 
-def _left_vectors(f, k, r):
-    """The k leading left singular vectors of f, without its right vectors.
+def _exact_left_vectors(f, k, r):
+    """The k leading left singular vectors of f, from a Gram, QR or thin SVD route.
 
     A wide f goes through the eigenvectors of f f^T. When sigma_r / sigma_1 of
     f is below _GRAM_RCOND (checked at the requested rank r, since on exact-rank
@@ -130,6 +142,56 @@ def _left_vectors(f, k, r):
         f = np.linalg.qr(f.T, mode="r").T
     u, _, _ = np.linalg.svd(f, full_matrices=False)
     return u[:, :k]
+
+
+def _range_finder_pays(shape, k):
+    """Whether the range finder's flop count beats the exact route's for an f of this shape.
+
+    With a and c the smaller and larger side and l = k + _RANGE_OVERSAMPLE, the
+    exact route costs about a^2 c + 4a^3/3 (Gram and eigh) for a wide f and
+    4ca^2 + 8a^3 (thin SVD) for a tall one, and the range finder about 6acl
+    for its four products with f. The weights follow the measured crossover:
+    the range finder wins at 256 x 625 and 256 x 100 and loses at 100 x 625.
+    It also needs l below a, or its sample would span all of f's range.
+    """
+    a, c = min(shape), max(shape)
+    l = k + _RANGE_OVERSAMPLE
+    exact = a * a * c + 4 * a**3 / 3 if shape[0] <= shape[1] else 4 * c * a * a + 8 * a**3
+    return l < a and 6 * a * c * l < exact
+
+
+def _range_vectors(f, k, r, rng):
+    """The k leading left singular vectors of f from a randomized range finder, or None.
+
+    Y = f Omega with a gaussian Omega of l = k + _RANGE_OVERSAMPLE columns, then
+    one power step with a QR after every product (Halko, Martinsson & Tropp
+    2011, Algorithm 4.4), so directions far below sigma_1 survive roundoff.
+    The leading left vectors of the small Q^T f are rotated by Q. Returns None
+    when the captured spectrum shows no gap, sigma_l > _RANGE_GAP * sigma_r of
+    Q^T f, since the range then misses part of the leading subspace.
+    """
+    l = k + _RANGE_OVERSAMPLE
+    q = np.linalg.qr(f @ rng.standard_normal((f.shape[1], l)))[0]
+    q = np.linalg.qr(f.T @ q)[0]
+    q = np.linalg.qr(f @ q)[0]
+    u, s, _ = np.linalg.svd(q.T @ f, full_matrices=False)
+    if not s[-1] <= _RANGE_GAP * s[r - 1]:
+        return None
+    return q @ u[:, :k]
+
+
+def _left_vectors(f, k, r, key):
+    """The k leading left singular vectors of f, without its right vectors.
+
+    Where ``_range_finder_pays`` says so, they come from the randomized range
+    finder, its gaussian map drawn from ``keyed_generator(*key)``; otherwise,
+    or when the range finder finds no gap at r, from the exact route.
+    """
+    if _range_finder_pays(f.shape, k):
+        u = _range_vectors(f, k, r, keyed_generator(*key))
+        if u is not None:
+            return u
+    return _exact_left_vectors(f, k, r)
 
 
 def recover_factors(bundle, r):
@@ -156,8 +218,10 @@ def recover_factors(bundle, r):
                 f"rank {r} exceeds the {min(b.shape)} singular vectors available in mode {i} "
                 f"(sketch is {b.shape[0]}x{b.shape[1]})"
             )
-        f = b if plan.diag_family == "identity" else _pinv(materialize(plan.diag_spec(i)), i) @ b
-        qs.append(_left_vectors(f, k, r))
+        f = np.asfortranarray(b)  # the layout a bundle file gives, built or read alike
+        if plan.diag_family != "identity":
+            f = _pinv(materialize(plan.diag_spec(i)), i) @ f
+        qs.append(_left_vectors(f, k, r, (plan.seed, "range", i)))
     if k == r:
         return qs
     us = _truncate_core(recover_core_onepass(bundle.core, plan.core_maps, qs), r)
@@ -165,8 +229,12 @@ def recover_factors(bundle, r):
 
 
 def _peel(h, maps, qs, what):
-    """Multiply h on every mode i, ascending, by pinv(maps[i] @ qs[i])."""
-    h = np.asarray(h, dtype=np.float64)
+    """Multiply h on every mode i, ascending, by pinv(maps[i] @ qs[i]).
+
+    h is taken in column-major order, the order a bundle file stores, so the
+    result does not depend on the layout h arrived in.
+    """
+    h = np.asfortranarray(h, dtype=np.float64)
     d = h.ndim
     if len(maps) != d or len(qs) != d:
         raise ShapeError(f"need {d} {what} maps and {d} factors, got {len(maps)} and {len(qs)}")

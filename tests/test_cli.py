@@ -257,6 +257,15 @@ def test_cli_imports_no_private_name_from_the_package() -> None:
     assert private == []
 
 
+def test_cli_import_leaves_the_experiment_only_modules_unloaded() -> None:
+    """concurrent.futures (which pulls in logging and queue) and csv serve
+    only the experiment, so every other subcommand starts without them."""
+    res = run_python("-c", "import sys, tsketch.cli; "
+                           "print(sorted({'concurrent.futures', 'csv'} & set(sys.modules)))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_print_config_merges_defaults_file_and_flags(tmp_path, capsys) -> None:
     cfg = write_json(tmp_path / "c.json", {"n": 10, "seed": 1})
     assert run("gen", "--config", cfg, "--print-config", "--seed", "9") == 0
@@ -337,6 +346,17 @@ class TestErrorReporting:
         out = tmp_path / "x.tnsr"
         msg = self.check("config", "gen", "--config", cfg, "--output", str(out), capsys=capsys)
         assert "dB" in msg
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", [170.0, 200.0, 300.0])
+    def test_snr_past_float64_resolution_is_config(self, tmp_path, capsys, target) -> None:
+        """The noise these targets call for rounds away, in part or whole, on
+        the 10^3 tensor: gen refuses them rather than write a tensor that
+        misses the target (at 300 dB, the clean tensor itself)."""
+        cfg = write_json(tmp_path / "g.json", {"n": 10, "r_true": 3, "snr_db": target})
+        out = tmp_path / "x.tnsr"
+        msg = self.check("config", "gen", "--config", cfg, "--output", str(out), capsys=capsys)
+        assert "resolution" in msg
         assert not out.exists()
 
     def test_rank_zero_factorization_is_io(self, pipeline_files, capsys) -> None:

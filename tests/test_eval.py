@@ -98,6 +98,18 @@ class TestSnr:
         with pytest.raises(ConfigError, match="finite"):
             add_noise_snr(x0, target, seed=0)
 
+    def test_targets_past_float64_resolution_are_refused(self) -> None:
+        """From about 160 dB up the noise is a few ulps of the entries, so
+        rounding sets the measured SNR (171.8 dB for 170, 215.7 for 200) and
+        from about 300 dB the sum is the clean tensor. A target is met to
+        0.1 dB or refused."""
+        x0, _ = gen_lowrank(10, 3, 3, seed=1)
+        for target in (150.0, 160.0):
+            assert snr_db(add_noise_snr(x0, target, seed=2), x0) == pytest.approx(target, abs=0.1)
+        for target in (170.0, 200.0, 300.0, 1000.0):
+            with pytest.raises(ConfigError, match="resolution"):
+                add_noise_snr(x0, target, seed=2)
+
     def test_noise_is_deterministic_in_seed(self) -> None:
         x0 = np.random.default_rng(3).standard_normal((6, 6, 6))
         assert np.array_equal(add_noise_snr(x0, 20, seed=7), add_noise_snr(x0, 20, seed=7))
@@ -122,6 +134,13 @@ class TestPrincipalAngle:
         q = np.array([[1.0], [0.0]])
         u = np.array([[1.0], [1.0]]) / math.sqrt(2)
         assert max_principal_angle(q, u) == pytest.approx(45.0, abs=1e-9)
+
+    def test_small_angle_keeps_its_accuracy(self) -> None:
+        """cos(1e-9) rounds to 1.0, so arccos alone would read 0 here."""
+        t = 1e-9
+        q = np.array([[1.0], [0.0], [0.0]])
+        u = np.array([[math.cos(t)], [math.sin(t)], [0.0]])
+        assert max_principal_angle(q, u) == pytest.approx(math.degrees(t), rel=1e-9)
 
     def test_requires_orthonormal_columns(self) -> None:
         with pytest.raises(ConfigError):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tsketch.ensembles import materialize
-from tsketch import formats
+from tsketch.ensembles import derive_seed, materialize
+from tsketch import formats, recover
 from tsketch.errors import ConfigError, RankError, ShapeError, SingularError
 from tsketch.evaluate import (
     add_noise_snr,
@@ -15,6 +15,7 @@ from tsketch.evaluate import (
     gen_superdiag_exp,
     max_principal_angle,
     relative_error,
+    score,
     tail_baseline,
 )
 from tsketch.recover import (
@@ -290,3 +291,98 @@ class TestErrorPaths:
         with pytest.raises(SingularError) as err:
             recover_core_onepass(core_sketch, phis, qs)
         assert "mode 1" in str(err.value)
+
+
+class TestRangeFinder:
+    """The per-mode factors come from a keyed randomized range finder where a
+    flop count says it is cheaper and its own spectrum shows a gap at r, and
+    from the exact Gram/QR/SVD route otherwise. Each test checks which route ran."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Record each range finder call as "range" (its basis kept) or
+        "fallback" (no gap), and each exact-route call as "exact"."""
+        ran = []
+        range_vectors, exact = recover._range_vectors, recover._exact_left_vectors
+
+        def spy_range(*args):
+            u = range_vectors(*args)
+            ran.append("fallback" if u is None else "range")
+            return u
+
+        def spy_exact(*args):
+            ran.append("exact")
+            return exact(*args)
+
+        monkeypatch.setattr(recover, "_range_vectors", spy_range)
+        monkeypatch.setattr(recover, "_exact_left_vectors", spy_exact)
+        return ran
+
+    def test_size_rule_at_the_measured_shapes(self) -> None:
+        assert recover._range_finder_pays((256, 625), 15)
+        assert recover._range_finder_pays((256, 100), 15)
+        assert not recover._range_finder_pays((100, 625), 15)
+        assert not recover._range_finder_pays((40, 225), 7)
+
+    @pytest.mark.parametrize("cols", [625, 100])
+    def test_leading_subspace_matches_the_exact_route(self, routes, cols) -> None:
+        """Rank 10 plus noise at 30 dB, at the W1 (kronecker) and W2
+        (khatri_rao) sketch shapes."""
+        rng = np.random.default_rng(140)
+        low = rng.standard_normal((256, 10)) @ rng.standard_normal((10, cols))
+        f = add_noise_snr(low, 30.0, seed=141)
+        u = recover._left_vectors(f, 15, 10, (142, "range", 1))
+        assert routes == ["range"]
+        exact = recover._exact_left_vectors(f, 15, 10)
+        assert max_principal_angle(u[:, :10], exact[:, :10]) <= 1e-6
+
+    def test_flat_spectrum_falls_back_to_the_exact_route(self, routes) -> None:
+        f = np.random.default_rng(143).standard_normal((256, 625))
+        u = recover._left_vectors(f, 15, 10, (144, "range", 1))
+        assert routes == ["fallback", "exact"]
+        assert np.array_equal(u, recover._exact_left_vectors(f, 15, 10))
+
+    def test_small_sketch_keeps_the_exact_route(self, routes, monkeypatch) -> None:
+        """test_runtime_sketch_phase's problem: B_j is 100 x 625, where the
+        range finder costs more than the Gram route, so the factors are the
+        exact route's, bitwise."""
+        x0, _ = gen_lowrank(100, 3, 10, derive_seed(0, "accept-gen", 11, 0, 0))
+        b = sketch(x0, make_plan(x0.shape, "kronecker", 25, 50, seed=derive_seed(0, "accept", 11, 0, 0)))
+        qs = recover_factors(b, 10)
+        assert routes == ["exact"] * 3
+        monkeypatch.setattr(recover, "_range_finder_pays", lambda shape, k: False)
+        for q, q2 in zip(qs, recover_factors(b, 10)):
+            assert np.array_equal(q, q2)
+
+    def test_ill_conditioned_exact_rank_recovery_at_n_256(self, routes) -> None:
+        """test_ill_conditioned_exact_rank_recovery at n = 256, where B_j
+        (256 x 225) takes the range finder: the QR after every product keeps
+        the directions at 1e-8 of sigma_1. Streamed slab by slab, so the
+        128 MiB tensor is never held."""
+        n = 256
+        rng = np.random.default_rng(122)
+        qs = [np.linalg.qr(rng.standard_normal((n, 5)))[0] for _ in range(3)]
+        core = np.zeros((5, 5, 5))
+        core[(np.arange(5),) * 3] = np.logspace(0, -8, 5)
+        x = TuckerFactorization(core=core, factors=qs)
+        slabs = [SlabChunk(lo, 32, reconstruct(x, lo, lo + 32)) for lo in range(0, n, 32)]
+        acc = SketchAccumulator(make_plan((n,) * 3, "kronecker", 15, 15, seed=123))
+        for c in slabs:
+            acc.update(c)
+        t = one_pass(acc.finalize(), 5)
+        assert routes == ["range"] * 3
+        assert score(t, ((c, None) for c in slabs))["relative_error"] <= 1e-12
+
+    def test_equal_bundles_give_bitwise_equal_factors(self, routes, tmp_path) -> None:
+        x0, _ = gen_lowrank(128, 3, 5, seed=145)
+        x = add_noise_snr(x0, 30.0, seed=146)
+        b = sketch(x, make_plan(x.shape, "kronecker", 8, 20, seed=147))
+        t = one_pass(b, 5)
+        assert routes == ["range"] * 3
+        formats.write_bundle(tmp_path / "b.tskb", b)
+        np.random.seed(148)  # no global random state is read
+        t2 = one_pass(formats.read_bundle(tmp_path / "b.tskb"), 5)
+        assert routes == ["range"] * 6
+        for q, q2 in zip(t.factors, t2.factors):
+            assert np.array_equal(q, q2)
+        assert np.array_equal(t.core, t2.core)
