@@ -5,9 +5,10 @@ Subcommands: gen, sketch, recover, eval, experiment. Each takes a JSON config
 --two-pass, --threads) overriding the merged values; --print-config shows the
 result and exits. Every tensor-bearing input is a whole-tensor TNSR file or a
 TSKC slab stream, told apart by its magic: sketch takes it through --input or
---chunks and reads it record by record; recover --two-pass and eval take it
-through --chunks and read it slab by slab, never whole. A stream whose records
-overlap or leave a gap is refused before any of it is used.
+--chunks, recover --two-pass and eval through --chunks. Each reads it in
+bounded pieces at fixed last-mode positions (``TensorFile.slabs``), never
+whole and whatever its records. A stream whose records overlap or leave a gap
+is refused before any of it is used.
 Failures exit nonzero with one JSON line on stderr:
 {"error": {"category": ..., "message": ...}}.
 """
@@ -200,7 +201,7 @@ def _build_parser():
     })
     add("sketch", "sketch a tensor into a bundle", {
         "config": True,
-        "input": "tensor to sketch (TNSR or TSKC), read record by record",
+        "input": "tensor to sketch (TNSR or TSKC), read in bounded pieces",
         "chunks": "tensor to sketch (TNSR or TSKC); same as --input",
         "output": "bundle file to write (TSKB)",
         "seed": True,
@@ -378,7 +379,7 @@ def cmd_sketch(args, cfg):
         raise ConfigError("exactly one of --input and --chunks is required")
     with TensorFile(args.input or args.chunks) as x:
         acc = SketchAccumulator(_plan_from_config(cfg, x.shape))
-        for chunk in x.records():
+        for chunk in x.slabs():
             acc.update(chunk)
     write_bundle(output, acc.finalize())
     return 0

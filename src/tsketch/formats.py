@@ -18,10 +18,11 @@ Four magics:
 
 A TNSR file and a TSKC stream both hold last-mode slabs stored
 first-mode-fastest, so any last-mode range of a slab is one contiguous run of
-bytes. ``TensorFile`` reads either format by such ranges, for a second look at
-the data in bounded pieces. It checks the file (headers, lengths, records that
-tile the last mode) and passes the entries through as stored: whether a slab's
-entries are fit to use is decided where slabs are used (``sketch._take_slab``).
+bytes. ``TensorFile`` reads either format by such ranges, so the sketch and a
+second look at the data take it in bounded pieces. It checks the file
+(headers, lengths, records that tile the last mode) and passes the entries
+through as stored: whether a slab's entries are fit to use is decided where
+slabs are used (``sketch._take_slab``).
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ _KIND_IDS = {kind: i for i, kind in enumerate(LOO_KINDS)}
 _KIND_NAMES = {i: kind for kind, i in _KIND_IDS.items()}
 
 
-# A second look at a tensor reads it in pieces of at most this many bytes (and
-# at least one last-mode slice), whatever record sizes it was written in.
+# Every step that reads a tensor reads it in pieces of at most this many bytes
+# (and at least one last-mode slice), whatever record sizes it was written in.
 _PIECE_BYTES = 2**20
 
 
@@ -97,6 +98,12 @@ def _fill(f, out, what):
         raise IOFormatError(f"truncated file while reading {what}")
 
 
+def _write_f64(f, a):
+    """Write the entries of `a` first-mode-fastest as little-endian f64, from the
+    array's own memory when it is already so laid out, else from one copy."""
+    f.write(np.asfortranarray(a, dtype="<f8").T.data)
+
+
 def _read_f64(f, count, what):
     _need(f, 8 * count, what)
     out = np.empty(count, dtype="<f8")
@@ -124,7 +131,7 @@ def write_tensor(path, x):
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", x.ndim))
         f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        f.write(x.ravel(order="F").astype("<f8").tobytes())
+        _write_f64(f, x)
 
 
 def read_tensor(path):
@@ -157,7 +164,7 @@ def write_chunks(path, shape, chunks):
                     f"and count {c.count}"
                 )
             f.write(struct.pack("<QQ", c.start, c.count))
-            f.write(payload.ravel(order="F").astype("<f8").tobytes())
+            _write_f64(f, payload)
             del payload
 
 
@@ -272,12 +279,16 @@ class TensorFile:
             yield SlabChunk(start, count, self.read(start, start + count))
 
     def slabs(self):
-        """Yield the whole tensor as SlabChunks of at most _PIECE_BYTES, in last-mode order."""
+        """Yield the whole tensor as SlabChunks of at most _PIECE_BYTES, in last-mode order.
+
+        The pieces start at fixed multiples of their width in the last mode and
+        may span stored records, so every file of one tensor gives the same pieces.
+        """
+        n = self.shape[-1]
         width = max(1, _PIECE_BYTES // self._slab_bytes)
-        for start, count, _ in self._records:
-            for lo in range(start, start + count, width):
-                hi = min(lo + width, start + count)
-                yield SlabChunk(lo, hi - lo, self.read(lo, hi))
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            yield SlabChunk(lo, hi - lo, self.read(lo, hi))
 
 
 def read_chunks_dense(path):
@@ -291,7 +302,7 @@ def read_chunks_dense(path):
 
 def _write_matrix(f, a):
     f.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-    f.write(np.asarray(a, dtype=np.float64).ravel(order="F").astype("<f8").tobytes())
+    _write_f64(f, a)
 
 
 def _read_matrix(f, shape, what):
@@ -321,7 +332,7 @@ def write_bundle(path, bundle):
             f.write(struct.pack("<IIBQQQ", j, i, FAMILIES[spec.family], spec.rows, spec.cols, spec.seed))
         for b in bundle.loo:
             _write_matrix(f, b)
-        f.write(bundle.core.ravel(order="F").astype("<f8").tobytes())
+        _write_f64(f, bundle.core)
         f.write(struct.pack("<B", 1 if bundle.partial else 0))
 
 
@@ -412,9 +423,9 @@ def write_factorization(path, t):
         f.write(struct.pack("<I", d))
         f.write(struct.pack(f"<{d}Q", *(q.shape[0] for q in t.factors)))
         f.write(struct.pack("<Q", t.rank))
-        f.write(t.core.ravel(order="F").astype("<f8").tobytes())
+        _write_f64(f, t.core)
         for q in t.factors:
-            f.write(np.asarray(q).ravel(order="F").astype("<f8").tobytes())
+            _write_f64(f, q)
         f.write(struct.pack("<B", 1))  # sign convention applied
 
 

@@ -24,13 +24,22 @@ tensor it defines:
 
 All measurements are linear, so a tensor arriving in last-mode slabs can be
 sketched additively: each slab contributes through the map columns its index
-range selects. The core sketch and every kronecker sketch contract a slab
-through one helper, ``tensor.slab_product``, which applies one map per mode
-and cuts the last mode's map to the slab. ``SketchAccumulator`` holds exactly
-the fixed-size measurement arrays (never the slabs themselves), supports
-merging with a disjoint peer, and finalizes into a :class:`SketchBundle`.
-Batch sketching is the special case of one slab covering the whole mode,
-which is how ``sketch`` is implemented.
+range selects. ``SketchAccumulator`` holds the fixed-size measurement arrays
+(never the slabs themselves), supports merging with a disjoint peer, and
+finalizes into a :class:`SketchBundle`. Batch sketching is the special case
+of one slab covering the whole mode, which is how ``sketch`` is implemented.
+
+A kronecker accumulator reads each slab once for every measurement that
+compresses mode 1 (B_2..B_d and the core), by one matmul against their
+stacked mode-1 maps, and then contracts modes 2..d-1 per measurement. The
+last-mode map of a thin slab is a matmul whose inner dimension is the slab
+width and whose output is as large as the measurement, so a measurement that
+compresses the last mode (B_j with j < d, and the core) parks thin slabs,
+contracted on the other modes, in a buffer of up to ``_BUFFER_SLICES``
+last-mode slices. One matmul against the gathered map columns empties it when
+it fills, and at ``merge`` and ``finalize``; a slab at least as wide as the
+buffer skips it. The khatri_rao and unstructured kinds, and the core of their
+plans, contract each slab through ``tensor.slab_product`` as it comes.
 
 A streamed sketch, the two-pass core and the error of a factorization are
 each a sum over slabs, right only if every slab is finite and fits the tensor
@@ -71,6 +80,11 @@ LOO_KINDS = ("kronecker", "khatri_rao", "unstructured")
 _DIAG_FAMILIES = ("identity", "gaussian")
 
 DEFAULT_MEM_CAP_MB = 256.0
+
+# Last-mode slices a kronecker measurement gathers before applying its
+# last-mode map, capped by the rows of that map so that no buffer outgrows the
+# measurement it feeds.
+_BUFFER_SLICES = 32
 
 
 def _mem_cap_mb():
@@ -333,9 +347,11 @@ class SketchAccumulator:
 
     Holds the plan, the materialized leave-one-out maps, and fixed-size
     measurement arrays; the core maps are the plan's own. Chunks are folded
-    in by `update` and never retained; `merge` combines two accumulators
-    built from the same plan over disjoint slab ranges. The diagonal maps are
-    not held: `finalize` builds and applies them.
+    in by `update` and never retained (a kronecker accumulator parks thin
+    slabs only after contracting them on every mode but the last); `merge`
+    combines two accumulators built from the same plan over disjoint slab
+    ranges. The diagonal maps are not held: `finalize` builds and applies
+    them.
     """
 
     def __init__(self, plan):
@@ -362,17 +378,53 @@ class SketchAccumulator:
                 [None if i == j else materialize(plan.loo_spec(j, i)) for i in range(1, d + 1)]
                 for j in range(1, d + 1)
             ]
+        # (start, count) of the thin slabs parked in the kronecker last-mode
+        # buffers, and the buffers: allocated by the first thin slab after
+        # construction or `finalize`, which releases them.
+        self._parked, self._bufs = [], None
         if plan.loo_kind == "kronecker":
-            # Measurement tensors keep mode j at full length.
-            self._loo = [
-                np.zeros(tuple(shape[j - 1] if i == j else plan.m for i in range(1, d + 1)))
-                for j in range(1, d + 1)
-            ]
+            self._init_kron()
         else:
             self._loo = [np.zeros((shape[j - 1], plan.m)) for j in range(1, d + 1)]
-
-        self._core = np.zeros((plan.m_c,) * d)
+            self._core = np.zeros((plan.m_c,) * d)
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
+
+    def _init_kron(self):
+        """The kronecker state: per measurement (B_1..B_d, then the core) its
+        maps and its sum, the stacked mode-1 maps, and the buffer width."""
+        plan, d = self.plan, self.plan.d
+        self._kron = self._maps + [list(plan.core_maps)]
+        # Measurement tensors keep mode j of sketch j at full length.
+        self._loo = [
+            np.zeros(tuple(plan.shape[j - 1] if i == j else plan.m for i in range(1, d + 1)), order="F")
+            for j in range(1, d + 1)
+        ]
+        self._core = np.zeros((plan.m_c,) * d, order="F")
+        # Every measurement but B_1 compresses mode 1. Their maps are stacked so
+        # one matmul reads a slab once for all of them; each keeps a view of its rows.
+        self._stack = None
+        self._rows = [None] * (d + 1)
+        if d > 1:
+            self._stack = np.concatenate([maps[0] for maps in self._kron[1:]])
+            at = 0
+            for s, maps in enumerate(self._kron[1:], start=1):
+                self._rows[s] = slice(at, at + maps[0].shape[0])
+                maps[0] = self._stack[self._rows[s]]
+                at = self._rows[s].stop
+        last = [maps[-1].shape[0] for maps in self._kron if maps[-1] is not None]
+        self._width = min(_BUFFER_SLICES, *last)
+
+    def _sums(self):
+        return self._loo + [self._core]
+
+    def _buffers(self):
+        """Per measurement that compresses the last mode, room for `_width` slices of it."""
+        if self._bufs is None:
+            self._bufs = [
+                None if maps[-1] is None else np.empty(t.shape[:-1] + (self._width,), order="F")
+                for maps, t in zip(self._kron, self._sums())
+            ]
+        return self._bufs
 
     # -- streaming -----------------------------------------------------------
 
@@ -382,20 +434,67 @@ class SketchAccumulator:
         if chunk.count == 0:
             return
         lo, hi = chunk.start, chunk.start + chunk.count
+        if self.plan.loo_kind == "kronecker":
+            self._add_kron(payload, lo, hi)
+            return
         for j in range(1, self.plan.d + 1):
             self._add_loo(j, payload, lo, hi)
         self._core += slab_product(payload, self.plan.core_maps, lo, hi)
 
-    def _add_loo(self, j, payload, lo, hi):
-        """Add the slab's contribution to sketch j, before its diagonal map."""
-        d = self.plan.d
-        kind = self.plan.loo_kind
-        if kind == "kronecker":
-            # The slab covers mode d, so with j == d it fills only those slices.
-            out = self._loo[j - 1][..., lo:hi] if j == d else self._loo[j - 1]
-            out += slab_product(payload, self._maps[j - 1], lo, hi)
+    def _add_kron(self, x, lo, hi):
+        """Add the slab's contribution to every kronecker measurement.
+
+        Each measurement takes its rows of the stacked mode-1 product (B_1
+        takes the slab) and contracts modes 2..d-1. One that keeps the last
+        mode (B_d) then adds slices lo..hi-1. One that compresses it applies
+        the map columns lo..hi-1 to a slab at least a buffer wide, and parks
+        a thinner one.
+        """
+        d, w = self.plan.d, hi - lo
+        direct = w >= self._width
+        at = sum(c for _, c in self._parked)
+        if not direct and at + w > self._width:
+            self._flush()
+            at = 0
+        bufs = None if direct else self._buffers()
+        z = None if self._stack is None else mode_product(x, self._stack, 1)
+        for s, (maps, rows, t) in enumerate(zip(self._kron, self._rows, self._sums())):
+            y = x if rows is None else z[rows]
+            if not (y.flags.c_contiguous or y.flags.f_contiguous):
+                # A row block of an F-ordered product: `mode_product` would
+                # contract it as it is through a strided batched matmul.
+                y = np.asfortranarray(y)
+            for i in range(2, d):
+                if maps[i - 1] is not None:
+                    y = mode_product(y, maps[i - 1], i)
+            if maps[-1] is None:
+                t[..., lo:hi] += y
+            elif direct:
+                t += mode_product(y, maps[-1][:, lo:hi], d)
+            else:
+                bufs[s][..., at : at + w] = y
+        if not direct:
+            self._parked.append((lo, w))
+
+    def _flush_into(self, sums):
+        """Apply the last-mode map columns of the parked slabs to the buffers,
+        one matmul per measurement, adding the results to `sums`."""
+        if not self._parked:
             return
-        if kind == "khatri_rao":
+        idx = np.concatenate([np.arange(lo, lo + c) for lo, c in self._parked])
+        for maps, t, buf in zip(self._kron, sums, self._bufs):
+            if buf is not None:
+                t += mode_product(buf[..., : idx.size], maps[-1][:, idx], self.plan.d)
+
+    def _flush(self):
+        self._flush_into(self._sums())
+        self._parked = []
+
+    def _add_loo(self, j, payload, lo, hi):
+        """Add the slab's contribution to khatri_rao or unstructured sketch j,
+        before its diagonal map."""
+        d = self.plan.d
+        if self.plan.loo_kind == "khatri_rao":
             contrib = self._khat_contrib(j, payload, lo, hi)
         else:
             omega = self._maps[j - 1]
@@ -442,9 +541,13 @@ class SketchAccumulator:
             if hit:
                 s, c = hit
                 raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
-        out = copy.copy(self)  # shares the plan's read-only materialized maps
+        out = copy.copy(self)  # shares the materialized maps
         out._loo = [a + b for a, b in zip(self._loo, other._loo)]
         out._core = self._core + other._core
+        # Either parent's parked slabs go into the sum; neither parent changes.
+        self._flush_into(out._sums())
+        other._flush_into(out._sums())
+        out._parked, out._bufs = [], None
         out._covered = sorted(self._covered + other._covered)
         return out
 
@@ -458,22 +561,27 @@ class SketchAccumulator:
     def finalize(self):
         """Produce the bundle. Incomplete coverage is allowed but flagged partial.
 
-        The square diagonal map D_j commutes with the sum over slabs, so it is
-        applied here, once per sketch: B_j = D_j times the accumulated sketch.
+        Parked slabs are applied first, and the accumulator takes more slabs
+        after. The square diagonal map D_j commutes with the sum over slabs, so
+        it is applied here, once per sketch: B_j = D_j times the accumulated
+        sketch.
         """
         plan = self.plan
+        self._flush()
+        self._bufs = None  # not needed for the copies below
         loo = self._loo
         if plan.loo_kind == "kronecker":
             loo = [unfold(t, j) for j, t in enumerate(loo, start=1)]
         if plan.diag_family != "identity":
             loo = [materialize(plan.diag_spec(j)) @ b for j, b in enumerate(loo, start=1)]
         else:
-            # `unfold` may return a view: the bundle must not change with later slabs.
-            loo = [b.copy(order="K") for b in loo]
+            # The bundle must not change with later slabs: copy what is still
+            # the accumulator's own memory (`unfold` returns a view or a copy).
+            loo = [b.copy(order="F") if np.may_share_memory(b, t) else b for b, t in zip(loo, self._loo)]
         return SketchBundle(
             plan=plan,
             loo=loo,
-            core=self._core.copy(),
+            core=self._core.copy(order="F"),
             partial=not self.coverage_complete(),
         )
 

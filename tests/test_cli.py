@@ -15,6 +15,7 @@ import pytest
 
 import tsketch
 import tsketch.cli
+from tsketch import formats
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES
 from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error, snr_db
@@ -191,6 +192,32 @@ def test_streamed_second_look_matches_dense(tmp_path) -> None:
             assert report[key] == pytest.approx(value, rel=1e-13, abs=0.0), (observed, clean, key)
 
 
+@pytest.mark.parametrize("piece_slices", [None, 3], ids=["one-piece", "3-slice-pieces"])
+def test_every_file_of_a_tensor_gives_one_bundle(pipeline_files, monkeypatch, piece_slices) -> None:
+    """The sketch reads pieces at fixed last-mode positions, whatever the
+    records: TNSR and TSKC files of one tensor give byte-identical bundles."""
+    tmp, _, sketch_cfg, tensor = pipeline_files
+    if piece_slices:
+        monkeypatch.setattr(formats, "_PIECE_BYTES", piece_slices * 8 * 14 * 14)
+    x = read_tensor(tensor)
+    files = [tensor]
+    for name, ranges in [("x1.tskc", [(0, 14)]),
+                         ("x5.tskc", [(11, 14), (0, 2), (5, 8), (2, 5), (8, 11)]),
+                         ("xs.tskc", [(k, k + 1) for k in range(14)])]:
+        write_slabs(tmp / name, x, ranges)
+        files.append(tmp / name)
+    bundles = []
+    for path in files:
+        out = tmp / f"{path.name}.tskb"
+        assert run("sketch", "--config", sketch_cfg, "--chunks", str(path), "--output", str(out)) == 0
+        bundles.append(out.read_bytes())
+    assert all(b == bundles[0] for b in bundles[1:])
+    ref = sketch(x, make_plan(x.shape, "kronecker", 6, 8, seed=21))
+    got = read_bundle(tmp / "x.tnsr.tskb")
+    for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]):
+        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(a)
+
+
 def test_eval_report_is_strict_json(pipeline_files, capsys) -> None:
     """A noiseless clean tensor has an infinite SNR, reported as null, not as
     the non-JSON token Infinity."""
@@ -209,7 +236,7 @@ def test_eval_report_is_strict_json(pipeline_files, capsys) -> None:
 
 
 class TestStreamingMemory:
-    """The second look at the data holds a slab and the sketch, never the tensor."""
+    """Every step that reads the data holds a piece and the sketch, never the tensor."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -223,12 +250,15 @@ class TestStreamingMemory:
         return d, x.nbytes
 
     @pytest.mark.parametrize("name", ["x.tskc", "x.tnsr"])
-    @pytest.mark.parametrize("step", ["recover", "eval"])
+    @pytest.mark.parametrize("step", ["recover", "eval", "sketch"])
     def test_peak_below_a_quarter_of_the_tensor(self, files, step, name) -> None:
         d, nbytes = files
         if step == "recover":
             argv = ["recover", "--two-pass", "--rank", "4", "--input", str(d / "b.tskb"),
                     "--chunks", str(d / name), "--output", str(d / "t2.tuck")]
+        elif step == "sketch":
+            flag = "--input" if name == "x.tnsr" else "--chunks"
+            argv = ["sketch", flag, str(d / name), "--output", str(d / "bs.tskb")]
         else:
             argv = ["eval", "--input", str(d / "t.tuck"), "--chunks", str(d / name),
                     "--output", str(d / "e.json")]
@@ -451,13 +481,13 @@ class TestErrorReporting:
             "config", "sketch", "--config", sketch_cfg, "--chunks", str(stream),
             "--output", str(tmp / "b.tskb"), capsys=capsys,
         )
-        assert "[7, 14)" in msg
+        assert "[0, 14)" in msg  # the one piece a small file is read in, whatever its records
 
     @pytest.mark.parametrize("fmt", ["tskc", "tnsr"])
     @pytest.mark.parametrize("step", ["recover", "eval", "eval-clean"])
     def test_non_finite_second_look_is_config(self, pipeline_files, capsys, fmt, step) -> None:
         """A NaN in the second look at the data is refused, naming the slab
-        read: a TSKC record, or the one piece a small TNSR file is read in."""
+        read: the one piece a small file is read in, whatever its records."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
         run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
@@ -467,10 +497,8 @@ class TestErrorReporting:
         bad = tmp / f"bad.{fmt}"
         if fmt == "tnsr":
             write_tensor(bad, x)
-            slab = "[0, 14)"
         else:
             write_chunks(bad, x.shape, slab_chunks(x, 2))
-            slab = "[7, 14)"
         if step == "recover":
             argv = ["recover", "--input", str(bundle), "--output", str(tmp / "t2.tuck"),
                     "--rank", "3", "--two-pass", "--chunks", str(bad)]
@@ -479,9 +507,8 @@ class TestErrorReporting:
         else:
             cfg = write_json(tmp / "ev.json", {"clean": str(bad)})
             argv = ["eval", "--config", cfg, "--input", str(tuck), "--chunks", str(tensor)]
-            slab = "[0, 14)"  # the clean tensor is read over the observed TNSR's ranges
         msg = self.check("config", *argv, capsys=capsys)
-        assert slab in msg and "non-finite" in msg
+        assert "[0, 14)" in msg and "non-finite" in msg
 
     @pytest.mark.parametrize("ranges", [[(0, 5), (9, 14)], [(0, 8), (6, 14)]], ids=["gap", "overlap"])
     def test_stream_that_does_not_tile_the_mode_is_io(self, pipeline_files, capsys, ranges) -> None:

@@ -22,8 +22,8 @@ from tsketch.formats import (
     write_factorization,
     write_tensor,
 )
-from tsketch.recover import one_pass, reconstruct, two_pass
-from tsketch.sketch import SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.recover import TuckerFactorization, one_pass, reconstruct, two_pass
+from tsketch.sketch import SketchBundle, SlabChunk, make_plan, sketch, slab_chunks
 
 
 @pytest.fixture
@@ -54,6 +54,48 @@ def test_chunk_round_trip(tmp_path, tensor) -> None:
     got = list(read_chunks(p))
     assert [c.start for c in got] == [0, 2, 4]
     assert np.array_equal(read_chunks_dense(p), tensor)
+
+
+def layouts(x):
+    """One float64 array in the layouts a writer may be given: C order, F order,
+    a strided view and big-endian."""
+    strided = np.empty(x.shape + (2,))[..., 0]
+    strided[...] = x
+    return [np.ascontiguousarray(x), np.asfortranarray(x), strided, x.astype(">f8")]
+
+
+def test_writers_encode_every_layout_as_before(tmp_path, tensor) -> None:
+    """Each writer emits the first-mode-fastest little-endian f64 entries of
+    its arrays, byte for byte as `ravel(order="F").astype("<f8").tobytes()`,
+    whatever the layout of the arrays."""
+
+    def entries(a):
+        return np.asarray(a, dtype=np.float64).ravel(order="F").astype("<f8").tobytes()
+
+    head = struct.pack("<II3Q", 1, 3, *tensor.shape)
+    for x in layouts(tensor) + [tensor.astype(np.float32)]:
+        write_tensor(tmp_path / "x.tnsr", x)
+        assert (tmp_path / "x.tnsr").read_bytes() == b"TNSR" + head + entries(x)
+        write_chunks(tmp_path / "x.tskc", x.shape, [SlabChunk(0, 2, x[..., :2]), SlabChunk(2, 4, x[..., 2:])])
+        assert (tmp_path / "x.tskc").read_bytes() == (
+            b"TSKC" + head + struct.pack("<QQ", 0, 2) + entries(x[..., :2])
+            + struct.pack("<QQ", 2, 4) + entries(x[..., 2:]))
+
+    b = sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4, seed=5))
+    t = one_pass(b, 2)
+    bundles, factorizations = set(), set()
+    for arrays in zip(*(layouts(a) for a in b.loo + [b.core])):
+        write_bundle(tmp_path / "b.tskb", SketchBundle(b.plan, list(arrays[:-1]), arrays[-1]))
+        bundles.add((tmp_path / "b.tskb").read_bytes())
+    for arrays in zip(*(layouts(a) for a in [t.core, *t.factors])):
+        write_factorization(tmp_path / "t.tuck", TuckerFactorization(arrays[0], list(arrays[1:])))
+        factorizations.add((tmp_path / "t.tuck").read_bytes())
+    assert len(bundles) == 1 and len(factorizations) == 1
+    (data,) = bundles
+    assert data.endswith(entries(b.loo[-1]) + entries(b.core) + b"\x00")
+    (data,) = factorizations
+    signed = formats._sign_normalized(t)
+    assert data.endswith(entries(signed.core) + b"".join(entries(q) for q in signed.factors) + b"\x01")
 
 
 def test_chunks_dense_requires_full_coverage(tmp_path, tensor) -> None:

@@ -326,6 +326,112 @@ class TestStreaming:
             assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
+def rel_gap(ref, got):
+    """Worst relative difference over a bundle's measurements."""
+    return max(
+        float(np.linalg.norm(a - b) / np.linalg.norm(a))
+        for a, b in zip(ref.loo + [ref.core], got.loo + [got.core])
+    )
+
+
+def thin_slabs(n, seed):
+    """Last-mode slabs of width 1 to 3 that tile [0, n), in shuffled order."""
+    rng = np.random.default_rng(seed)
+    bounds = [0]
+    while bounds[-1] < n:
+        bounds.append(min(n, bounds[-1] + int(rng.integers(1, 4))))
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    return [ranges[i] for i in rng.permutation(len(ranges))]
+
+
+class TestCoalescing:
+    """A kronecker measurement that compresses the last mode parks thin slabs
+    and applies its last-mode map to a full buffer, at `merge` and at
+    `finalize`; a slab at least a buffer wide skips the buffer."""
+
+    def feed(self, acc, x, ranges):
+        for lo, hi in ranges:
+            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+
+    @pytest.mark.parametrize("shape", [(40,), (7, 40), (6, 5, 40), (4, 3, 5, 30)])
+    @pytest.mark.parametrize("diag_family", ["identity", "gaussian"])
+    def test_shuffled_thin_slabs_match_batch(self, shape, diag_family, monkeypatch) -> None:
+        x = random_tensor(shape, seed=60)
+        plan = make_plan(shape, "kronecker", 5, 6, diag_family=diag_family, seed=61)
+        flushed = []
+        acc = SketchAccumulator(plan)
+        flush = acc._flush_into
+        monkeypatch.setattr(acc, "_flush_into", lambda sums: flushed.append(len(acc._parked)) or flush(sums))
+        self.feed(acc, x, thin_slabs(shape[-1], seed=62))
+        # the buffer holds as many slices as the smallest last-mode map has rows
+        assert acc._width == (6 if len(shape) == 1 else 5)
+        assert flushed and max(flushed) > 1
+        assert rel_gap(sketch(x, plan), acc.finalize()) <= 1e-12
+
+    def test_merge_applies_pending_buffers_and_leaves_the_parents_alone(self) -> None:
+        x = random_tensor((6, 5, 40), seed=63)
+        plan = make_plan(x.shape, "kronecker", 5, 6, seed=64)
+        ranges = thin_slabs(40, seed=65)
+        left = [r for r in ranges if r[0] < 20]
+        right = [r for r in ranges if r[0] >= 20]
+        a, b, a_ref, b_ref = (SketchAccumulator(plan) for _ in range(4))
+        for acc, part in [(a, left[:-1]), (b, right), (a_ref, left[:-1]), (b_ref, right)]:
+            self.feed(acc, x, part)
+        assert a._parked and b._parked
+        merged = a.merge(b)
+        assert not merged._parked
+        self.feed(merged, x, left[-1:])
+        assert merged._parked
+        got = merged.finalize()
+        assert not got.partial
+        assert rel_gap(sketch(x, plan), got) <= 1e-12
+        for parent, ref in [(a, a_ref), (b, b_ref)]:
+            u, v = parent.finalize(), ref.finalize()
+            assert all(np.array_equal(p, q) for p, q in zip(u.loo + [u.core], v.loo + [v.core]))
+
+    def test_partial_finalize_flushes_the_buffers(self) -> None:
+        x = random_tensor((6, 5, 40), seed=66)
+        plan = make_plan(x.shape, "kronecker", 5, 6, seed=67)
+        ranges = thin_slabs(40, seed=68)
+        acc = SketchAccumulator(plan)
+        self.feed(acc, x, ranges[:5])
+        assert acc._parked
+        part = acc.finalize()
+        assert part.partial and not acc._parked
+        seen = np.zeros_like(x)
+        for lo, hi in ranges[:5]:
+            seen[..., lo:hi] = x[..., lo:hi]
+        assert rel_gap(sketch(seen, plan), part) <= 1e-12
+        self.feed(acc, x, ranges[5:])
+        assert rel_gap(sketch(x, plan), acc.finalize()) <= 1e-12
+
+    def test_a_slab_a_buffer_wide_skips_the_buffer(self, monkeypatch) -> None:
+        """`sketch` at the runtime check's plan, and any slab at least the
+        buffer's width, apply the last-mode map at once."""
+
+        def no_buffer(self):
+            raise AssertionError("a wide slab was parked")
+
+        monkeypatch.setattr(SketchAccumulator, "_buffers", no_buffer)
+        x = random_tensor((100, 30, 100), seed=69)
+        sketch(x, make_plan(x.shape, "kronecker", 25, 50, seed=70))
+        plan = make_plan((6, 5, 40), "kronecker", 5, 6, seed=71)
+        acc = SketchAccumulator(plan)
+        acc.update(SlabChunk(3, 5, random_tensor((6, 5, 5), seed=72)))
+        assert acc._width == 5 and not acc._parked
+
+    def test_mode_one_maps_are_rows_of_one_stacked_matrix(self) -> None:
+        plan = make_plan((6, 5, 40), "kronecker", 3, 4, loo_family="mix", seed=73)
+        acc = SketchAccumulator(plan)
+        firsts = [acc._maps[j - 1][0] for j in (2, 3)] + [acc._kron[-1][0]]
+        specs = [plan.loo_spec(2, 1), plan.loo_spec(3, 1), plan.core_spec(1)]
+        assert acc._maps[0][0] is None
+        for a, spec in zip(firsts, specs):
+            assert a.base is acc._stack
+            assert np.array_equal(a, materialize(spec))
+        assert acc._stack.shape == (3 + 3 + 4, 6)
+
+
 class TestMerge:
     def make_parts(self, plan, x, cuts):
         accs = []
