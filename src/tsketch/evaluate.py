@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, compute_core_twopass, reconstruct
 from .sketch import SlabChunk, _require_coverage, _take_slab
-from .tensor import inner, mode_product, norm, unfold
+from .tensor import inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -240,10 +240,7 @@ def gen_lowrank(n, d, r, seed):
         g = keyed_generator(seed, "lowrank-factor", i).standard_normal((n, r))
         q, _ = np.linalg.qr(g)
         factors.append(q)
-    x = core
-    for i, q in enumerate(factors, start=1):
-        x = mode_product(x, q, i)
-    return x, factors
+    return multi_mode_product(core, [(q, i) for i, q in enumerate(factors, start=1)]), factors
 
 
 def _superdiag(n, d, r, tail):

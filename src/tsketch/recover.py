@@ -53,8 +53,8 @@ import numpy as np
 
 from .ensembles import keyed_generator, materialize
 from .errors import ConfigError, RankError, ShapeError, SingularError
-from .sketch import SlabChunk, _require_coverage, _take_slab
-from .tensor import mode_product, multi_mode_product, slab_product, unfold
+from .sketch import SlabChunk, _KronSums, _require_coverage, _take_slab
+from .tensor import multi_mode_product, unfold
 
 __all__ = [
     "TuckerFactorization",
@@ -203,9 +203,12 @@ def recover_factors(bundle, r):
     of every sketch. The k^d core solved from the core sketch is truncated by
     HOOI and each factor Q_i is rotated into Q_i U_i. When the cap leaves no
     room, or there is a single mode with no other mode to agree with, each
-    mode keeps its own r leading vectors.
+    mode keeps its own r leading vectors. A partial bundle is a ConfigError.
     """
     plan = bundle.plan
+    if bundle.partial:
+        raise ConfigError("bundle is partial (stream did not cover the last mode); "
+                          "recovery needs a complete sketch")
     r = int(r)
     if r < 1:
         raise RankError(f"rank must be >= 1, got {r}")
@@ -238,14 +241,15 @@ def _peel(h, maps, qs, what):
     d = h.ndim
     if len(maps) != d or len(qs) != d:
         raise ShapeError(f"need {d} {what} maps and {d} factors, got {len(maps)} and {len(qs)}")
+    pinvs = []
     for i in range(1, d + 1):
         a = np.asarray(maps[i - 1]) @ np.asarray(qs[i - 1])
         if a.shape[0] < a.shape[1]:
             raise RankError(
                 f"{what} sketch dimension {a.shape[0]} is below rank {a.shape[1]} in mode {i}"
             )
-        h = mode_product(h, _pinv(a, i), i)
-    return h
+        pinvs.append((_pinv(a, i), i))
+    return multi_mode_product(h, pinvs)
 
 
 def recover_core_onepass(core_sketch, phis, qs):
@@ -314,20 +318,17 @@ def compute_core_twopass(x, qs):
     `x` is a dense tensor or an iterable of last-mode slabs (``SlabChunk``)
     that tile the last mode, each checked as ``SketchAccumulator.update``
     checks it. The projection is linear, so the core is a sum over slabs,
-    slab [lo, hi) projected on rows lo..hi-1 of Q_d; a dense tensor is the
-    one-slab case. One slab is held at a time.
+    taken by the engine of the core sketch (``sketch._KronSums``) as its one
+    measurement [Q_1^T, ..., Q_d^T]; a dense tensor is the one-slab case.
     """
     shape = tuple(q.shape[0] for q in qs)
-    qts = [q.T for q in qs]
-    core, covered = None, []
+    sums, covered = _KronSums(shape, [[q.T for q in qs]]), []
     for c in _as_slabs(x):
         payload = _take_slab(covered, shape, c)
-        if not c.count:
-            continue
-        g = slab_product(payload, qts, c.start, c.start + c.count)
-        core = g if core is None else core + g
+        if c.count:
+            sums.add(payload, c.start, c.start + c.count)
     _require_coverage(covered, shape[-1])
-    return core
+    return sums.finish()[0]
 
 
 def one_pass(bundle, r):
@@ -336,9 +337,6 @@ def one_pass(bundle, r):
     The factors of ``recover_factors``, then the r^d core solved from the core
     sketch for those factors.
     """
-    if bundle.partial:
-        raise ConfigError("bundle is partial (stream did not cover the last mode); "
-                          "one-pass recovery needs a complete sketch")
     qs = recover_factors(bundle, r)
     core = recover_core_onepass(bundle.core, bundle.plan.core_maps, qs)
     return TuckerFactorization(core=core, factors=qs)
@@ -364,7 +362,5 @@ def reconstruct(t, lo=0, hi=None):
     slab by slab costs about what building it whole does.
     """
     d = len(t.factors)
-    out = mode_product(t.core, t.factors[-1][lo:hi], d)
-    for i, q in enumerate(t.factors[:-1], start=1):
-        out = mode_product(out, q, i)
-    return out
+    mats = [(t.factors[-1][lo:hi], d)] + [(q, i) for i, q in enumerate(t.factors[:-1], start=1)]
+    return multi_mode_product(t.core, mats)

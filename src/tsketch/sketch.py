@@ -29,17 +29,15 @@ range selects. ``SketchAccumulator`` holds the fixed-size measurement arrays
 finalizes into a :class:`SketchBundle`. Batch sketching is the special case
 of one slab covering the whole mode, which is how ``sketch`` is implemented.
 
-A kronecker accumulator reads each slab once for every measurement that
-compresses mode 1 (B_2..B_d and the core), by one matmul against their
-stacked mode-1 maps, and then contracts modes 2..d-1 per measurement. The
-last-mode map of a thin slab is a matmul whose inner dimension is the slab
-width and whose output is as large as the measurement, so a measurement that
-compresses the last mode (B_j with j < d, and the core) parks thin slabs,
-contracted on the other modes, in a buffer of up to ``_BUFFER_SLICES``
-last-mode slices. One matmul against the gathered map columns empties it when
-it fills, and at ``merge`` and ``finalize``; a slab at least as wide as the
-buffer skips it. The khatri_rao and unstructured kinds, and the core of their
-plans, contract each slab through ``tensor.slab_product`` as it comes.
+One engine, ``_KronSums``, sums every product of the slab stream by one map
+per mode: the core sketch of every plan, the B_j of a kronecker plan (mode j
+kept at full length) and the two-pass core. It reads each slab once for all
+that compress mode 1, through their stacked mode-1 maps. A last-mode map
+applied to a thin slab is a matmul with a small inner dimension and an output
+as large as the measurement, so thin slabs are parked, contracted on the other
+modes, in a buffer of up to ``_BUFFER_SLICES`` slices, and applied a buffer at
+a time. The accumulator itself sums the row-wise khatri_rao and unstructured
+sketches, each slab as it comes.
 
 A streamed sketch, the two-pass core and the error of a factorization are
 each a sum over slabs, right only if every slab is finite and fits the tensor
@@ -60,7 +58,7 @@ import numpy as np
 
 from .ensembles import FAMILIES, EnsembleSpec, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import mode_product, slab_product, unfold
+from .tensor import mode_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -81,9 +79,9 @@ _DIAG_FAMILIES = ("identity", "gaussian")
 
 DEFAULT_MEM_CAP_MB = 256.0
 
-# Last-mode slices a kronecker measurement gathers before applying its
-# last-mode map, capped by the rows of that map so that no buffer outgrows the
-# measurement it feeds.
+# Last-mode slices a measurement of ``_KronSums`` gathers before applying its
+# last-mode map, capped by the rows of that map, so that no buffer outgrows the
+# measurement it feeds, and by the length of the mode.
 _BUFFER_SLICES = 32
 
 
@@ -92,9 +90,12 @@ def _mem_cap_mb():
     if raw is None:
         return DEFAULT_MEM_CAP_MB
     try:
-        return float(raw)
+        cap = float(raw)
     except ValueError:
-        raise ConfigError(f"TSKETCH_MEM_CAP_MB is not a number: {raw!r}")
+        cap = 0.0
+    if not cap > 0:  # nan too: no need would exceed a nan cap
+        raise ConfigError(f"TSKETCH_MEM_CAP_MB must be a positive number of MiB, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -342,16 +343,121 @@ class SketchBundle:
         return self.core.size
 
 
+class _KronSums:
+    """Sums over a last-mode slab stream of modewise products of the slabs.
+
+    Each measurement is a list of one map per mode, None keeping that mode at
+    full length; the last-mode map is cut to each slab's columns. Slabs are
+    checked by the caller (``_take_slab``). A measurement that compresses the
+    last mode applies its map to a slab at least `_width` wide and parks a
+    thinner one, applying the parked slabs when the buffer fills, and at
+    `merge` and `finish`.
+    """
+
+    def __init__(self, shape, measurements):
+        self.maps = [list(maps) for maps in measurements]
+        self.sums = [
+            np.zeros(tuple(n if a is None else a.shape[0] for n, a in zip(shape, maps)), order="F")
+            for maps in self.maps
+        ]
+        # The mode-1 maps are stacked so one matmul reads a slab once for every
+        # measurement; each keeps a view of its rows. With one mode, that map
+        # is the last-mode map, which each slab cuts to its own columns.
+        self._stack, self._rows = None, [None] * len(self.maps)
+        firsts = [s for s, maps in enumerate(self.maps) if maps[0] is not None] if len(shape) > 1 else []
+        if firsts:
+            self._stack = np.concatenate([self.maps[s][0] for s in firsts])
+            at = 0
+            for s in firsts:
+                self._rows[s] = slice(at, at + self.maps[s][0].shape[0])
+                self.maps[s][0] = self._stack[self._rows[s]]
+                at = self._rows[s].stop
+        last = [maps[-1].shape[0] for maps in self.maps if maps[-1] is not None]
+        self._width = min(_BUFFER_SLICES, shape[-1], *last)
+        # (start, count) of the parked slabs, and the buffers: allocated by the
+        # first thin slab after construction or `finish`, which releases them.
+        self._parked, self._bufs = [], None
+
+    def _buffers(self):
+        """Per measurement that compresses the last mode, room for `_width` slices of it."""
+        if self._bufs is None:
+            self._bufs = [
+                None if maps[-1] is None else np.empty(t.shape[:-1] + (self._width,), order="F")
+                for maps, t in zip(self.maps, self.sums)
+            ]
+        return self._bufs
+
+    def add(self, x, lo, hi):
+        """Add the slab x, slices lo..hi-1 of the last mode, to every measurement:
+        its rows of the stacked mode-1 product (or x, when it keeps mode 1),
+        contracted on modes 2..d-1, then on the last mode or parked."""
+        d, w = x.ndim, hi - lo
+        direct = w >= self._width
+        at = sum(c for _, c in self._parked)
+        if not direct and at + w > self._width:
+            self._flush()
+            at = 0
+        bufs = None if direct else self._buffers()
+        z = None if self._stack is None else mode_product(x, self._stack, 1)
+        for s, (maps, rows, t) in enumerate(zip(self.maps, self._rows, self.sums)):
+            y = x if rows is None else z[rows]
+            if not (y.flags.c_contiguous or y.flags.f_contiguous):
+                # A row block of an F-ordered product: `mode_product` would
+                # contract it as it is through a strided batched matmul.
+                y = np.asfortranarray(y)
+            for i in range(2, d):
+                if maps[i - 1] is not None:
+                    y = mode_product(y, maps[i - 1], i)
+            if maps[-1] is None:
+                t[..., lo:hi] += y
+            elif direct:
+                t += mode_product(y, maps[-1][:, lo:hi], d)
+            else:
+                bufs[s][..., at : at + w] = y
+        if not direct:
+            self._parked.append((lo, w))
+
+    def _flush_into(self, sums):
+        """Apply the last-mode map columns of the parked slabs to the buffers,
+        one matmul per measurement, adding the results to `sums`."""
+        if not self._parked:
+            return
+        idx = np.concatenate([np.arange(lo, lo + c) for lo, c in self._parked])
+        for maps, t, buf in zip(self.maps, sums, self._bufs):
+            if buf is not None:
+                t += mode_product(buf[..., : idx.size], maps[-1][:, idx], t.ndim)
+
+    def _flush(self):
+        self._flush_into(self.sums)
+        self._parked = []
+
+    def merge(self, other):
+        """The sums of two engines over the same measurements and disjoint
+        slabs, with the parked slabs of both applied. Neither changes."""
+        out = copy.copy(self)  # shares the maps
+        out.sums = [a + b for a, b in zip(self.sums, other.sums)]
+        self._flush_into(out.sums)
+        other._flush_into(out.sums)
+        out._parked, out._bufs = [], None
+        return out
+
+    def finish(self):
+        """Apply the parked slabs, release the buffers and return the sums,
+        which later slabs keep adding to."""
+        self._flush()
+        self._bufs = None
+        return self.sums
+
+
 class SketchAccumulator:
     """Single-writer additive state for one measurement campaign.
 
     Holds the plan, the materialized leave-one-out maps, and fixed-size
     measurement arrays; the core maps are the plan's own. Chunks are folded
-    in by `update` and never retained (a kronecker accumulator parks thin
-    slabs only after contracting them on every mode but the last); `merge`
-    combines two accumulators built from the same plan over disjoint slab
-    ranges. The diagonal maps are not held: `finalize` builds and applies
-    them.
+    in by `update` and never retained (``_KronSums`` parks thin slabs only
+    after contracting them on every mode but the last); `merge` combines two
+    accumulators built from the same plan over disjoint slab ranges. The
+    diagonal maps are not held: `finalize` builds and applies them.
     """
 
     def __init__(self, plan):
@@ -378,53 +484,16 @@ class SketchAccumulator:
                 [None if i == j else materialize(plan.loo_spec(j, i)) for i in range(1, d + 1)]
                 for j in range(1, d + 1)
             ]
-        # (start, count) of the thin slabs parked in the kronecker last-mode
-        # buffers, and the buffers: allocated by the first thin slab after
-        # construction or `finalize`, which releases them.
-        self._parked, self._bufs = [], None
+        # `_kron` sums the core and, for a kronecker plan, B_1..B_d, each with
+        # mode j kept; the row-wise B_j of the other kinds are summed in `_loo`.
+        core = [list(plan.core_maps)]
         if plan.loo_kind == "kronecker":
-            self._init_kron()
+            self._kron = _KronSums(shape, self._maps + core)
+            self._maps, self._loo = None, []
         else:
+            self._kron = _KronSums(shape, core)
             self._loo = [np.zeros((shape[j - 1], plan.m)) for j in range(1, d + 1)]
-            self._core = np.zeros((plan.m_c,) * d)
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
-
-    def _init_kron(self):
-        """The kronecker state: per measurement (B_1..B_d, then the core) its
-        maps and its sum, the stacked mode-1 maps, and the buffer width."""
-        plan, d = self.plan, self.plan.d
-        self._kron = self._maps + [list(plan.core_maps)]
-        # Measurement tensors keep mode j of sketch j at full length.
-        self._loo = [
-            np.zeros(tuple(plan.shape[j - 1] if i == j else plan.m for i in range(1, d + 1)), order="F")
-            for j in range(1, d + 1)
-        ]
-        self._core = np.zeros((plan.m_c,) * d, order="F")
-        # Every measurement but B_1 compresses mode 1. Their maps are stacked so
-        # one matmul reads a slab once for all of them; each keeps a view of its rows.
-        self._stack = None
-        self._rows = [None] * (d + 1)
-        if d > 1:
-            self._stack = np.concatenate([maps[0] for maps in self._kron[1:]])
-            at = 0
-            for s, maps in enumerate(self._kron[1:], start=1):
-                self._rows[s] = slice(at, at + maps[0].shape[0])
-                maps[0] = self._stack[self._rows[s]]
-                at = self._rows[s].stop
-        last = [maps[-1].shape[0] for maps in self._kron if maps[-1] is not None]
-        self._width = min(_BUFFER_SLICES, *last)
-
-    def _sums(self):
-        return self._loo + [self._core]
-
-    def _buffers(self):
-        """Per measurement that compresses the last mode, room for `_width` slices of it."""
-        if self._bufs is None:
-            self._bufs = [
-                None if maps[-1] is None else np.empty(t.shape[:-1] + (self._width,), order="F")
-                for maps, t in zip(self._kron, self._sums())
-            ]
-        return self._bufs
 
     # -- streaming -----------------------------------------------------------
 
@@ -434,61 +503,9 @@ class SketchAccumulator:
         if chunk.count == 0:
             return
         lo, hi = chunk.start, chunk.start + chunk.count
-        if self.plan.loo_kind == "kronecker":
-            self._add_kron(payload, lo, hi)
-            return
-        for j in range(1, self.plan.d + 1):
+        self._kron.add(payload, lo, hi)
+        for j in range(1, len(self._loo) + 1):
             self._add_loo(j, payload, lo, hi)
-        self._core += slab_product(payload, self.plan.core_maps, lo, hi)
-
-    def _add_kron(self, x, lo, hi):
-        """Add the slab's contribution to every kronecker measurement.
-
-        Each measurement takes its rows of the stacked mode-1 product (B_1
-        takes the slab) and contracts modes 2..d-1. One that keeps the last
-        mode (B_d) then adds slices lo..hi-1. One that compresses it applies
-        the map columns lo..hi-1 to a slab at least a buffer wide, and parks
-        a thinner one.
-        """
-        d, w = self.plan.d, hi - lo
-        direct = w >= self._width
-        at = sum(c for _, c in self._parked)
-        if not direct and at + w > self._width:
-            self._flush()
-            at = 0
-        bufs = None if direct else self._buffers()
-        z = None if self._stack is None else mode_product(x, self._stack, 1)
-        for s, (maps, rows, t) in enumerate(zip(self._kron, self._rows, self._sums())):
-            y = x if rows is None else z[rows]
-            if not (y.flags.c_contiguous or y.flags.f_contiguous):
-                # A row block of an F-ordered product: `mode_product` would
-                # contract it as it is through a strided batched matmul.
-                y = np.asfortranarray(y)
-            for i in range(2, d):
-                if maps[i - 1] is not None:
-                    y = mode_product(y, maps[i - 1], i)
-            if maps[-1] is None:
-                t[..., lo:hi] += y
-            elif direct:
-                t += mode_product(y, maps[-1][:, lo:hi], d)
-            else:
-                bufs[s][..., at : at + w] = y
-        if not direct:
-            self._parked.append((lo, w))
-
-    def _flush_into(self, sums):
-        """Apply the last-mode map columns of the parked slabs to the buffers,
-        one matmul per measurement, adding the results to `sums`."""
-        if not self._parked:
-            return
-        idx = np.concatenate([np.arange(lo, lo + c) for lo, c in self._parked])
-        for maps, t, buf in zip(self._kron, sums, self._bufs):
-            if buf is not None:
-                t += mode_product(buf[..., : idx.size], maps[-1][:, idx], self.plan.d)
-
-    def _flush(self):
-        self._flush_into(self._sums())
-        self._parked = []
 
     def _add_loo(self, j, payload, lo, hi):
         """Add the slab's contribution to khatri_rao or unstructured sketch j,
@@ -542,12 +559,8 @@ class SketchAccumulator:
                 s, c = hit
                 raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
         out = copy.copy(self)  # shares the materialized maps
+        out._kron = self._kron.merge(other._kron)
         out._loo = [a + b for a, b in zip(self._loo, other._loo)]
-        out._core = self._core + other._core
-        # Either parent's parked slabs go into the sum; neither parent changes.
-        self._flush_into(out._sums())
-        other._flush_into(out._sums())
-        out._parked, out._bufs = [], None
         out._covered = sorted(self._covered + other._covered)
         return out
 
@@ -567,21 +580,22 @@ class SketchAccumulator:
         sketch.
         """
         plan = self.plan
-        self._flush()
-        self._bufs = None  # not needed for the copies below
-        loo = self._loo
+        *kron, core = self._kron.finish()
         if plan.loo_kind == "kronecker":
-            loo = [unfold(t, j) for j, t in enumerate(loo, start=1)]
+            sums, loo = kron, [unfold(t, j) for j, t in enumerate(kron, start=1)]
+        else:
+            sums = loo = self._loo
         if plan.diag_family != "identity":
-            loo = [materialize(plan.diag_spec(j)) @ b for j, b in enumerate(loo, start=1)]
+            # D_j b as (b^T D_j^T)^T, which comes out column-major like the rest.
+            loo = [(b.T @ materialize(plan.diag_spec(j)).T).T for j, b in enumerate(loo, start=1)]
         else:
             # The bundle must not change with later slabs: copy what is still
             # the accumulator's own memory (`unfold` returns a view or a copy).
-            loo = [b.copy(order="F") if np.may_share_memory(b, t) else b for b, t in zip(loo, self._loo)]
+            loo = [b.copy(order="F") if np.may_share_memory(b, t) else b for b, t in zip(loo, sums)]
         return SketchBundle(
             plan=plan,
             loo=loo,
-            core=self._core.copy(order="F"),
+            core=core.copy(order="F"),
             partial=not self.coverage_complete(),
         )
 

@@ -132,22 +132,6 @@ def multi_mode_product(x, mats):
     return out
 
 
-def slab_product(x, mats, lo, hi):
-    """Contract the last-mode slab [lo, hi) of a tensor by one map per mode.
-
-    `x` holds the slices lo..hi-1 of the last mode. `mats[i - 1]` maps mode i,
-    or is None to leave mode i alone; the maps are applied in ascending mode
-    order, and the last mode's map is cut to columns lo..hi-1. By linearity,
-    summing this over slabs that tile the last mode gives the product of the
-    whole tensor by every map.
-    """
-    d = len(mats)
-    for i, a in enumerate(mats, start=1):
-        if a is not None:
-            x = mode_product(x, a[:, lo:hi] if i == d else a, i)
-    return x
-
-
 def inner(x, y):
     x = _as_tensor(x)
     y = _as_tensor(y)

@@ -29,7 +29,7 @@ from tsketch.formats import (
     write_tensor,
 )
 from tsketch.recover import one_pass, reconstruct, two_pass
-from tsketch.sketch import SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch, slab_chunks
 from tsketch.tensor import norm
 
 
@@ -441,6 +441,21 @@ class TestErrorReporting:
             "rank", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
             "--rank", "40", capsys=capsys,
         )
+
+    @pytest.mark.parametrize("two_pass", [False, True])
+    def test_partial_bundle_is_config(self, pipeline_files, capsys, two_pass) -> None:
+        tmp, _, _, tensor = pipeline_files
+        x = read_tensor(tensor)
+        acc = SketchAccumulator(make_plan(x.shape, "kronecker", 6, 8, seed=21))
+        acc.update(SlabChunk(0, 7, x[..., :7]))
+        bundle = tmp / "partial.tskb"
+        write_bundle(bundle, acc.finalize())
+        second = ["--two-pass", "--chunks", str(tensor)] if two_pass else []
+        msg = self.check(
+            "config", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
+            "--rank", "3", *second, capsys=capsys,
+        )
+        assert "partial" in msg
 
     def test_mismatched_second_pass_tensor_is_shape(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files

@@ -174,6 +174,16 @@ class TestStreamedTwoPass:
         x_hat = reconstruct(dense)
         assert norm(reconstruct(streamed) - x_hat) <= 1e-13 * norm(x_hat)
 
+    @pytest.mark.parametrize("kind,m", [("kronecker", 6), ("khatri_rao", 30)])
+    def test_one_slice_pieces_match_the_dense_core(self, problem, kind, m) -> None:
+        """One-slice pieces, shuffled, are parked and applied in full buffers."""
+        x, _ = problem
+        qs = recover_factors(sketch(x, make_plan(x.shape, kind, m, 9, seed=116)), 4)
+        order = np.random.default_rng(117).permutation(x.shape[-1])
+        streamed = compute_core_twopass([SlabChunk(int(i), 1, x[..., i : i + 1]) for i in order], qs)
+        dense = compute_core_twopass(x, qs)
+        assert norm(streamed - dense) <= 1e-13 * norm(dense)
+
     def test_slabs_must_fit_and_cover_the_mode(self, problem) -> None:
         x, b = problem
         qs = two_pass(b, x, 4).factors
@@ -266,6 +276,17 @@ class TestErrorPaths:
         b = acc.finalize()
         with pytest.raises(ConfigError):
             one_pass(b, 2)
+
+    @pytest.mark.parametrize("two_passes", [False, True])
+    def test_factors_refuse_partial_bundles(self, two_passes) -> None:
+        """Factors from half the stream would fit only that half: two-pass
+        scored 0.82 there against 3e-15 on the whole bundle."""
+        x, _ = gen_lowrank(20, 3, 3, seed=1)
+        acc = SketchAccumulator(make_plan(x.shape, "kronecker", 8, 12, seed=2))
+        acc.update(SlabChunk(0, 10, x[..., :10]))
+        b = acc.finalize()
+        with pytest.raises(ConfigError, match="partial"):
+            two_pass(b, x, 3) if two_passes else recover_factors(b, 3)
 
     def test_rank_bounds(self) -> None:
         x = np.random.default_rng(117).standard_normal((6, 6, 6))

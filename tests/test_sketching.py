@@ -14,6 +14,7 @@ from tsketch.recover import TuckerFactorization, compute_core_twopass
 from tsketch.sketch import (
     SketchAccumulator,
     SlabChunk,
+    _KronSums,
     make_plan,
     sketch,
     slab_chunks,
@@ -310,6 +311,15 @@ class TestStreaming:
         acc.update(SlabChunk(3, 3, x[:, 3:]))
         assert all(np.array_equal(a, f) for a, f in zip(b.loo + [b.core], frozen))
 
+    @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
+    @pytest.mark.parametrize("diag_family", ["identity", "gaussian"])
+    def test_sketches_come_out_column_major(self, kind, m, diag_family) -> None:
+        """The layout a bundle file stores and recovery reads, so neither copies them."""
+        x = random_tensor((5, 4, 6), seed=77)
+        b = sketch(x, make_plan(x.shape, kind, m, 3, diag_family=diag_family, seed=78))
+        assert all(a.flags.f_contiguous for a in b.loo)
+        assert b.core.flags.f_contiguous
+
     def test_accumulator_does_not_retain_chunks(self) -> None:
         """Feeding a slab, mutating the caller's buffer afterwards, and
         finalizing must give the same bundle as with an untouched buffer."""
@@ -345,9 +355,9 @@ def thin_slabs(n, seed):
 
 
 class TestCoalescing:
-    """A kronecker measurement that compresses the last mode parks thin slabs
-    and applies its last-mode map to a full buffer, at `merge` and at
-    `finalize`; a slab at least a buffer wide skips the buffer."""
+    """A measurement of the slab engine (`_KronSums`) that compresses the last
+    mode parks thin slabs and applies its last-mode map to a full buffer, at
+    `merge` and at `finalize`; a slab at least a buffer wide skips the buffer."""
 
     def feed(self, acc, x, ranges):
         for lo, hi in ranges:
@@ -360,11 +370,12 @@ class TestCoalescing:
         plan = make_plan(shape, "kronecker", 5, 6, diag_family=diag_family, seed=61)
         flushed = []
         acc = SketchAccumulator(plan)
-        flush = acc._flush_into
-        monkeypatch.setattr(acc, "_flush_into", lambda sums: flushed.append(len(acc._parked)) or flush(sums))
+        eng = acc._kron
+        flush = eng._flush_into
+        monkeypatch.setattr(eng, "_flush_into", lambda sums: flushed.append(len(eng._parked)) or flush(sums))
         self.feed(acc, x, thin_slabs(shape[-1], seed=62))
         # the buffer holds as many slices as the smallest last-mode map has rows
-        assert acc._width == (6 if len(shape) == 1 else 5)
+        assert eng._width == (6 if len(shape) == 1 else 5)
         assert flushed and max(flushed) > 1
         assert rel_gap(sketch(x, plan), acc.finalize()) <= 1e-12
 
@@ -377,11 +388,11 @@ class TestCoalescing:
         a, b, a_ref, b_ref = (SketchAccumulator(plan) for _ in range(4))
         for acc, part in [(a, left[:-1]), (b, right), (a_ref, left[:-1]), (b_ref, right)]:
             self.feed(acc, x, part)
-        assert a._parked and b._parked
+        assert a._kron._parked and b._kron._parked
         merged = a.merge(b)
-        assert not merged._parked
+        assert not merged._kron._parked
         self.feed(merged, x, left[-1:])
-        assert merged._parked
+        assert merged._kron._parked
         got = merged.finalize()
         assert not got.partial
         assert rel_gap(sketch(x, plan), got) <= 1e-12
@@ -395,9 +406,9 @@ class TestCoalescing:
         ranges = thin_slabs(40, seed=68)
         acc = SketchAccumulator(plan)
         self.feed(acc, x, ranges[:5])
-        assert acc._parked
+        assert acc._kron._parked
         part = acc.finalize()
-        assert part.partial and not acc._parked
+        assert part.partial and not acc._kron._parked
         seen = np.zeros_like(x)
         for lo, hi in ranges[:5]:
             seen[..., lo:hi] = x[..., lo:hi]
@@ -412,24 +423,55 @@ class TestCoalescing:
         def no_buffer(self):
             raise AssertionError("a wide slab was parked")
 
-        monkeypatch.setattr(SketchAccumulator, "_buffers", no_buffer)
+        monkeypatch.setattr(_KronSums, "_buffers", no_buffer)
         x = random_tensor((100, 30, 100), seed=69)
         sketch(x, make_plan(x.shape, "kronecker", 25, 50, seed=70))
         plan = make_plan((6, 5, 40), "kronecker", 5, 6, seed=71)
         acc = SketchAccumulator(plan)
         acc.update(SlabChunk(3, 5, random_tensor((6, 5, 5), seed=72)))
-        assert acc._width == 5 and not acc._parked
+        assert acc._kron._width == 5 and not acc._kron._parked
+
+    @pytest.mark.parametrize("kind", ["khatri_rao", "unstructured"])
+    def test_row_wise_plans_buffer_the_core(self, kind) -> None:
+        """The core of every plan is summed by the same engine: thin slabs of
+        a khatri_rao or unstructured plan park there too, and `merge` applies
+        both parents' pending slabs."""
+        x = random_tensor((6, 5, 40), seed=74)
+        plan = make_plan(x.shape, kind, 7, 6, seed=75)
+        ranges = thin_slabs(40, seed=76)
+        a, b = SketchAccumulator(plan), SketchAccumulator(plan)
+        self.feed(a, x, [r for r in ranges if r[0] < 20])
+        self.feed(b, x, [r for r in ranges if r[0] >= 20])
+        assert a._kron._parked and b._kron._parked
+        got = a.merge(b).finalize()
+        assert not got.partial
+        assert rel_gap(sketch(x, plan), got) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao", "unstructured"])
+    def test_a_slab_covering_the_mode_skips_the_buffer(self, kind, monkeypatch) -> None:
+        """The buffer is no wider than the last mode, so a batch `sketch` with
+        fewer slices than a buffer would hold never parks them."""
+
+        def no_buffer(self):
+            raise AssertionError("a slab covering the mode was parked")
+
+        monkeypatch.setattr(_KronSums, "_buffers", no_buffer)
+        x = random_tensor((6, 5, 4), seed=79)
+        acc = SketchAccumulator(make_plan(x.shape, kind, 5, 6, seed=80))
+        acc.update(SlabChunk(0, 4, x))
+        assert acc._kron._width == 4
 
     def test_mode_one_maps_are_rows_of_one_stacked_matrix(self) -> None:
         plan = make_plan((6, 5, 40), "kronecker", 3, 4, loo_family="mix", seed=73)
         acc = SketchAccumulator(plan)
-        firsts = [acc._maps[j - 1][0] for j in (2, 3)] + [acc._kron[-1][0]]
+        eng = acc._kron
+        firsts = [eng.maps[j - 1][0] for j in (2, 3)] + [eng.maps[-1][0]]
         specs = [plan.loo_spec(2, 1), plan.loo_spec(3, 1), plan.core_spec(1)]
-        assert acc._maps[0][0] is None
+        assert eng.maps[0][0] is None
         for a, spec in zip(firsts, specs):
-            assert a.base is acc._stack
+            assert a.base is eng._stack
             assert np.array_equal(a, materialize(spec))
-        assert acc._stack.shape == (3 + 3 + 4, 6)
+        assert eng._stack.shape == (3 + 3 + 4, 6)
 
 
 class TestMerge:
@@ -531,6 +573,13 @@ class TestPlanValidation:
             SketchAccumulator(plan)
         monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "64")
         SketchAccumulator(plan)  # fits comfortably now
+
+    @pytest.mark.parametrize("cap", ["nan", "0", "-1"])
+    def test_memory_cap_must_be_positive(self, monkeypatch, cap) -> None:
+        """A nan cap would let every need pass, since no comparison with nan holds."""
+        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", cap)
+        with pytest.raises(ConfigError, match="TSKETCH_MEM_CAP_MB"):
+            SketchAccumulator(make_plan((4, 4, 4), "unstructured", 2, 2, seed=0))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_must_fit_a_u64(self, seed) -> None:
