@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 __all__ = [
     "FAMILIES",
@@ -35,8 +35,6 @@ __all__ = [
     "derive_seed",
     "keyed_generator",
     "materialize",
-    "jl_distortion",
-    "DistortionStats",
 ]
 
 # Stable ids, also used by the binary bundle format.
@@ -132,40 +130,3 @@ def materialize(spec):
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     sel = rng.choice(n, size=m, replace=False)
     return np.sqrt(n / m) * (_dct_rows(sel, n) * signs[None, :])
-
-
-@dataclass(frozen=True)
-class DistortionStats:
-    """Per-trial worst-case squared-norm distortion of a set of unit vectors."""
-
-    max_distortion: np.ndarray  # shape (trials,)
-    eps: float
-    failure_rate: float
-
-
-def jl_distortion(spec, points, trials, eps):
-    """Measure how well fresh draws of `spec` preserve unit-vector norms.
-
-    `points` is a (k, spec.cols) array of unit 2-norm rows. For each of
-    `trials` independent matrices (seeds derived from spec.seed) we record
-    max_x | ||Omega x||^2 - 1 | over the points; a trial fails when that
-    exceeds `eps`.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != spec.cols:
-        raise ShapeError(
-            f"points have length {points.shape[1]} but the ensemble has {spec.cols} columns"
-        )
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise ConfigError("jl_distortion expects unit-norm points")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-
-    worst = np.empty(trials)
-    for t in range(trials):
-        trial_spec = EnsembleSpec(spec.family, spec.rows, spec.cols, derive_seed(spec.seed, "jl", t))
-        omega = materialize(trial_spec)
-        sq = np.sum((points @ omega.T) ** 2, axis=1)
-        worst[t] = np.max(np.abs(sq - 1.0))
-    return DistortionStats(worst, float(eps), float(np.mean(worst > eps)))

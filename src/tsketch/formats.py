@@ -18,11 +18,14 @@ Four magics:
 
 A TNSR file and a TSKC stream both hold last-mode slabs stored
 first-mode-fastest, so any last-mode range of a slab is one contiguous run of
-bytes. ``TensorFile`` reads either format by such ranges, so the sketch and a
-second look at the data take it in bounded pieces. It checks the file
-(headers, lengths, records that tile the last mode) and passes the entries
-through as stored: whether a slab's entries are fit to use is decided where
-slabs are used (``sketch._take_slab``).
+bytes. ``TensorFile`` reads either format by such ranges. Every streamed read
+of a tensor, the CLI's and ``read_chunks``'s alike, takes it in the pieces of
+``TensorFile.slabs``: at most ``_PIECE_BYTES`` (and at least one last-mode
+slice) at fixed last-mode positions, so a reader holds one piece whatever the
+file's records, and every file of one tensor gives the same pieces.
+``TensorFile`` checks the file (headers, lengths, records that tile the last
+mode) and passes the entries through as stored: whether a slab's entries are
+fit to use is decided where slabs are used (``sketch._take_slab``).
 """
 
 from __future__ import annotations
@@ -194,10 +197,13 @@ def _records(f, shape):
 
 
 def read_chunks(path):
-    """Yield the records of a chunk stream one at a time, in last-mode order (generator),
-    after ``TensorFile`` has checked that they tile the last mode."""
+    """Yield a TNSR file or a TSKC stream as the pieces of ``TensorFile.slabs``
+    (generator): at most ``_PIECE_BYTES`` each at fixed last-mode positions,
+    whatever the stored records, after ``TensorFile`` has checked that the
+    records tile the last mode. A reader holds one piece of the tensor at a
+    time, and every file of one tensor yields the same pieces."""
     with TensorFile(path) as x:
-        yield from x.records()
+        yield from x.slabs()
 
 
 class TensorFile:
@@ -269,20 +275,13 @@ class TensorFile:
             _fill(self._f, out[per * (a - lo) : per * (b - lo)], f"slab [{a}, {b})")
         return out.reshape(self.shape[:-1] + (hi - lo,), order="F")
 
-    def records(self):
-        """Yield each stored record whole, as a SlabChunk, in last-mode order.
-
-        A TNSR file is one record. Entries are passed through as stored: every
-        consumer of slabs checks them (see ``sketch._take_slab``).
-        """
-        for start, count, _ in self._records:
-            yield SlabChunk(start, count, self.read(start, start + count))
-
     def slabs(self):
         """Yield the whole tensor as SlabChunks of at most _PIECE_BYTES, in last-mode order.
 
         The pieces start at fixed multiples of their width in the last mode and
         may span stored records, so every file of one tensor gives the same pieces.
+        Entries are passed through as stored: every consumer of slabs checks
+        them (see ``sketch._take_slab``).
         """
         n = self.shape[-1]
         width = max(1, _PIECE_BYTES // self._slab_bytes)

@@ -98,6 +98,13 @@ def _mem_cap_mb():
     return cap
 
 
+def _read_only(spec):
+    """The matrix of `spec`, materialized and marked read-only, for a plan to share."""
+    a = materialize(spec)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SketchPlan:
     """Everything needed to reproduce a measurement campaign from its seed.
@@ -105,7 +112,9 @@ class SketchPlan:
     `m` is the per-mode sketch dimension for kronecker plans and the composite
     row count for khatri_rao / unstructured plans. `loo_families[i-1]` is the
     family of every map that compresses mode i; `core_families[i-1]` likewise
-    for the core maps.
+    for the core maps. The plan owns its materialized maps (``core_maps``,
+    ``loo_maps``): built on first use, read-only, and shared by every
+    accumulator and recovery of the plan.
     """
 
     shape: tuple
@@ -180,10 +189,34 @@ class SketchPlan:
     def core_maps(self):
         """The d core maps Phi_i, built on first use and read-only, so that every
         accumulator and every recovery of this plan shares one copy."""
-        maps = tuple(materialize(self.core_spec(i)) for i in range(1, self.d + 1))
-        for a in maps:
-            a.flags.writeable = False
-        return maps
+        return tuple(_read_only(self.core_spec(i)) for i in range(1, self.d + 1))
+
+    @cached_property
+    def loo_maps(self):
+        """The leave-one-out maps, built on first use and read-only, so that every
+        accumulator of this plan (every shard of a stream) shares one copy.
+
+        For an unstructured plan, the d dense composites, refused with
+        ``ConfigError`` before any is built if one needs more than
+        ``TSKETCH_MEM_CAP_MB``. Otherwise, per sketch j, the map on each mode
+        i, None at i = j: the diagonal maps D_j are built by ``finalize``.
+        """
+        d = self.d
+        if self.loo_kind == "unstructured":
+            specs = [self.unstructured_spec(j) for j in range(1, d + 1)]
+            cap_mb = _mem_cap_mb()
+            for j, spec in enumerate(specs, start=1):
+                need_mb = spec.rows * spec.cols * 8.0 / 2**20
+                if need_mb > cap_mb:
+                    raise ConfigError(
+                        f"unstructured map for sketch {j} needs {need_mb:.1f} MiB, over the "
+                        f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
+                    )
+            return tuple(_read_only(spec) for spec in specs)
+        return tuple(
+            tuple(None if i == j else _read_only(self.loo_spec(j, i)) for i in range(1, d + 1))
+            for j in range(1, d + 1)
+        )
 
     def all_specs(self):
         """(i, j, spec) records for every constituent map, in a fixed order."""
@@ -452,47 +485,29 @@ class _KronSums:
 class SketchAccumulator:
     """Single-writer additive state for one measurement campaign.
 
-    Holds the plan, the materialized leave-one-out maps, and fixed-size
-    measurement arrays; the core maps are the plan's own. Chunks are folded
-    in by `update` and never retained (``_KronSums`` parks thin slabs only
-    after contracting them on every mode but the last); `merge` combines two
-    accumulators built from the same plan over disjoint slab ranges. The
-    diagonal maps are not held: `finalize` builds and applies them.
+    Holds the plan and fixed-size measurement arrays; the maps are the plan's
+    own (``SketchPlan.loo_maps`` and ``core_maps``), so the accumulators of one
+    plan share one copy of them. Chunks are folded in by `update` and never
+    retained (``_KronSums`` parks thin slabs only after contracting them on
+    every mode but the last); `merge` combines two accumulators built from the
+    same plan over disjoint slab ranges. The diagonal maps are not held:
+    `finalize` builds and applies them.
     """
 
     def __init__(self, plan):
         if not isinstance(plan, SketchPlan):
             raise ConfigError("accumulator needs a SketchPlan")
         self.plan = plan
-        d = plan.d
         shape = plan.shape
-
-        if plan.loo_kind == "unstructured":
-            cap_mb = _mem_cap_mb()
-            for j in range(1, d + 1):
-                spec = plan.unstructured_spec(j)
-                need_mb = spec.rows * spec.cols * 8.0 / 2**20
-                if need_mb > cap_mb:
-                    raise ConfigError(
-                        f"unstructured map for sketch {j} needs {need_mb:.1f} MiB, over the "
-                        f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
-                    )
-            self._maps = [materialize(plan.unstructured_spec(j)) for j in range(1, d + 1)]
-        else:
-            # Per-(sketch, mode) maps; None marks the mode sketch j leaves uncompressed.
-            self._maps = [
-                [None if i == j else materialize(plan.loo_spec(j, i)) for i in range(1, d + 1)]
-                for j in range(1, d + 1)
-            ]
+        loo = plan.loo_maps  # first, so that the memory cap refuses before any map is built
         # `_kron` sums the core and, for a kronecker plan, B_1..B_d, each with
         # mode j kept; the row-wise B_j of the other kinds are summed in `_loo`.
-        core = [list(plan.core_maps)]
         if plan.loo_kind == "kronecker":
-            self._kron = _KronSums(shape, self._maps + core)
-            self._maps, self._loo = None, []
+            self._kron = _KronSums(shape, [*loo, plan.core_maps])
+            self._loo = []
         else:
-            self._kron = _KronSums(shape, core)
-            self._loo = [np.zeros((shape[j - 1], plan.m)) for j in range(1, d + 1)]
+            self._kron = _KronSums(shape, [plan.core_maps])
+            self._loo = [np.zeros((n, plan.m)) for n in shape]
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
 
     # -- streaming -----------------------------------------------------------
@@ -514,7 +529,7 @@ class SketchAccumulator:
         if self.plan.loo_kind == "khatri_rao":
             contrib = self._khat_contrib(j, payload, lo, hi)
         else:
-            omega = self._maps[j - 1]
+            omega = self.plan.loo_maps[j - 1]
             if j != d:
                 # Mode d is the slowest of the composite's columns.
                 stride = math.prod(self.plan.shape[:-1]) // self.plan.shape[j - 1]
@@ -536,7 +551,7 @@ class SketchAccumulator:
         maps = {}
         for i in range(1, d + 1):
             if i != j:
-                a = self._maps[j - 1][i - 1]
+                a = self.plan.loo_maps[j - 1][i - 1]
                 maps[i] = a[:, lo:hi] if i == d else a
         w = max(maps, key=lambda i: maps[i].shape[1])
         g = mode_product(payload, maps.pop(w), w)
@@ -558,7 +573,7 @@ class SketchAccumulator:
             if hit:
                 s, c = hit
                 raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
-        out = copy.copy(self)  # shares the materialized maps
+        out = copy.copy(self)
         out._kron = self._kron.merge(other._kron)
         out._loo = [a + b for a, b in zip(self._loo, other._loo)]
         out._covered = sorted(self._covered + other._covered)

