@@ -9,8 +9,8 @@ TSKC slab stream, told apart by its magic: sketch takes it through --input or
 bounded pieces at fixed last-mode positions (``TensorFile.slabs``), never
 whole and whatever its records. A stream whose records overlap or leave a gap
 is refused before any of it is used.
-Failures exit nonzero with one JSON line on stderr:
-{"error": {"category": ..., "message": ...}}.
+Failures, command-line mistakes included, exit nonzero with one JSON line on
+stderr: {"error": {"category": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -155,77 +155,61 @@ _DEFAULTS = {
 _VARIANT_KEYS = {"loo_kind", "loo_family", "core_family", "diag_family", "m", "m_c"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage mistakes are config errors, not exits."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """Every subcommand's flags; --config and --print-config are common to all."""
+    parser = _Parser(
         prog="tsketch",
         description="Sketch large dense tensors in one pass and recover "
         "low Tucker-rank factorizations from the sketches.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON config file")
+    common.add_argument("--print-config", action="store_true",
+                        help="print the merged config as JSON and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, flags):
-        p = sub.add_parser(name, help=help_)
-        if "config" in flags:
-            p.add_argument("--config", metavar="PATH", help="JSON config file")
-        if "input" in flags:
-            p.add_argument("--input", metavar="PATH", help=flags["input"])
-        if "output" in flags:
-            p.add_argument("--output", metavar="PATH", help=flags["output"])
-        if "rank" in flags:
-            p.add_argument("--rank", type=int, metavar="R", help="target Tucker rank")
-        if "two_pass" in flags:
-            p.add_argument(
-                "--two-pass",
-                action="store_true",
-                dest="two_pass",
-                help="recompute the core from the data (needs --chunks)",
-            )
-        if "chunks" in flags:
-            p.add_argument("--chunks", metavar="PATH", help=flags["chunks"])
-        if "seed" in flags:
-            p.add_argument("--seed", type=int, metavar="U64", help="override config seed")
-        if "threads" in flags:
-            p.add_argument("--threads", type=int, metavar="N", help="worker threads")
-        p.add_argument(
-            "--print-config",
-            action="store_true",
-            dest="print_config",
-            help="print the merged config as JSON and exit",
-        )
-        return p
+    gen = sub.add_parser("gen", parents=[common], help="synthesize a test tensor")
+    gen.add_argument("--output", metavar="PATH",
+                     help="tensor file to write (TNSR, or TSKC when config slabs is set)")
+    gen.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="U64",
+                     help="override config seed")
 
-    add("gen", "synthesize a test tensor", {
-        "config": True,
-        "output": "tensor file to write (TNSR, or TSKC when config slabs is set)",
-        "seed": True,
-    })
-    add("sketch", "sketch a tensor into a bundle", {
-        "config": True,
-        "input": "tensor to sketch (TNSR or TSKC), read in bounded pieces",
-        "chunks": "tensor to sketch (TNSR or TSKC); same as --input",
-        "output": "bundle file to write (TSKB)",
-        "seed": True,
-    })
-    add("recover", "recover a factorization from a bundle", {
-        "config": True,
-        "input": "bundle file (TSKB)",
-        "output": "factorization file to write (TUCK)",
-        "rank": True,
-        "two_pass": True,
-        "chunks": "tensor for the second pass (TNSR or TSKC)",
-    })
-    add("eval", "score a factorization against a tensor", {
-        "config": True,
-        "input": "factorization file (TUCK)",
-        "chunks": "tensor it was fit to (TNSR or TSKC)",
-        "output": "JSON report path (default: stdout)",
-    })
-    add("experiment", "run a sweep and write one CSV row per trial", {
-        "config": True,
-        "output": "CSV file to write",
-        "seed": True,
-        "threads": True,
-    })
+    sk = sub.add_parser("sketch", parents=[common], help="sketch a tensor into a bundle")
+    sk.add_argument("--input", metavar="PATH",
+                    help="tensor to sketch (TNSR or TSKC), read in bounded pieces")
+    sk.add_argument("--output", metavar="PATH", help="bundle file to write (TSKB)")
+    sk.add_argument("--chunks", metavar="PATH", help="tensor to sketch (TNSR or TSKC); same as --input")
+    sk.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="U64",
+                    help="override config seed")
+
+    rec = sub.add_parser("recover", parents=[common], help="recover a factorization from a bundle")
+    rec.add_argument("--input", metavar="PATH", help="bundle file (TSKB)")
+    rec.add_argument("--output", metavar="PATH", help="factorization file to write (TUCK)")
+    rec.add_argument("--rank", type=int, default=argparse.SUPPRESS, metavar="R",
+                     help="target Tucker rank")
+    rec.add_argument("--two-pass", action="store_true", default=argparse.SUPPRESS,
+                     help="recompute the core from the data (needs --chunks)")
+    rec.add_argument("--chunks", metavar="PATH", help="tensor for the second pass (TNSR or TSKC)")
+
+    ev = sub.add_parser("eval", parents=[common], help="score a factorization against a tensor")
+    ev.add_argument("--input", metavar="PATH", help="factorization file (TUCK)")
+    ev.add_argument("--output", metavar="PATH", help="JSON report path (default: stdout)")
+    ev.add_argument("--chunks", metavar="PATH", help="tensor it was fit to (TNSR or TSKC)")
+
+    ex = sub.add_parser("experiment", parents=[common],
+                        help="run a sweep and write one CSV row per trial")
+    ex.add_argument("--output", metavar="PATH", help="CSV file to write")
+    ex.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="U64",
+                    help="override config seed")
+    ex.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="N",
+                    help="worker threads")
     return parser
 
 
@@ -246,17 +230,15 @@ def _load_config_file(path):
 
 def _merge_config(command, args):
     cfg = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
+    if args.config:
         loaded = _load_config_file(args.config)
         unknown = sorted(set(loaded) - set(cfg))
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
         cfg.update(loaded)
-    for key in ("seed", "rank", "threads"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    if getattr(args, "two_pass", False):
-        cfg["two_pass"] = True
+    # A flag whose dest is a config key (--seed, --rank, --two-pass, --threads)
+    # overrides it; with default SUPPRESS it is in `args` only when given.
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     _check_values(command, cfg)
     for v_idx, overrides in enumerate(cfg.get("variants") or ()):
         unknown = sorted(set(overrides) - _VARIANT_KEYS)
@@ -553,7 +535,7 @@ def _run_trial(task, file_tensor, shared):
     }
 
 
-def _shared_state(task, file_tensor, cache):
+def _shared_state(task, cache):
     """Deterministic per-config work hoisted out of the trial loop.
 
     Super-diagonal inputs do not depend on the trial seed, so the tensor and
@@ -582,18 +564,15 @@ def _csv_cell(value):
 
 
 def run_experiment(cfg):
+    from concurrent.futures import ThreadPoolExecutor  # only the experiment uses a pool
+
     tasks = _experiment_tasks(cfg)
     file_tensor = _load_experiment_input(cfg)
     cache = {}
-    shared = [_shared_state(t, file_tensor, cache) for t in tasks]
-    threads = cfg["threads"]
-    if threads == 1:
-        rows = [_run_trial(t, file_tensor, s) for t, s in zip(tasks, shared)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only the experiment uses a pool
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_run_trial, tasks, [file_tensor] * len(tasks), shared))
+    shared = [_shared_state(t, cache) for t in tasks]
+    # A failed trial ends the sweep: map cancels the trials still queued.
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
+        rows = list(pool.map(_run_trial, tasks, [file_tensor] * len(tasks), shared))
     rows.sort(key=lambda r: (r["variant"], r["m"], r["m_c"], r["trial"]))
     return rows
 
@@ -629,8 +608,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge_config(args.command, args)
         if args.print_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))

@@ -354,6 +354,10 @@ def read_bundle(path):
         loo_ids = _read_exact(f, d, "leave-one-out families")
         core_ids = _read_exact(f, d, "core families")
         (seed,) = struct.unpack("<Q", _read_exact(f, 8, "seed"))
+        # The plan derives one keyed spec per stored record, d(d+1) of them for
+        # structured kinds, so the table must be in the file before it is built.
+        records = 3 * d if _KIND_NAMES[kind_id] == "unstructured" else d * (d + 1)
+        _need(f, 4 + 33 * records, "measurement spec table")
         try:
             plan = SketchPlan(
                 shape=shape,

@@ -35,8 +35,10 @@ The pipeline, given a bundle of d leave-one-out sketches plus a core sketch:
 ``recover_core_recycled`` reuses one leave-one-out sketch in place of the core
 sketch. It is experimental: reusing measurements couples the factor-estimation
 error into the core solve in a way none of the accuracy guarantees cover, but
-empirically the overall error is comparable and it saves the core sketch
-storage entirely.
+empirically the overall error is comparable. It does not do away with the core
+sketch: every plan stores one (m_c >= 1), and ``recover_factors`` solves
+against it for the joint truncation whenever m_c // 2 > r. Storage is saved
+only by a plan with m_c <= 2r + 1, which gives that truncation up.
 
 Everything here reads only the sketch bundle (and, for the two-pass core, the
 tensor the caller explicitly provides); no operation on the one-pass path

@@ -50,6 +50,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -298,7 +299,11 @@ class SlabChunk:
 
 
 def slab_chunks(x, n_slabs):
-    """Split a tensor into `n_slabs` roughly equal last-mode slabs (a test/demo helper)."""
+    """Split a tensor into `n_slabs` roughly equal last-mode slabs.
+
+    ``tsketch gen`` writes a TSKC stream through it when its config sets
+    ``slabs``; the tests use it to stream a tensor held in memory.
+    """
     x = np.asarray(x, dtype=np.float64)
     bounds = np.linspace(0, x.shape[-1], n_slabs + 1).astype(int)
     return [
@@ -326,25 +331,31 @@ def _take_slab(covered, shape, chunk, what="slab"):
     """Check one last-mode slab of a tensor of `shape`, record its range in
     the sorted `covered` (unless empty), and return its payload as float64.
 
-    In order: the range lies in the last mode and the payload has the tensor's
-    other mode lengths (``ShapeError``); every entry is finite and the range
+    In order: the range is integral (a numpy integer will do) and lies in the
+    last mode, and the payload has the tensor's other mode lengths
+    (``ShapeError``); every entry is finite and the range
     overlaps no slab in `covered` (``ConfigError``).
     """
-    lo, hi, n = chunk.start, chunk.start + chunk.count, shape[-1]
-    if lo < 0 or chunk.count < 0 or hi > n:
+    try:
+        lo, count = operator.index(chunk.start), operator.index(chunk.count)
+    except TypeError:
+        raise ShapeError(f"{what} range start={chunk.start!r}, count={chunk.count!r} "
+                         "is not a pair of integers") from None
+    hi, n = lo + count, shape[-1]
+    if lo < 0 or count < 0 or hi > n:
         raise ShapeError(f"{what} [{lo}, {hi}) outside mode of length {n}")
     payload = np.asarray(chunk.payload, dtype=np.float64)
-    if payload.shape != shape[:-1] + (chunk.count,):
+    if payload.shape != shape[:-1] + (count,):
         raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
                          f"the tensor's shape {shape}")
     if not np.isfinite(payload).all():
         raise ConfigError(f"{what} [{lo}, {hi}) has non-finite entries")
-    hit = _overlap(covered, lo, chunk.count)
+    hit = _overlap(covered, lo, count)
     if hit:
         s, c = hit
         raise ConfigError(f"{what} [{lo}, {hi}) overlaps [{s}, {s + c})")
-    if chunk.count:
-        bisect.insort(covered, (lo, chunk.count))
+    if count:
+        bisect.insort(covered, (lo, count))
     return payload
 
 

@@ -4,9 +4,11 @@ import ast
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +18,9 @@ import pytest
 import tsketch
 import tsketch.cli
 from tsketch import formats
+from tsketch.ensembles import FAMILIES
 from tsketch.cli import CSV_COLUMNS, main
-from tsketch.errors import EXIT_CODES
+from tsketch.errors import EXIT_CODES, RankError
 from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error, snr_db
 from tsketch.formats import (
     read_bundle,
@@ -29,7 +32,7 @@ from tsketch.formats import (
     write_tensor,
 )
 from tsketch.recover import one_pass, reconstruct, two_pass
-from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.sketch import LOO_KINDS, SketchAccumulator, SlabChunk, make_plan, sketch, slab_chunks
 from tsketch.tensor import norm
 
 
@@ -305,6 +308,46 @@ def test_print_config_merges_defaults_file_and_flags(tmp_path, capsys) -> None:
     assert printed["generator"] == "lowrank"  # default survives
 
 
+# Each subcommand's options, --help aside.
+OPTIONS = {
+    "gen": {"--config", "--print-config", "--output", "--seed"},
+    "sketch": {"--config", "--print-config", "--input", "--chunks", "--output", "--seed"},
+    "recover": {"--config", "--print-config", "--input", "--output", "--rank", "--two-pass", "--chunks"},
+    "eval": {"--config", "--print-config", "--input", "--chunks", "--output"},
+    "experiment": {"--config", "--print-config", "--output", "--seed", "--threads"},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_each_subcommands_options(command, capsys) -> None:
+    with pytest.raises(SystemExit) as exit_:
+        run(command, "--help")
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"\[(--[\w-]+)", usage)) == OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "command,key,in_file,flag,from_flag",
+    [
+        ("gen", "seed", 4, ["--seed", "9"], 9),
+        ("sketch", "seed", 4, ["--seed", "9"], 9),
+        ("experiment", "seed", 4, ["--seed", "9"], 9),
+        ("recover", "rank", 3, ["--rank", "2"], 2),
+        ("experiment", "threads", 2, ["--threads", "3"], 3),
+        ("recover", "two_pass", True, ["--two-pass"], True),
+        ("recover", "two_pass", False, ["--two-pass"], True),
+    ],
+)
+def test_print_config_flag_overrides_only_when_given(
+    tmp_path, capsys, command, key, in_file, flag, from_flag
+) -> None:
+    cfg = write_json(tmp_path / "c.json", {key: in_file})
+    for extra, expected in (([], in_file), (flag, from_flag)):
+        assert run(command, "--config", cfg, *extra, "--print-config") == 0
+        assert json.loads(capsys.readouterr().out)[key] == expected
+
+
 def test_print_config_needs_no_output(capsys) -> None:
     assert run("experiment", "--print-config") == 0
     assert json.loads(capsys.readouterr().out)["trials"] == 1
@@ -319,6 +362,19 @@ class TestErrorReporting:
         assert payload["error"]["category"] == expected_category
         assert code == EXIT_CODES[expected_category]
         return payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sketch", "--bogus", "x"],
+            ["recover", "--rank", "abc", "--input", "b", "--output", "o"],
+            [],
+            ["frobnicate"],
+        ],
+        ids=["unknown-flag", "mistyped-value", "no-subcommand", "unknown-subcommand"],
+    )
+    def test_command_line_mistake_is_config(self, capsys, argv) -> None:
+        self.check("config", *argv, capsys=capsys)
 
     def test_missing_rank_is_config(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
@@ -415,6 +471,24 @@ class TestErrorReporting:
             "io", "sketch", "--input", str(tmp_path / "absent.tnsr"),
             "--output", str(tmp_path / "b.tskb"), capsys=capsys,
         )
+
+    def test_bundle_header_without_its_spec_table_is_io_at_once(self, tmp_path, capsys) -> None:
+        """A 2000-mode kronecker header (modes of length 1) ending after the
+        seed: recover refuses it before the plan derives its 4 million specs."""
+        d = 2000
+        bundle = tmp_path / "b.tskb"
+        bundle.write_bytes(
+            b"TSKB"
+            + struct.pack(f"<II{d}QBQQB", formats.VERSION, d, *[1] * d,
+                          LOO_KINDS.index("kronecker"), 1, 1, FAMILIES["identity"])
+            + bytes([FAMILIES["gaussian"]]) * (2 * d)
+            + struct.pack("<Q", 0)
+        )
+        t0 = time.perf_counter()
+        msg = self.check("io", "recover", "--input", str(bundle), "--output", str(tmp_path / "t.tuck"),
+                         "--rank", "1", capsys=capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert "spec table" in msg
 
     def test_one_mode_khatri_rao_is_config(self, tmp_path, capsys) -> None:
         tensor = tmp_path / "x.tnsr"
@@ -659,6 +733,25 @@ class TestExperiment:
         assert len(rows) == 4
         for row in rows:
             assert float(row["rel_err_onepass"]) <= 1.10 * float(row["tail_baseline"])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failed_trial_ends_the_sweep(self, tmp_path, capsys, monkeypatch, threads) -> None:
+        """The first trial's error is reported at once: the trials still
+        queued behind it are not run first."""
+        calls = []
+
+        def failing_trial(task, *_):
+            calls.append(task["trial"])
+            time.sleep(0.05)
+            raise RankError("trial failed")
+
+        monkeypatch.setattr(tsketch.cli, "_run_trial", failing_trial)
+        code = run(
+            "experiment", "--config", write_json(tmp_path / "c.json", {**self.BASE, "trials": 10}),
+            "--output", str(tmp_path / "x.csv"), "--threads", str(threads),
+        )
+        assert code == EXIT_CODES["rank"]
+        assert len(calls) <= 2 * threads, calls
 
     def test_bad_variant_key_rejected(self, tmp_path, capsys) -> None:
         cfg = {**self.BASE, "variants": [{"generator": "lowrank"}]}

@@ -1,6 +1,7 @@
 """Binary round trips for the four on-disk formats."""
 
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsketch import formats
+from tsketch.ensembles import FAMILIES
 from tsketch.errors import ConfigError, IOFormatError, ShapeError
 from tsketch.evaluate import gen_lowrank, relative_error, score
 from tsketch.formats import (
@@ -24,7 +26,15 @@ from tsketch.formats import (
     write_tensor,
 )
 from tsketch.recover import TuckerFactorization, one_pass, reconstruct, two_pass
-from tsketch.sketch import SketchAccumulator, SketchBundle, SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.sketch import (
+    LOO_KINDS,
+    SketchAccumulator,
+    SketchBundle,
+    SlabChunk,
+    make_plan,
+    sketch,
+    slab_chunks,
+)
 
 
 @pytest.fixture
@@ -347,6 +357,25 @@ class TestCorruption:
         p.write_bytes(bytes(data))
         with pytest.raises(IOFormatError):
             read_bundle(p)
+
+    @pytest.mark.parametrize("kind", LOO_KINDS)
+    def test_bundle_header_without_its_spec_table_fails_at_once(self, tmp_path, kind) -> None:
+        """A 2000-mode plan of length-1 modes fits in a 20 KB header, but a
+        structured plan derives d(d+1) keyed specs: the missing table is a
+        format error before any of them is derived."""
+        d = 2000
+        p = tmp_path / "b.tskb"
+        p.write_bytes(
+            b"TSKB"
+            + struct.pack(f"<II{d}QBQQB", formats.VERSION, d, *[1] * d, LOO_KINDS.index(kind),
+                          1, 1, FAMILIES["identity"])
+            + bytes([FAMILIES["gaussian"]]) * (2 * d)
+            + struct.pack("<Q", 0)
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(IOFormatError, match="spec table"):
+            read_bundle(p)
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("n", [2**40, 2**58, 2**63])
     def test_hostile_tensor_shape(self, tmp_path, tensor, n) -> None:

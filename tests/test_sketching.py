@@ -735,6 +735,32 @@ class TestSlabRule:
         with pytest.raises(error, match=match):
             self.consume(consumer, data, chunks)
 
+    @pytest.mark.parametrize("consumer", ["update", "compute_core_twopass", "score"])
+    @pytest.mark.parametrize("start,count", [(0.0, 5.0), (0, 5.0), (0.0, 5)])
+    def test_range_that_is_not_integral(self, data, consumer, start, count) -> None:
+        with pytest.raises(ShapeError, match="not a pair of integers"):
+            self.consume(consumer, data, [SlabChunk(start, count, data[0])])
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    def test_numpy_integer_range_equals_the_dense_result(self, data, consumer) -> None:
+        x = data[0]
+        dense = self.consume(consumer, data, [SlabChunk(0, self.N, x)])
+        got = self.consume(consumer, data, [SlabChunk(np.int64(0), np.int32(self.N), x)])
+        assert all(np.array_equal(a, b) for a, b in zip(got, dense))
+
+    def test_accumulator_takes_the_slab_after_refusing_a_float_range(self, data) -> None:
+        """The refused slab is not recorded as covered, so the same range
+        given as integers is neither an overlap nor a second copy."""
+        x, _, _, plan = data
+        acc = SketchAccumulator(plan)
+        with pytest.raises(ShapeError):
+            acc.update(SlabChunk(0.0, float(self.N), x))
+        assert not acc.coverage_complete()
+        acc.update(SlabChunk(0, self.N, x))
+        bundle = acc.finalize()
+        dense = self.consume("update", data, [SlabChunk(0, self.N, x)])
+        assert all(np.array_equal(a, b) for a, b in zip([*bundle.loo, bundle.core], dense))
+
     @pytest.mark.parametrize("consumer", CONSUMERS)
     def test_payload_that_does_not_fit(self, data, consumer) -> None:
         x = data[0]
