@@ -108,7 +108,6 @@ _SKETCH_DEFAULTS = {
     "m_c": 15,
     "loo_family": "gaussian",
     "core_family": None,
-    "diag_family": "identity",
     "seed": 0,
 }
 
@@ -132,7 +131,6 @@ _EXPERIMENT_DEFAULTS = {
     "loo_kind": "kronecker",
     "loo_family": "gaussian",
     "core_family": None,
-    "diag_family": "identity",
     "variants": None,
     "m": [15],
     "m_c": [15],
@@ -152,7 +150,7 @@ _DEFAULTS = {
 }
 
 # Variant entries in an experiment config may override only these.
-_VARIANT_KEYS = {"loo_kind", "loo_family", "core_family", "diag_family", "m", "m_c"}
+_VARIANT_KEYS = {"loo_kind", "loo_family", "core_family", "m", "m_c"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,7 +263,7 @@ def _positive(v):
 # whose default is null may also be null.
 _CHECKS = {
     **dict.fromkeys(
-        ("generator", "input", "clean", "loo_kind", "diag_family"),
+        ("generator", "input", "clean", "loo_kind"),
         ("a string", lambda v: isinstance(v, str)),
     ),
     **dict.fromkeys(
@@ -350,7 +348,6 @@ def _plan_from_config(cfg, shape):
         cfg["m_c"],
         loo_family=cfg["loo_family"],
         core_family=cfg["core_family"],
-        diag_family=cfg["diag_family"],
         seed=cfg["seed"],
     )
 
@@ -447,24 +444,13 @@ def _experiment_tasks(cfg):
     return tasks
 
 
-def _load_experiment_input(cfg):
-    if cfg["generator"] == "file":
-        path = cfg["input"]
-        if not path:
-            raise ConfigError('generator "file" needs an input tensor path in the config')
-        return read_chunks_dense(path)  # a TNSR file or a TSKC stream
-    return None
-
-
-def _run_trial(task, file_tensor, shared):
+def _run_trial(task, shared):
     cfg = task["cfg"]
     seed = task["seed"]
     r_fit = cfg["r_fit"]
 
-    if cfg["generator"] == "file":
-        x0, factors_true = file_tensor, None
-    elif "superdiag" in shared:
-        x0, factors_true = shared["superdiag"], None
+    if "x0" in shared:
+        x0, factors_true = shared["x0"], None
     else:
         x0, factors_true = _generate_clean(cfg, seed)
     n, d = x0.shape[0], x0.ndim
@@ -535,24 +521,27 @@ def _run_trial(task, file_tensor, shared):
     }
 
 
-def _shared_state(task, cache):
-    """Deterministic per-config work hoisted out of the trial loop.
+def _shared_state(cfg):
+    """Deterministic work hoisted out of the trial loop.
 
-    Super-diagonal inputs do not depend on the trial seed, so the tensor and
-    (when noiseless) its per-mode tail energies are computed once per
-    (generator, n, d, r) combination instead of once per row.
+    A file input and a super-diagonal one do not depend on the trial seed, so
+    the tensor and (when noiseless) its per-mode tail energies are computed
+    once per sweep instead of once per row. Variants override none of the
+    keys they depend on.
     """
-    cfg = task["cfg"]
-    if not cfg["generator"].startswith("superdiag"):
-        return {}
-    key = (cfg["generator"], cfg["n"], cfg["d"], cfg["r_true"], cfg["r_fit"], cfg["snr_db"])
-    if key not in cache:
+    generator = cfg["generator"]
+    if generator == "file":
+        if not cfg["input"]:
+            raise ConfigError('generator "file" needs an input tensor path in the config')
+        x0 = read_chunks_dense(cfg["input"])  # a TNSR file or a TSKC stream
+    elif generator.startswith("superdiag"):
         x0, _ = _generate_clean(cfg, None)  # super-diagonal tensors take no seed
-        shared = {"superdiag": x0}
-        if cfg["snr_db"] is None:
-            shared["deltas"] = [tail_energy(x0, cfg["r_fit"], j) for j in range(1, x0.ndim + 1)]
-        cache[key] = shared
-    return cache[key]
+    else:
+        return {}
+    shared = {"x0": x0}
+    if cfg["snr_db"] is None:
+        shared["deltas"] = [tail_energy(x0, cfg["r_fit"], j) for j in range(1, x0.ndim + 1)]
+    return shared
 
 
 def _csv_cell(value):
@@ -567,12 +556,10 @@ def run_experiment(cfg):
     from concurrent.futures import ThreadPoolExecutor  # only the experiment uses a pool
 
     tasks = _experiment_tasks(cfg)
-    file_tensor = _load_experiment_input(cfg)
-    cache = {}
-    shared = [_shared_state(t, cache) for t in tasks]
+    shared = _shared_state(cfg)
     # A failed trial ends the sweep: map cancels the trials still queued.
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        rows = list(pool.map(_run_trial, tasks, [file_tensor] * len(tasks), shared))
+        rows = list(pool.map(_run_trial, tasks, [shared] * len(tasks)))
     rows.sort(key=lambda r: (r["variant"], r["m"], r["m_c"], r["trial"]))
     return rows
 

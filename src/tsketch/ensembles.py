@@ -10,7 +10,7 @@ Four families:
                     sqrt(n/m) * P * T * D with D a diagonal of random signs,
                     T the orthonormal type-II cosine transform, and P a
                     uniform row subsample without replacement (needs m <= n).
-* ``identity``    - I_n (square only); used as the default map on the mode a
+* ``identity``    - I_n (square only); what a bundle records for the mode a
                     sketch leaves uncompressed.
 
 Every draw comes from a counter-based generator keyed by SHA-256 over

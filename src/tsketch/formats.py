@@ -10,6 +10,9 @@ Four magics:
   constituent measurement-matrix spec (family u8, rows u64, cols u64,
   seed u64, prefixed by its (sketch, mode) indices), the per-mode sketch
   matrices (column-major), the core tensor, and a partial-coverage flag u8.
+  The plan's diagonal-family byte, the map on the mode a sketch keeps, always
+  holds the identity's id: a sketch leaves that mode unmapped, and a bundle
+  with any other value there is refused.
 * ``TUCK`` - a factorization: version u32, d u32, mode lengths d x u64,
   r u64, core (canonical order), factors (column-major), and a flag u8
   recording that each factor column was sign-normalized (largest-magnitude
@@ -321,7 +324,7 @@ def write_bundle(path, bundle):
         f.write(struct.pack(f"<{d}Q", *plan.shape))
         f.write(struct.pack("<B", _KIND_IDS[plan.loo_kind]))
         f.write(struct.pack("<QQ", plan.m, plan.m_c))
-        f.write(struct.pack("<B", FAMILIES[plan.diag_family]))
+        f.write(struct.pack("<B", FAMILIES["identity"]))
         f.write(bytes(FAMILIES[fam] for fam in plan.loo_families))
         f.write(bytes(FAMILIES[fam] for fam in plan.core_families))
         f.write(struct.pack("<Q", plan.seed))
@@ -351,6 +354,9 @@ def read_bundle(path):
             raise IOFormatError(f"unknown sketch kind id {kind_id}")
         m, m_c = struct.unpack("<QQ", _read_exact(f, 16, "sketch dimensions"))
         (diag_id,) = struct.unpack("<B", _read_exact(f, 1, "diagonal family"))
+        if diag_id != FAMILIES["identity"]:
+            raise IOFormatError(f"diagonal family id {diag_id} is not the identity's "
+                                f"({FAMILIES['identity']}): a sketch keeps its own mode unmapped")
         loo_ids = _read_exact(f, d, "leave-one-out families")
         core_ids = _read_exact(f, d, "core families")
         (seed,) = struct.unpack("<Q", _read_exact(f, 8, "seed"))
@@ -366,7 +372,6 @@ def read_bundle(path):
                 m_c=int(m_c),
                 loo_families=tuple(_family(b) for b in loo_ids),
                 core_families=tuple(_family(b) for b in core_ids),
-                diag_family=_family(diag_id),
                 seed=int(seed),
             )
         except (ConfigError, ShapeError) as e:

@@ -2,9 +2,9 @@
 
 The pipeline, given a bundle of d leave-one-out sketches plus a core sketch:
 
-1. Factors: per mode i, undo the square diagonal map (a solve, skipped when it
-   is the identity), then keep the leading left singular vectors of the
-   result. Only the left vectors are computed, by one of three routes:
+1. Factors: per mode i, keep the leading left singular vectors of the
+   leave-one-out sketch B_i, whose mode i is not mapped. Only the left
+   vectors are computed, by one of three routes:
    - a randomized range finder: the sketch times a keyed gaussian map, one
      power step with a QR after every product, and the SVD of the small
      projected sketch;
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import keyed_generator, materialize
+from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError, SingularError
 from .sketch import SlabChunk, _KronSums, _require_coverage, _take_slab
 from .tensor import multi_mode_product, unfold
@@ -199,13 +199,13 @@ def _left_vectors(f, k, r, key):
 def recover_factors(bundle, r):
     """The d orthonormal n_i x r factors, truncated to rank r in all modes jointly.
 
-    Per mode: solve the square diagonal system when one was applied, then take
-    the k leading left singular vectors, k = r + _OVERSAMPLE capped by m_c // 2
-    (so the k^d core solve stays well overdetermined) and by the smaller side
-    of every sketch. The k^d core solved from the core sketch is truncated by
-    HOOI and each factor Q_i is rotated into Q_i U_i. When the cap leaves no
-    room, or there is a single mode with no other mode to agree with, each
-    mode keeps its own r leading vectors. A partial bundle is a ConfigError.
+    Per mode: the k leading left singular vectors of B_i, k = r + _OVERSAMPLE
+    capped by m_c // 2 (so the k^d core solve stays well overdetermined) and by
+    the smaller side of every sketch. The k^d core solved from the core sketch
+    is truncated by HOOI and each factor Q_i is rotated into Q_i U_i. When the
+    cap leaves no room, or there is a single mode with no other mode to agree
+    with, each mode keeps its own r leading vectors. A partial bundle is a
+    ConfigError.
     """
     plan = bundle.plan
     if bundle.partial:
@@ -224,8 +224,6 @@ def recover_factors(bundle, r):
                 f"(sketch is {b.shape[0]}x{b.shape[1]})"
             )
         f = np.asfortranarray(b)  # the layout a bundle file gives, built or read alike
-        if plan.diag_family != "identity":
-            f = _pinv(materialize(plan.diag_spec(i)), i) @ f
         qs.append(_left_vectors(f, k, r, (plan.seed, "range", i)))
     if k == r:
         return qs
@@ -269,7 +267,7 @@ def recover_core_recycled(b_j, omegas, qs):
 
     `b_j` is the d-mode measurement tensor of a kronecker-structured sketch
     (mode j still full length), `omegas` the d maps that produced it (the
-    square diagonal map in position j), `qs` the recovered factors. Same
+    identity in position j), `qs` the recovered factors. Same
     ascending mode-peeling solve as the one-pass core; no accuracy guarantee
     covers the reuse, so prefer the core sketch when one is available.
     """

@@ -4,10 +4,8 @@ A measurement campaign is described by a :class:`SketchPlan`. For a d-mode
 tensor it defines:
 
 * d leave-one-out sketches. Sketch j compresses every mode except mode j,
-  which stays at full length n_j and is hit only by a square "diagonal" map
-  D_j (identity by default). D_j commutes with the sum over slabs, so it is
-  applied once per sketch, when the sketch is finalized, never per slab.
-  Three structures are supported:
+  which stays at full length n_j and is not mapped at all. Three structures
+  are supported:
 
   - ``kronecker``: one small map per (sketch, mode) pair, applied modewise;
     the composite acting on the unfolding is their Kronecker product in
@@ -74,10 +72,6 @@ __all__ = [
 
 LOO_KINDS = ("kronecker", "khatri_rao", "unstructured")
 
-# Families that are square and full rank by construction, hence invertible
-# when used as the diagonal (uncompressed-mode) map.
-_DIAG_FAMILIES = ("identity", "gaussian")
-
 DEFAULT_MEM_CAP_MB = 256.0
 
 # Last-mode slices a measurement of ``_KronSums`` gathers before applying its
@@ -111,11 +105,12 @@ class SketchPlan:
     """Everything needed to reproduce a measurement campaign from its seed.
 
     `m` is the per-mode sketch dimension for kronecker plans and the composite
-    row count for khatri_rao / unstructured plans. `loo_families[i-1]` is the
-    family of every map that compresses mode i; `core_families[i-1]` likewise
-    for the core maps. The plan owns its materialized maps (``core_maps``,
-    ``loo_maps``): built on first use, read-only, and shared by every
-    accumulator and recovery of the plan.
+    row count for khatri_rao / unstructured plans; they, `m_c`, `seed` and the
+    shape entries are integers (a numpy integer will do). `loo_families[i-1]`
+    is the family of every map that compresses mode i; `core_families[i-1]`
+    likewise for the core maps. The plan owns its materialized maps
+    (``core_maps``, ``loo_maps``): built on first use, read-only, and shared by
+    every accumulator and recovery of the plan.
     """
 
     shape: tuple
@@ -124,11 +119,18 @@ class SketchPlan:
     m_c: int
     loo_families: tuple
     core_families: tuple
-    diag_family: str = "identity"
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        try:
+            object.__setattr__(self, "shape", tuple(operator.index(n) for n in self.shape))
+        except TypeError:
+            raise ShapeError(f"tensor shape {self.shape!r} is not a tuple of integers") from None
+        for key in ("m", "m_c", "seed"):
+            try:
+                object.__setattr__(self, key, operator.index(getattr(self, key)))
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
         object.__setattr__(self, "loo_families", tuple(self.loo_families))
         object.__setattr__(self, "core_families", tuple(self.core_families))
         if self.d < 1 or any(n < 1 for n in self.shape):
@@ -141,11 +143,6 @@ class SketchPlan:
             raise ConfigError(f"seed must be in [0, 2^64), as a bundle stores it, got {self.seed}")
         if len(self.loo_families) != self.d or len(self.core_families) != self.d:
             raise ConfigError("need one leave-one-out family and one core family per mode")
-        if self.diag_family not in _DIAG_FAMILIES:
-            raise ConfigError(
-                f"diagonal family must be full rank by construction {_DIAG_FAMILIES}, "
-                f"got {self.diag_family!r}"
-            )
         if self.loo_kind == "khatri_rao" and self.d < 2:
             raise ConfigError("khatri_rao sketches need at least two modes to compress")
         if self.loo_kind == "unstructured" and len(set(self.loo_families)) != 1:
@@ -162,13 +159,12 @@ class SketchPlan:
         return len(self.shape)
 
     def diag_spec(self, j):
+        """The identity on mode j, which sketch j keeps unmapped; a bundle's spec table records it."""
         n = self.shape[j - 1]
-        return EnsembleSpec(self.diag_family, n, n, derive_seed(self.seed, "loo", j, j))
+        return EnsembleSpec("identity", n, n, derive_seed(self.seed, "loo", j, j))
 
     def loo_spec(self, j, i):
         """Spec of the map in sketch j acting on mode i (i != j)."""
-        if i == j:
-            return self.diag_spec(j)
         return EnsembleSpec(
             self.loo_families[i - 1], self.m, self.shape[i - 1], derive_seed(self.seed, "loo", j, i)
         )
@@ -200,7 +196,7 @@ class SketchPlan:
         For an unstructured plan, the d dense composites, refused with
         ``ConfigError`` before any is built if one needs more than
         ``TSKETCH_MEM_CAP_MB``. Otherwise, per sketch j, the map on each mode
-        i, None at i = j: the diagonal maps D_j are built by ``finalize``.
+        i, None at i = j, the mode the sketch keeps.
         """
         d = self.d
         if self.loo_kind == "unstructured":
@@ -268,7 +264,7 @@ def expand_families(family, d):
     return fams
 
 
-def make_plan(shape, loo_kind, m, m_c, loo_family="gaussian", core_family=None, diag_family="identity", seed=0):
+def make_plan(shape, loo_kind, m, m_c, loo_family="gaussian", core_family=None, seed=0):
     """Convenience constructor: accepts one family name, a per-mode list, or 'mix'."""
     d = len(tuple(shape))
     if core_family is None:
@@ -276,12 +272,11 @@ def make_plan(shape, loo_kind, m, m_c, loo_family="gaussian", core_family=None, 
     return SketchPlan(
         shape=tuple(shape),
         loo_kind=loo_kind,
-        m=int(m),
-        m_c=int(m_c),
+        m=m,
+        m_c=m_c,
         loo_families=expand_families(loo_family, d),
         core_families=expand_families(core_family, d),
-        diag_family=diag_family,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -501,8 +496,7 @@ class SketchAccumulator:
     plan share one copy of them. Chunks are folded in by `update` and never
     retained (``_KronSums`` parks thin slabs only after contracting them on
     every mode but the last); `merge` combines two accumulators built from the
-    same plan over disjoint slab ranges. The diagonal maps are not held:
-    `finalize` builds and applies them.
+    same plan over disjoint slab ranges.
     """
 
     def __init__(self, plan):
@@ -534,8 +528,7 @@ class SketchAccumulator:
             self._add_loo(j, payload, lo, hi)
 
     def _add_loo(self, j, payload, lo, hi):
-        """Add the slab's contribution to khatri_rao or unstructured sketch j,
-        before its diagonal map."""
+        """Add the slab's contribution to khatri_rao or unstructured sketch j."""
         d = self.plan.d
         if self.plan.loo_kind == "khatri_rao":
             contrib = self._khat_contrib(j, payload, lo, hi)
@@ -601,9 +594,7 @@ class SketchAccumulator:
         """Produce the bundle. Incomplete coverage is allowed but flagged partial.
 
         Parked slabs are applied first, and the accumulator takes more slabs
-        after. The square diagonal map D_j commutes with the sum over slabs, so
-        it is applied here, once per sketch: B_j = D_j times the accumulated
-        sketch.
+        after.
         """
         plan = self.plan
         *kron, core = self._kron.finish()
@@ -611,13 +602,9 @@ class SketchAccumulator:
             sums, loo = kron, [unfold(t, j) for j, t in enumerate(kron, start=1)]
         else:
             sums = loo = self._loo
-        if plan.diag_family != "identity":
-            # D_j b as (b^T D_j^T)^T, which comes out column-major like the rest.
-            loo = [(b.T @ materialize(plan.diag_spec(j)).T).T for j, b in enumerate(loo, start=1)]
-        else:
-            # The bundle must not change with later slabs: copy what is still
-            # the accumulator's own memory (`unfold` returns a view or a copy).
-            loo = [b.copy(order="F") if np.may_share_memory(b, t) else b for b, t in zip(loo, sums)]
+        # The bundle must not change with later slabs: copy what is still
+        # the accumulator's own memory (`unfold` returns a view or a copy).
+        loo = [b.copy(order="F") if np.may_share_memory(b, t) else b for b, t in zip(loo, sums)]
         return SketchBundle(
             plan=plan,
             loo=loo,

@@ -21,7 +21,7 @@ from tsketch import formats
 from tsketch.ensembles import FAMILIES
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES, RankError
-from tsketch.evaluate import add_noise_snr, gen_lowrank, relative_error, snr_db
+from tsketch.evaluate import add_noise_snr, gen_lowrank, gen_superdiag_poly, relative_error, snr_db
 from tsketch.formats import (
     read_bundle,
     read_factorization,
@@ -353,6 +353,26 @@ def test_print_config_needs_no_output(capsys) -> None:
     assert json.loads(capsys.readouterr().out)["trials"] == 1
 
 
+def test_gen_superdiag_poly_writes_a_tensor(tmp_path) -> None:
+    cfg = write_json(tmp_path / "g.json", {"generator": "superdiag_poly", "n": 9, "d": 3, "r_true": 2})
+    out = tmp_path / "x.tnsr"
+    assert run("gen", "--config", cfg, "--output", str(out)) == 0
+    assert np.array_equal(read_tensor(out), gen_superdiag_poly(9, 3, 2))
+
+
+def test_per_mode_family_list_equals_mix(pipeline_files) -> None:
+    """A loo_family list names each mode's family; at d = 3 the list "mix"
+    cycles through gives the same bundle, byte for byte."""
+    tmp, _, _, tensor = pipeline_files
+    bundles = {}
+    for name, family in (("mix", "mix"), ("list", ["gaussian", "srtt", "sparse_sign"])):
+        cfg = write_json(tmp / f"{name}.json", {"m": 6, "m_c": 8, "seed": 21, "loo_family": family})
+        bundles[name] = tmp / f"{name}.tskb"
+        assert run("sketch", "--config", cfg, "--input", str(tensor), "--output", str(bundles[name])) == 0
+    assert read_bundle(bundles["list"]).plan.loo_families == ("gaussian", "srtt", "sparse_sign")
+    assert bundles["list"].read_bytes() == bundles["mix"].read_bytes()
+
+
 class TestErrorReporting:
     def check(self, expected_category, *argv, capsys):
         code = run(*argv)
@@ -384,6 +404,88 @@ class TestErrorReporting:
             "config", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
             capsys=capsys,
         )
+
+    @pytest.mark.parametrize(
+        "text,category",
+        [(None, "io"), ("{not json", "config"), ("[1, 2]", "config")],
+        ids=["missing", "not-json", "array"],
+    )
+    def test_unreadable_config_file(self, tmp_path, capsys, text, category) -> None:
+        cfg = tmp_path / "c.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "x.tnsr"
+        msg = self.check(category, "gen", "--config", str(cfg), "--output", str(out), capsys=capsys)
+        assert str(cfg) in msg
+        assert not out.exists()
+
+    def test_unknown_generator_is_config(self, tmp_path, capsys) -> None:
+        cfg = write_json(tmp_path / "g.json", {"generator": "fractal"})
+        msg = self.check("config", "gen", "--config", cfg, "--output", str(tmp_path / "x.tnsr"),
+                         capsys=capsys)
+        assert "fractal" in msg
+
+    @pytest.mark.parametrize("flags", [["--input", "--chunks"], []], ids=["both", "neither"])
+    def test_sketch_takes_exactly_one_tensor_flag(self, pipeline_files, capsys, flags) -> None:
+        tmp, _, _, tensor = pipeline_files
+        out = tmp / "b.tskb"
+        argv = [a for flag in flags for a in (flag, str(tensor))]
+        msg = self.check("config", "sketch", *argv, "--output", str(out), capsys=capsys)
+        assert "--input" in msg and "--chunks" in msg
+        assert not out.exists()
+
+    def test_two_pass_without_chunks_is_config(self, pipeline_files, capsys) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, out = tmp / "b.tskb", tmp / "t.tuck"
+        assert run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle)) == 0
+        msg = self.check("config", "recover", "--input", str(bundle), "--output", str(out),
+                         "--rank", "3", "--two-pass", capsys=capsys)
+        assert "--chunks" in msg
+        assert not out.exists()
+
+    def test_family_list_of_the_wrong_length_is_config(self, pipeline_files, capsys) -> None:
+        tmp, _, _, tensor = pipeline_files
+        cfg = write_json(tmp / "c.json", {"m": 6, "m_c": 8, "loo_family": ["gaussian", "srtt"]})
+        out = tmp / "b.tskb"
+        msg = self.check("config", "sketch", "--config", cfg, "--input", str(tensor),
+                         "--output", str(out), capsys=capsys)
+        assert "expected 3 families, got 2" in msg
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,values",
+        [
+            ("sketch", {"diag_family": "identity"}),
+            ("experiment", {"diag_family": "gaussian"}),
+            ("experiment", {"variants": [{"diag_family": "gaussian"}]}),
+        ],
+    )
+    def test_diag_family_is_not_a_config_key(self, pipeline_files, capsys, command, values) -> None:
+        """A sketch keeps its own mode unmapped: there is no diagonal map to choose."""
+        tmp, _, _, tensor = pipeline_files
+        assert run(command, "--print-config") == 0
+        assert "diag_family" not in capsys.readouterr().out
+        cfg = write_json(tmp / "c.json", values)
+        out = tmp / "out"
+        inputs = ["--input", str(tensor)] if command == "sketch" else []
+        msg = self.check("config", command, "--config", cfg, *inputs, "--output", str(out),
+                         capsys=capsys)
+        assert "diag_family" in msg
+        assert not out.exists()
+
+    def test_bundle_that_maps_a_kept_mode_is_io(self, pipeline_files, capsys) -> None:
+        """A bundle whose diagonal-family byte is not the identity's id, as one
+        sketched with a gaussian map on the kept mode would be, is refused."""
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, out = tmp / "b.tskb", tmp / "t.tuck"
+        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        data = bytearray(bundle.read_bytes())
+        data[4 + 4 + 4 + 24 + 1 + 16] = FAMILIES["gaussian"]
+        bundle.write_bytes(bytes(data))
+        msg = self.check("io", "recover", "--input", str(bundle), "--output", str(out), "--rank", "3",
+                         capsys=capsys)
+        assert "diagonal family" in msg
+        assert not out.exists()
 
     def test_unknown_config_key_is_config(self, tmp_path, capsys) -> None:
         cfg = write_json(tmp_path / "c.json", {"nn": 10})
@@ -733,6 +835,50 @@ class TestExperiment:
         assert len(rows) == 4
         for row in rows:
             assert float(row["rel_err_onepass"]) <= 1.10 * float(row["tail_baseline"])
+
+    @pytest.fixture
+    def tensor_files(self, tmp_path):
+        """One lowrank tensor written as a TNSR file and as a three-record TSKC stream."""
+        x, _ = gen_lowrank(12, 3, 3, seed=17)
+        write_tensor(tmp_path / "x.tnsr", x)
+        write_chunks(tmp_path / "x.tskc", x.shape, slab_chunks(x, 3))
+        return str(tmp_path / "x.tnsr"), str(tmp_path / "x.tskc")
+
+    def test_noiseless_file_sweep_computes_tail_energies_once(self, tmp_path, tensor_files,
+                                                              monkeypatch) -> None:
+        """A file input does not depend on the trial seed: its d tail energies
+        are computed once for the sweep, not once per row."""
+        calls = []
+        tail_energy = tsketch.cli.tail_energy
+        monkeypatch.setattr(tsketch.cli, "tail_energy", lambda x, r, j: calls.append(j) or tail_energy(x, r, j))
+        cfg = {**self.BASE, "generator": "file", "input": tensor_files[0], "trials": 3}
+        rows = self.run_csv(tmp_path, cfg, "f.csv")
+        assert len(rows) == 6  # 2 m values x 3 trials
+        assert sorted(calls) == [1, 2, 3]
+
+    def test_file_input_rows(self, tmp_path, tensor_files) -> None:
+        """A TNSR file and a TSKC stream of one tensor give the same rows, at
+        one thread or three; the rows fit the file's tensor and carry no angles."""
+        stable = [c for c in CSV_COLUMNS if not c.startswith("wall_")]
+        tnsr, tskc = tensor_files
+        runs = [
+            self.run_csv(tmp_path, {**self.BASE, "generator": "file", "input": path}, name, *extra)
+            for path, name, extra in [(tnsr, "a.csv", ()), (tskc, "b.csv", ()),
+                                      (tnsr, "c.csv", ("--threads", "3"))]
+        ]
+        first = [[r[c] for c in stable] for r in runs[0]]
+        assert all([[r[c] for c in stable] for r in rows] == first for rows in runs[1:])
+        for r in runs[0]:
+            assert float(r["rel_err_onepass"]) < 1e-8
+            assert r["angles_deg"] == ""  # a file carries no reference factors
+
+    def test_file_generator_needs_an_input(self, tmp_path, capsys) -> None:
+        out = tmp_path / "x.csv"
+        cfg = write_json(tmp_path / "c.json", {**self.BASE, "generator": "file"})
+        assert run("experiment", "--config", cfg, "--output", str(out)) == EXIT_CODES["config"]
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "config" and "input" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_failed_trial_ends_the_sweep(self, tmp_path, capsys, monkeypatch, threads) -> None:

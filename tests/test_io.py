@@ -330,6 +330,21 @@ class TestCorruption:
         with pytest.raises(IOFormatError):
             read_bundle(p)
 
+    @pytest.mark.parametrize("family_id", [FAMILIES["gaussian"], FAMILIES["srtt"], 250])
+    def test_bundle_that_maps_a_kept_mode_is_refused(self, tmp_path, tensor, family_id) -> None:
+        """The diagonal-family byte, right after m and m_c, holds the identity's
+        id: a sketch keeps its own mode unmapped. Any other value is refused
+        before the plan is built."""
+        p = tmp_path / "b.tskb"
+        write_bundle(p, sketch(tensor, make_plan(tensor.shape, "khatri_rao", 4, 3, seed=6)))
+        data = bytearray(p.read_bytes())
+        diag_at = 4 + 4 + 4 + 24 + 1 + 16
+        assert data[diag_at] == FAMILIES["identity"]
+        data[diag_at] = family_id
+        p.write_bytes(bytes(data))
+        with pytest.raises(IOFormatError, match=f"diagonal family id {family_id} is not"):
+            read_bundle(p)
+
     @pytest.mark.parametrize(
         "field,value",
         [

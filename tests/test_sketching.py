@@ -13,6 +13,7 @@ from tsketch.evaluate import score
 from tsketch.recover import TuckerFactorization, compute_core_twopass
 from tsketch.sketch import (
     SketchAccumulator,
+    SketchPlan,
     SlabChunk,
     _KronSums,
     make_plan,
@@ -50,8 +51,7 @@ class TestAgainstExplicitOperators:
         plan = make_plan(x.shape, "kronecker", 2, 2, seed=1)
         b = sketch(x, plan).loo
         for j in (1, 2, 3):
-            diag = materialize(plan.diag_spec(j))
-            expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
+            expect = unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(b[j - 1], expect, atol=1e-12)
 
     def test_khatri_rao_matches_row_loop_oracle(self) -> None:
@@ -78,11 +78,11 @@ class TestAgainstExplicitOperators:
 
     @pytest.mark.parametrize("kind,m", [("kronecker", 2), ("khatri_rao", 5), ("unstructured", 5)])
     @pytest.mark.parametrize("feeding", ["batch", "uneven", "merged"])
-    def test_gaussian_diagonal_map_is_applied(self, kind, m, feeding) -> None:
-        """D_j enters B_j exactly once, whether the tensor arrives whole, as
+    def test_every_feeding_matches_the_oracle(self, kind, m, feeding) -> None:
+        """B_j keeps mode j unmapped, whether the tensor arrives whole, as
         uneven out-of-order slabs, or as two shards merged before finalizing."""
         x = random_tensor((4, 3, 5), seed=8)
-        plan = make_plan(x.shape, kind, m, 2, diag_family="gaussian", seed=9)
+        plan = make_plan(x.shape, kind, m, 2, seed=9)
         if feeding == "batch":
             b = sketch(x, plan).loo
         else:
@@ -96,9 +96,7 @@ class TestAgainstExplicitOperators:
             acc = accs[0] if len(accs) == 1 else accs[0].merge(accs[1])
             b = acc.finalize().loo
         for j in (1, 2, 3):
-            diag = materialize(plan.diag_spec(j))
-            assert diag.shape == (x.shape[j - 1], x.shape[j - 1])
-            expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
+            expect = unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(b[j - 1], expect, rtol=1e-12, atol=1e-12)
 
 
@@ -107,18 +105,16 @@ class TestMatrixFreeKhatriRao:
 
     @pytest.mark.parametrize("shape", [(7, 9), (5, 4, 3, 6)])
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("diag_family", ["identity", "gaussian"])
-    def test_uneven_slabs_match_row_loop_oracle(self, shape, order, diag_family) -> None:
+    def test_uneven_slabs_match_row_loop_oracle(self, shape, order) -> None:
         x = random_tensor(shape, seed=70)
-        plan = make_plan(shape, "khatri_rao", 8, 3, diag_family=diag_family, seed=71)
+        plan = make_plan(shape, "khatri_rao", 8, 3, seed=71)
         acc = SketchAccumulator(plan)
         n_last = shape[-1]
         for lo, hi in [(2, n_last), (0, 1), (1, 2)]:
             acc.update(SlabChunk(lo, hi - lo, np.asarray(x[..., lo:hi], order=order)))
         got = acc.finalize()
         for j in range(1, plan.d + 1):
-            diag = materialize(plan.diag_spec(j))
-            expect = diag @ unfold(x, j) @ loo_composite(plan, j).T
+            expect = unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
 
     def test_update_never_forms_the_composite(self) -> None:
@@ -312,11 +308,10 @@ class TestStreaming:
         assert all(np.array_equal(a, f) for a, f in zip(b.loo + [b.core], frozen))
 
     @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
-    @pytest.mark.parametrize("diag_family", ["identity", "gaussian"])
-    def test_sketches_come_out_column_major(self, kind, m, diag_family) -> None:
+    def test_sketches_come_out_column_major(self, kind, m) -> None:
         """The layout a bundle file stores and recovery reads, so neither copies them."""
         x = random_tensor((5, 4, 6), seed=77)
-        b = sketch(x, make_plan(x.shape, kind, m, 3, diag_family=diag_family, seed=78))
+        b = sketch(x, make_plan(x.shape, kind, m, 3, seed=78))
         assert all(a.flags.f_contiguous for a in b.loo)
         assert b.core.flags.f_contiguous
 
@@ -364,10 +359,9 @@ class TestCoalescing:
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
 
     @pytest.mark.parametrize("shape", [(40,), (7, 40), (6, 5, 40), (4, 3, 5, 30)])
-    @pytest.mark.parametrize("diag_family", ["identity", "gaussian"])
-    def test_shuffled_thin_slabs_match_batch(self, shape, diag_family, monkeypatch) -> None:
+    def test_shuffled_thin_slabs_match_batch(self, shape, monkeypatch) -> None:
         x = random_tensor(shape, seed=60)
-        plan = make_plan(shape, "kronecker", 5, 6, diag_family=diag_family, seed=61)
+        plan = make_plan(shape, "kronecker", 5, 6, seed=61)
         flushed = []
         acc = SketchAccumulator(plan)
         eng = acc._kron
@@ -506,7 +500,7 @@ class TestMerge:
 
     def test_merge_shares_the_materialized_maps(self, monkeypatch) -> None:
         x = random_tensor((6, 5, 9), seed=56)
-        plan = make_plan(x.shape, "khatri_rao", 5, 3, diag_family="gaussian", seed=57)
+        plan = make_plan(x.shape, "khatri_rao", 5, 3, seed=57)
         a, b = self.make_parts(plan, x, [4])
         calls = []
         module = importlib.import_module("tsketch.sketch")  # the package's `sketch` is the function
@@ -536,7 +530,7 @@ class TestMerge:
         """A shard whose slabs all went elsewhere (a stream read in one piece)
         merges on either side without changing a bit of the other's bundle."""
         x = random_tensor((6, 5, 40), seed=86)
-        plan = make_plan(x.shape, kind, 5, 6, diag_family="gaussian", seed=87)
+        plan = make_plan(x.shape, kind, 5, 6, seed=87)
         a, empty = SketchAccumulator(plan), SketchAccumulator(plan)
         for lo, hi in thin_slabs(40, seed=88):
             a.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
@@ -581,7 +575,7 @@ class TestPlanMaps:
         for acc, (lo, hi) in [(a, (0, 4)), (b, (4, 9))]:
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
         specs = [spec for j, i, spec in plan.all_specs() if i != j]
-        assert sorted(calls, key=specs.index) == specs  # each once, the diagonal maps not at all
+        assert sorted(calls, key=specs.index) == specs  # each once, the identity on each kept mode not at all
         if kind == "unstructured":
             maps = [(plan.unstructured_spec(j), plan.loo_maps[j - 1]) for j in (1, 2, 3)]
         else:
@@ -652,6 +646,27 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="seed"):
             make_plan((4, 4, 4), "kronecker", 2, 2, seed=seed)
         assert make_plan((4, 4, 4), "kronecker", 2, 2, seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("key,value", [("m", 2.7), ("m_c", 3.9), ("seed", 5.0), ("m", "6")])
+    def test_sizes_and_seed_must_be_integers(self, key, value) -> None:
+        """Refused, not truncated: a float m of 2.7 once built a plan with m = 2."""
+        args = {"m": 2, "m_c": 3, "seed": 0, key: value}
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            make_plan((6, 6, 6), "kronecker", args["m"], args["m_c"], seed=args["seed"])
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            SketchPlan((6, 6, 6), "kronecker", args["m"], args["m_c"], ("gaussian",) * 3,
+                       ("gaussian",) * 3, seed=args["seed"])
+
+    @pytest.mark.parametrize("shape", [(6, 6.5, 6), (6, 6.0, 6), (6, "6", 6), 6])
+    def test_shape_entries_must_be_integers(self, shape) -> None:
+        with pytest.raises(ShapeError, match="not a tuple of integers"):
+            SketchPlan(shape, "kronecker", 2, 3, ("gaussian",) * 3, ("gaussian",) * 3)
+
+    def test_numpy_integers_build_the_same_plan(self) -> None:
+        i64 = np.int64
+        got = make_plan((i64(6), i64(5), i64(4)), "kronecker", i64(2), i64(3), seed=np.uint64(7))
+        assert got == make_plan((6, 5, 4), "kronecker", 2, 3, seed=7)
+        assert all(type(v) is int for v in (*got.shape, got.m, got.m_c, got.seed))
 
     def test_khatri_rao_needs_two_modes(self) -> None:
         with pytest.raises(ConfigError):
