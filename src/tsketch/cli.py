@@ -360,6 +360,7 @@ def cmd_sketch(args, cfg):
         acc = SketchAccumulator(_plan_from_config(cfg, x.shape))
         for chunk in x.slabs():
             acc.update(chunk)
+            del chunk  # hold one piece: drop it before the next is read
     write_bundle(output, acc.finalize())
     return 0
 

@@ -203,8 +203,9 @@ def read_chunks(path):
     """Yield a TNSR file or a TSKC stream as the pieces of ``TensorFile.slabs``
     (generator): at most ``_PIECE_BYTES`` each at fixed last-mode positions,
     whatever the stored records, after ``TensorFile`` has checked that the
-    records tile the last mode. A reader holds one piece of the tensor at a
-    time, and every file of one tensor yields the same pieces."""
+    records tile the last mode. A reader that drops each piece before asking
+    for the next holds one piece of the tensor at a time, and every file of
+    one tensor yields the same pieces."""
     with TensorFile(path) as x:
         yield from x.slabs()
 

@@ -327,6 +327,7 @@ def compute_core_twopass(x, qs):
         payload = _take_slab(covered, shape, c)
         if c.count:
             sums.add(payload, c.start, c.start + c.count)
+        del c, payload  # hold one slab: drop it before the next is read
     _require_coverage(covered, shape[-1])
     return sums.finish()[0]
 

@@ -37,6 +37,11 @@ modes, in a buffer of up to ``_BUFFER_SLICES`` slices, and applied a buffer at
 a time. The accumulator itself sums the row-wise khatri_rao and unstructured
 sketches, each slab as it comes.
 
+Streaming memory is one slab in hand plus the sketch: the sums, the buffers
+and the maps. ``finalize`` lends the sums to its bundle as read-only views
+instead of copying them, and the accumulator copies them before it next
+changes them.
+
 A streamed sketch, the two-pass core and the error of a factorization are
 each a sum over slabs, right only if every slab is finite and fits the tensor
 and the slabs tile the last mode once. ``_take_slab`` and ``_require_coverage``
@@ -76,8 +81,12 @@ DEFAULT_MEM_CAP_MB = 256.0
 
 # Last-mode slices a measurement of ``_KronSums`` gathers before applying its
 # last-mode map, capped by the rows of that map, so that no buffer outgrows the
-# measurement it feeds, and by the length of the mode.
-_BUFFER_SLICES = 32
+# measurement it feeds, and by the length of the mode. A buffer of w slices is
+# w/m of a measurement whose last-mode map has m rows: at m = 25 a cap of 32
+# made each buffer as large as the measurement, which 8 slices cut to a third.
+# A flush is still one matmul per measurement, of inner dimension 8, so thin
+# slabs still reach the last-mode map a buffer at a time, not a slice at a time.
+_BUFFER_SLICES = 8
 
 
 def _mem_cap_mb():
@@ -93,9 +102,9 @@ def _mem_cap_mb():
     return cap
 
 
-def _read_only(spec):
-    """The matrix of `spec`, materialized and marked read-only, for a plan to share."""
-    a = materialize(spec)
+def _read_only(a):
+    """A read-only view of `a`: how a plan shares its maps and a bundle borrows its sums."""
+    a = a.view()
     a.flags.writeable = False
     return a
 
@@ -186,7 +195,7 @@ class SketchPlan:
     def core_maps(self):
         """The d core maps Phi_i, built on first use and read-only, so that every
         accumulator and every recovery of this plan shares one copy."""
-        return tuple(_read_only(self.core_spec(i)) for i in range(1, self.d + 1))
+        return tuple(_read_only(materialize(self.core_spec(i))) for i in range(1, self.d + 1))
 
     @cached_property
     def loo_maps(self):
@@ -209,9 +218,10 @@ class SketchPlan:
                         f"unstructured map for sketch {j} needs {need_mb:.1f} MiB, over the "
                         f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
                     )
-            return tuple(_read_only(spec) for spec in specs)
+            return tuple(_read_only(materialize(spec)) for spec in specs)
         return tuple(
-            tuple(None if i == j else _read_only(self.loo_spec(j, i)) for i in range(1, d + 1))
+            tuple(None if i == j else _read_only(materialize(self.loo_spec(j, i)))
+                  for i in range(1, d + 1))
             for j in range(1, d + 1)
         )
 
@@ -258,7 +268,12 @@ def expand_families(family, d):
             cycle = ("gaussian", "srtt", "sparse_sign")
             return tuple(cycle[i % 3] for i in range(d))
         return (family,) * d
-    fams = tuple(family)
+    try:
+        fams = tuple(family)
+        if not all(isinstance(f, str) for f in fams):
+            raise TypeError
+    except TypeError:
+        raise ConfigError(f"a family is a name or a sequence of names, got {family!r}") from None
     if len(fams) != d:
         raise ConfigError(f"expected {d} families, got {len(fams)}")
     return fams
@@ -266,11 +281,15 @@ def expand_families(family, d):
 
 def make_plan(shape, loo_kind, m, m_c, loo_family="gaussian", core_family=None, seed=0):
     """Convenience constructor: accepts one family name, a per-mode list, or 'mix'."""
-    d = len(tuple(shape))
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
+    d = len(shape)
     if core_family is None:
         core_family = loo_family
     return SketchPlan(
-        shape=tuple(shape),
+        shape=shape,
         loo_kind=loo_kind,
         m=m,
         m_c=m_c,
@@ -382,6 +401,19 @@ class SketchBundle:
         return self.core.size
 
 
+def _zeros_kept_first(shape, maps):
+    """Zeros for the product of a tensor of `shape` by `maps`, one per mode,
+    laid out column-major with the modes a None keeps first.
+
+    So the unfolding on a kept mode j, the B_j of a kronecker plan, is a
+    column-major view of the sum, and a sum that keeps no mode is column-major.
+    """
+    dims = [n if a is None else a.shape[0] for n, a in zip(shape, maps)]
+    kept = [k for k, a in enumerate(maps) if a is None]
+    rest = [k for k, a in enumerate(maps) if a is not None]
+    return np.moveaxis(np.zeros([dims[k] for k in kept + rest], order="F"), range(len(kept)), kept)
+
+
 class _KronSums:
     """Sums over a last-mode slab stream of modewise products of the slabs.
 
@@ -395,10 +427,7 @@ class _KronSums:
 
     def __init__(self, shape, measurements):
         self.maps = [list(maps) for maps in measurements]
-        self.sums = [
-            np.zeros(tuple(n if a is None else a.shape[0] for n, a in zip(shape, maps)), order="F")
-            for maps in self.maps
-        ]
+        self.sums = [_zeros_kept_first(shape, maps) for maps in self.maps]
         # The mode-1 maps are stacked so one matmul reads a slab once for every
         # measurement; each keeps a view of its rows. With one mode, that map
         # is the last-mode map, which each slab cuts to its own columns.
@@ -512,8 +541,9 @@ class SketchAccumulator:
             self._loo = []
         else:
             self._kron = _KronSums(shape, [plan.core_maps])
-            self._loo = [np.zeros((n, plan.m)) for n in shape]
+            self._loo = [np.zeros((n, plan.m), order="F") for n in shape]
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
+        self._lent = False  # whether a bundle shares the sums
 
     # -- streaming -----------------------------------------------------------
 
@@ -522,6 +552,10 @@ class SketchAccumulator:
         payload = _take_slab(self._covered, self.plan.shape, chunk)
         if chunk.count == 0:
             return
+        if self._lent:  # a bundle holds the sums: add to copies of them
+            self._kron.sums = [t.copy(order="K") for t in self._kron.sums]
+            self._loo = [b.copy(order="K") for b in self._loo]
+            self._lent = False
         lo, hi = chunk.start, chunk.start + chunk.count
         self._kron.add(payload, lo, hi)
         for j in range(1, len(self._loo) + 1):
@@ -581,6 +615,7 @@ class SketchAccumulator:
         out._kron = self._kron.merge(other._kron)
         out._loo = [a + b for a, b in zip(self._loo, other._loo)]
         out._covered = sorted(self._covered + other._covered)
+        out._lent = False
         return out
 
     def coverage_complete(self):
@@ -593,22 +628,22 @@ class SketchAccumulator:
     def finalize(self):
         """Produce the bundle. Incomplete coverage is allowed but flagged partial.
 
-        Parked slabs are applied first, and the accumulator takes more slabs
-        after.
+        Parked slabs are applied first. The bundle's arrays are read-only,
+        column-major views of the accumulator's sums, not copies: the
+        accumulator takes more slabs after, and copies its sums before the
+        next slab changes them, so the bundle never changes.
         """
         plan = self.plan
         *kron, core = self._kron.finish()
         if plan.loo_kind == "kronecker":
-            sums, loo = kron, [unfold(t, j) for j, t in enumerate(kron, start=1)]
+            loo = [unfold(t, j) for j, t in enumerate(kron, start=1)]
         else:
-            sums = loo = self._loo
-        # The bundle must not change with later slabs: copy what is still
-        # the accumulator's own memory (`unfold` returns a view or a copy).
-        loo = [b.copy(order="F") if np.may_share_memory(b, t) else b for b, t in zip(loo, sums)]
+            loo = self._loo
+        self._lent = True
         return SketchBundle(
             plan=plan,
-            loo=loo,
-            core=core.copy(order="F"),
+            loo=[_read_only(b) for b in loo],
+            core=_read_only(core),
             partial=not self.coverage_complete(),
         )
 

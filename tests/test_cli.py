@@ -274,6 +274,39 @@ class TestStreamingMemory:
         assert code == 0
         assert peak < nbytes / 4, (peak, nbytes)
 
+    def test_sketch_holds_one_piece(self, tmp_path, monkeypatch) -> None:
+        """The sketch step drops each piece before it reads the next: over 8
+        pieces it peaks below the sketch, the buffers, the maps and one and a
+        half pieces, where holding two pieces would not fit."""
+        n, m = 256, 8
+        x = np.random.default_rng(25).standard_normal((n, n, 16))
+        write_tensor(tmp_path / "x.tnsr", x)
+        piece = 2 * 8 * n * n  # two last-mode slices
+        monkeypatch.setattr(formats, "_PIECE_BYTES", piece)
+        cfg = write_json(tmp_path / "sk.json", {"m": m, "m_c": m})
+        argv = ["sketch", "--config", cfg, "--input", str(tmp_path / "x.tnsr"),
+                "--output", str(tmp_path / "b.tskb")]
+        assert main(argv + ["--print-config"]) == 0  # imports what the CLI loads on first use, untraced
+        plan = make_plan(x.shape, "kronecker", m, m)
+        sketch_bytes = 8 * (plan.loo_entry_count() + plan.core_entry_count())
+        # B_1 (n x m), B_2 (m x n) and the core (m x m) each buffer 8 slices.
+        buffer_bytes = 8 * 8 * (n * m + m * n + m * m)
+        # Every map, and the stacked copy of those that compress mode 1.
+        maps = [a for ms in plan.loo_maps for a in ms if a is not None] + list(plan.core_maps)
+        maps += [ms[0] for ms in plan.loo_maps[1:]] + [plan.core_maps[0]]
+        bound = sketch_bytes + buffer_bytes + sum(a.nbytes for a in maps) + 1.5 * piece
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound, (peak, bound)
+        ref, got = sketch(x, plan), read_bundle(tmp_path / "b.tskb")
+        for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
 
 def test_cli_imports_no_private_name_from_the_package() -> None:
     """The CLI runs the library's public pipeline: an underscore name imported

@@ -307,6 +307,42 @@ class TestStreaming:
         acc.update(SlabChunk(3, 3, x[:, 3:]))
         assert all(np.array_equal(a, f) for a, f in zip(b.loo + [b.core], frozen))
 
+    @pytest.mark.parametrize("kind,m", [("kronecker", 5), ("khatri_rao", 7), ("unstructured", 7)])
+    def test_finalize_lends_the_sums(self, kind, m) -> None:
+        """The bundle's arrays are read-only views of the accumulator's sums.
+        Later slabs go into copies, so the bundle keeps its values, and the
+        lent accumulator still streams, merges and finalizes as batch does."""
+        x = random_tensor((6, 5, 30), seed=81)
+        plan = make_plan(x.shape, kind, m, 6, seed=82)
+        acc = SketchAccumulator(plan)
+        for lo, hi in [(0, 2), (2, 3), (10, 12)]:  # thin: the core parks them
+            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        lent, again = acc.finalize(), acc.finalize()
+        sums = acc._kron.sums + acc._loo
+        for a in lent.loo + [lent.core] + again.loo + [again.core]:
+            assert not a.flags.writeable and a.flags.f_contiguous
+            assert any(np.shares_memory(a, t) for t in sums)
+        frozen = [a.copy() for a in lent.loo + [lent.core]]
+        seen = np.zeros_like(x)
+        for lo, hi in [(0, 3), (10, 12)]:
+            seen[..., lo:hi] = x[..., lo:hi]
+        assert rel_gap(sketch(seen, plan), lent) <= 1e-12
+        for lo, hi in [(3, 5), (12, 20), (5, 6)]:
+            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        peer = SketchAccumulator(plan)
+        for lo, hi in [(20, 30), (6, 10)]:
+            peer.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        merged = acc.merge(peer).finalize()
+        for lo, hi in [(6, 10), (20, 30)]:
+            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
+        streamed = acc.finalize()
+        for bundle in (lent, again):
+            assert all(np.array_equal(a, f) for a, f in zip(bundle.loo + [bundle.core], frozen))
+        ref = sketch(x, plan)
+        for got in (merged, streamed, acc.finalize()):
+            assert not got.partial and rel_gap(ref, got) <= 1e-12
+            assert all(a.flags.f_contiguous for a in got.loo + [got.core])
+
     @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
     def test_sketches_come_out_column_major(self, kind, m) -> None:
         """The layout a bundle file stores and recovery reads, so neither copies them."""
@@ -667,6 +703,16 @@ class TestPlanValidation:
         got = make_plan((i64(6), i64(5), i64(4)), "kronecker", i64(2), i64(3), seed=np.uint64(7))
         assert got == make_plan((6, 5, 4), "kronecker", 2, 3, seed=7)
         assert all(type(v) is int for v in (*got.shape, got.m, got.m_c, got.seed))
+
+    def test_shape_must_be_a_sequence(self) -> None:
+        with pytest.raises(ShapeError, match="not a tuple of integers"):
+            make_plan(6, "kronecker", 2, 3)
+
+    @pytest.mark.parametrize("key", ["loo_family", "core_family"])
+    @pytest.mark.parametrize("family", [5, [["gaussian"]] * 3, [1, 2, 3]])
+    def test_family_must_be_names(self, key, family) -> None:
+        with pytest.raises(ConfigError, match="a family is a name or a sequence of names"):
+            make_plan((4, 4, 4), "kronecker", 2, 3, **{key: family})
 
     def test_khatri_rao_needs_two_modes(self) -> None:
         with pytest.raises(ConfigError):
