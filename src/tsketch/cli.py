@@ -372,10 +372,12 @@ def cmd_recover(args, cfg):
     bundle_path = _require(args.input, "--input")
     output = _require(args.output, "--output")
     rank = _require(cfg["rank"], "--rank")
+    if cfg["two_pass"] and not args.chunks:
+        raise ConfigError("--two-pass needs the tensor via --chunks")
+    if args.chunks and not cfg["two_pass"]:
+        raise ConfigError("--chunks is read only by the second pass: add --two-pass")
     bundle = read_bundle(bundle_path)
     if cfg["two_pass"]:
-        if not args.chunks:
-            raise ConfigError("--two-pass needs the tensor via --chunks")
         with TensorFile(args.chunks) as x:
             t = two_pass(bundle, x.slabs(), rank)
     else:

@@ -193,6 +193,10 @@ def tail_energy(x, r, j):
     m = unfold(x, j)
     if r > min(m.shape):
         raise RankError(f"rank {r} exceeds min dimension {min(m.shape)} of the mode-{j} unfolding")
+    if m.shape[1] > m.shape[0]:
+        # A wide unfolding has the singular values of R in the QR of its
+        # transpose, which costs less to find and is as accurate.
+        m = np.linalg.qr(m.T, mode="r")
     s = np.linalg.svd(m, compute_uv=False)
     return float(np.sum(s[r:] ** 2))
 

@@ -14,7 +14,8 @@ tensor it defines:
     composite is their row-wise Kronecker product (descending mode order),
     rescaled so a unit vector keeps unit expected squared norm. B_j is n x m.
     The composite is never materialized either: a slab is contracted on its
-    widest other mode by a matmul, then row-wise on the remaining other modes.
+    widest other mode by a matmul, then row-wise on the remaining other modes
+    by batched matmuls over the composite's row index.
   - ``unstructured``: a single dense m x prod(n_k, k != j) map per sketch,
     memory-guarded because nothing about it is compressible.
 
@@ -29,13 +30,19 @@ of one slab covering the whole mode, which is how ``sketch`` is implemented.
 
 One engine, ``_KronSums``, sums every product of the slab stream by one map
 per mode: the core sketch of every plan, the B_j of a kronecker plan (mode j
-kept at full length) and the two-pass core. It reads each slab once for all
-that compress mode 1, through their stacked mode-1 maps. A last-mode map
-applied to a thin slab is a matmul with a small inner dimension and an output
-as large as the measurement, so thin slabs are parked, contracted on the other
-modes, in a buffer of up to ``_BUFFER_SLICES`` slices, and applied a buffer at
-a time. The accumulator itself sums the row-wise khatri_rao and unstructured
-sketches, each slab as it comes.
+kept at full length) and the two-pass core. Each slab is read once for every
+measurement that contracts mode 1 first, by one matmul with the plan's
+stacked mode-1 maps (``SketchPlan.mode1_stack``) on the left: the core, the
+kronecker B_j for j != 1, and each khatri_rao B_j whose widest other mode is
+mode 1, ties going to mode 1. Each takes its rows of the product as a view.
+A last-mode map applied to a thin slab is a matmul with a small inner
+dimension and an output as large as the measurement, so thin slabs are
+parked, contracted on the other modes, in a buffer of up to
+``_BUFFER_SLICES`` slices, and applied a buffer at a time. The accumulator
+itself sums the row-wise khatri_rao and unstructured sketches, each slab as
+it comes: a khatri_rao B_j with rows in the stacked product finishes from
+them, and any other takes its own first product before the stacked one is
+formed, so that the two are never held at once.
 
 Streaming memory is one slab in hand plus the sketch: the sums, the buffers
 and the maps. ``finalize`` lends the sums to its bundle as read-only views
@@ -118,8 +125,8 @@ class SketchPlan:
     shape entries are integers (a numpy integer will do). `loo_families[i-1]`
     is the family of every map that compresses mode i; `core_families[i-1]`
     likewise for the core maps. The plan owns its materialized maps
-    (``core_maps``, ``loo_maps``): built on first use, read-only, and shared by
-    every accumulator and recovery of the plan.
+    (``core_maps``, ``loo_maps`` and their stacked ``mode1_stack``): built on
+    first use, read-only, and shared by every accumulator and recovery of the plan.
     """
 
     shape: tuple
@@ -198,6 +205,28 @@ class SketchPlan:
         return tuple(_read_only(materialize(self.core_spec(i))) for i in range(1, self.d + 1))
 
     @cached_property
+    def mode1_stack(self):
+        """(stack, rows): the mode-1 maps of every measurement that contracts
+        mode 1 first, stacked in one read-only matrix built on first use and
+        shared by every accumulator of this plan, and each measurement's rows
+        of it, a slice or None: ``rows[j - 1]`` for B_j, ``rows[d]`` for the core.
+
+        Those measurements are the core, the kronecker B_j for j != 1 and each
+        khatri_rao B_j whose widest other mode is mode 1, ties going to mode 1
+        (at d = 3 and a cubic shape, B_2 and B_3). Their leave-one-out maps are
+        materialized straight into the stack, and ``loo_maps`` holds its rows,
+        so each is held once; the core rows are a copy of ``core_maps[0]``,
+        which recovery builds without any leave-one-out map.
+        """
+        d, n = self.d, self.shape
+        firsts = [None] * d + [self.core_maps[0] if d > 1 else None]
+        for j in range(2, d + 1):
+            widest = max((n[i - 1] for i in range(2, d + 1) if i != j), default=0)
+            if self.loo_kind == "kronecker" or (self.loo_kind == "khatri_rao" and n[0] >= widest):
+                firsts[j - 1] = self.loo_spec(j, 1)
+        return _stack_mode1(firsts)
+
+    @cached_property
     def loo_maps(self):
         """The leave-one-out maps, built on first use and read-only, so that every
         accumulator of this plan (every shard of a stream) shares one copy.
@@ -205,7 +234,8 @@ class SketchPlan:
         For an unstructured plan, the d dense composites, refused with
         ``ConfigError`` before any is built if one needs more than
         ``TSKETCH_MEM_CAP_MB``. Otherwise, per sketch j, the map on each mode
-        i, None at i = j, the mode the sketch keeps.
+        i, None at i = j, the mode the sketch keeps; a mode-1 map in
+        ``mode1_stack`` is its rows there.
         """
         d = self.d
         if self.loo_kind == "unstructured":
@@ -219,11 +249,15 @@ class SketchPlan:
                         f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
                     )
             return tuple(_read_only(materialize(spec)) for spec in specs)
-        return tuple(
-            tuple(None if i == j else _read_only(materialize(self.loo_spec(j, i)))
-                  for i in range(1, d + 1))
-            for j in range(1, d + 1)
-        )
+        stack, rows = self.mode1_stack
+
+        def loo_map(j, i):
+            if i == 1 and rows[j - 1] is not None:
+                return stack[rows[j - 1]]
+            return _read_only(materialize(self.loo_spec(j, i)))
+
+        return tuple(tuple(None if i == j else loo_map(j, i) for i in range(1, d + 1))
+                     for j in range(1, d + 1))
 
     def all_specs(self):
         """(i, j, spec) records for every constituent map, in a fixed order."""
@@ -414,32 +448,80 @@ def _zeros_kept_first(shape, maps):
     return np.moveaxis(np.zeros([dims[k] for k in kept + rest], order="F"), range(len(kept)), kept)
 
 
+def _stack_mode1(firsts):
+    """(stack, rows): the mode-1 maps `firsts`, each an array, an
+    ``EnsembleSpec`` to materialize straight into its rows, or None (a
+    measurement that keeps mode 1 or contracts another mode first), stacked in
+    one read-only matrix, and each one's slice of its rows, or None. A single
+    array is its own stack, not copied."""
+    rows, at = [], 0
+    for a in firsts:
+        height = 0 if a is None else a.rows if isinstance(a, EnsembleSpec) else a.shape[0]
+        rows.append(None if a is None else slice(at, at + height))
+        at += height
+    given = [a for a in firsts if a is not None]
+    if not given:
+        return None, rows
+    if len(given) == 1 and isinstance(given[0], np.ndarray):
+        return given[0], rows
+    cols = given[0].cols if isinstance(given[0], EnsembleSpec) else given[0].shape[1]
+    stack = np.empty((at, cols))
+    for a, r in zip(firsts, rows):
+        if a is not None:
+            stack[r] = materialize(a) if isinstance(a, EnsembleSpec) else a
+    stack.flags.writeable = False
+    return stack, rows
+
+
+def _mode1_product(x, stack):
+    """(z, modes): z = stack @ unfold(x, 1), one GEMM with the map rows on the
+    left, as a C-ordered matrix whose columns run over modes 2..d in the order
+    `modes`, slowest first.
+
+    The slab is read as it lies: an F-ordered one gives modes (d, ..., 2),
+    any other is read C-ordered and gives (2, ..., d). So each measurement's
+    row block, reshaped by ``_block``, is a C-contiguous view.
+    """
+    if x.flags.f_contiguous and not x.flags.c_contiguous:
+        return stack @ x.reshape(x.shape[0], -1, order="F"), tuple(range(x.ndim, 1, -1))
+    return stack @ x.reshape(x.shape[0], -1), tuple(range(2, x.ndim + 1))
+
+
+def _block(product, rows, shape):
+    """Rows `rows` of a ``_mode1_product`` of a slab of `shape`, as a
+    C-contiguous view with the map's row index first and the product's modes after."""
+    z, modes = product
+    return z[rows].reshape((-1,) + tuple(shape[i - 1] for i in modes))
+
+
 class _KronSums:
     """Sums over a last-mode slab stream of modewise products of the slabs.
 
     Each measurement is a list of one map per mode, None keeping that mode at
     full length; the last-mode map is cut to each slab's columns. Slabs are
-    checked by the caller (``_take_slab``). A measurement that compresses the
-    last mode applies its map to a slab at least `_width` wide and parks a
-    thinner one, applying the parked slabs when the buffer fills, and at
-    `merge` and `finish`.
+    checked by the caller (``_take_slab``). Every measurement that compresses
+    mode 1 takes its rows of one ``_mode1_product`` per slab, through `stack`:
+    (matrix, rows), as ``_stack_mode1`` builds it for the measurements (a
+    plan passes its ``mode1_stack``, whose matrix may hold rows for other
+    measurements too). A row block of an F-ordered slab holds its modes in
+    reverse, so its transpose, F-contiguous with mode 1 last, is contracted
+    and mode 1 moved back first at the end; no block is copied. A measurement
+    that compresses the last mode applies its map to a slab at least `_width`
+    wide and parks a thinner one, applying the parked slabs when the buffer
+    fills, and at `merge` and `finish`.
     """
 
-    def __init__(self, shape, measurements):
+    def __init__(self, shape, measurements, stack=None):
         self.maps = [list(maps) for maps in measurements]
         self.sums = [_zeros_kept_first(shape, maps) for maps in self.maps]
-        # The mode-1 maps are stacked so one matmul reads a slab once for every
-        # measurement; each keeps a view of its rows. With one mode, that map
-        # is the last-mode map, which each slab cuts to its own columns.
-        self._stack, self._rows = None, [None] * len(self.maps)
-        firsts = [s for s, maps in enumerate(self.maps) if maps[0] is not None] if len(shape) > 1 else []
-        if firsts:
-            self._stack = np.concatenate([self.maps[s][0] for s in firsts])
-            at = 0
-            for s in firsts:
-                self._rows[s] = slice(at, at + self.maps[s][0].shape[0])
-                self.maps[s][0] = self._stack[self._rows[s]]
-                at = self._rows[s].stop
+        # With one mode, the mode-1 map is the last-mode map, which each slab
+        # cuts to its own columns: it is not stacked.
+        if stack is None:
+            stack = _stack_mode1([maps[0] if len(shape) > 1 else None for maps in self.maps])
+        self._stack, self._rows = stack
+        for maps, rows in zip(self.maps, self._rows):
+            if rows is not None:
+                maps[0] = self._stack[rows]
         last = [maps[-1].shape[0] for maps in self.maps if maps[-1] is not None]
         self._width = min(_BUFFER_SLICES, shape[-1], *last)
         # (start, count) of the parked slabs, and the buffers: allocated by the
@@ -458,7 +540,11 @@ class _KronSums:
     def add(self, x, lo, hi):
         """Add the slab x, slices lo..hi-1 of the last mode, to every measurement:
         its rows of the stacked mode-1 product (or x, when it keeps mode 1),
-        contracted on modes 2..d-1, then on the last mode or parked."""
+        contracted on modes 2..d-1, then on the last mode or parked.
+
+        Returns the slab's ``_mode1_product``, None without a stack, for the
+        caller's measurements that have rows in the stack too.
+        """
         d, w = x.ndim, hi - lo
         direct = w >= self._width
         at = sum(c for _, c in self._parked)
@@ -466,24 +552,31 @@ class _KronSums:
             self._flush()
             at = 0
         bufs = None if direct else self._buffers()
-        z = None if self._stack is None else mode_product(x, self._stack, 1)
+        product = None if self._stack is None else _mode1_product(x, self._stack)
         for s, (maps, rows, t) in enumerate(zip(self.maps, self._rows, self.sums)):
-            y = x if rows is None else z[rows]
-            if not (y.flags.c_contiguous or y.flags.f_contiguous):
-                # A row block of an F-ordered product: `mode_product` would
-                # contract it as it is through a strided batched matmul.
-                y = np.asfortranarray(y)
+            y, rot = x, 0
+            if rows is not None:
+                # With its modes reversed (an F-ordered slab), a block is
+                # taken transposed: modes in order, mode 1 moved last.
+                rot = int(product[1][0] != 2)
+                y = _block(product, rows, x.shape)
+                y = y.T if rot else y
             for i in range(2, d):
                 if maps[i - 1] is not None:
-                    y = mode_product(y, maps[i - 1], i)
+                    y = mode_product(y, maps[i - 1], i - rot)
+            if maps[-1] is not None and direct:
+                y = mode_product(y, maps[-1][:, lo:hi], d - rot)
+            if rot:
+                y = np.moveaxis(y, -1, 0)
             if maps[-1] is None:
                 t[..., lo:hi] += y
             elif direct:
-                t += mode_product(y, maps[-1][:, lo:hi], d)
+                t += y
             else:
                 bufs[s][..., at : at + w] = y
         if not direct:
             self._parked.append((lo, w))
+        return product
 
     def _flush_into(self, sums):
         """Apply the last-mode map columns of the parked slabs to the buffers,
@@ -536,11 +629,12 @@ class SketchAccumulator:
         loo = plan.loo_maps  # first, so that the memory cap refuses before any map is built
         # `_kron` sums the core and, for a kronecker plan, B_1..B_d, each with
         # mode j kept; the row-wise B_j of the other kinds are summed in `_loo`.
+        stack, rows = plan.mode1_stack
         if plan.loo_kind == "kronecker":
-            self._kron = _KronSums(shape, [*loo, plan.core_maps])
+            self._kron = _KronSums(shape, [*loo, plan.core_maps], (stack, rows))
             self._loo = []
         else:
-            self._kron = _KronSums(shape, [plan.core_maps])
+            self._kron = _KronSums(shape, [plan.core_maps], (stack, rows[-1:]))
             self._loo = [np.zeros((n, plan.m), order="F") for n in shape]
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
         self._lent = False  # whether a bundle shares the sums
@@ -557,15 +651,23 @@ class SketchAccumulator:
             self._loo = [b.copy(order="K") for b in self._loo]
             self._lent = False
         lo, hi = chunk.start, chunk.start + chunk.count
-        self._kron.add(payload, lo, hi)
+        # The row-wise sketches with a first product of their own go before
+        # the stacked product is formed, so that the two are never held at once.
+        stacked = self.plan.mode1_stack[1]
         for j in range(1, len(self._loo) + 1):
-            self._add_loo(j, payload, lo, hi)
+            if stacked[j - 1] is None:
+                self._add_loo(j, payload, lo, hi)
+        product = self._kron.add(payload, lo, hi)
+        for j in range(1, len(self._loo) + 1):
+            if stacked[j - 1] is not None:
+                self._add_loo(j, payload, lo, hi, product)
 
-    def _add_loo(self, j, payload, lo, hi):
-        """Add the slab's contribution to khatri_rao or unstructured sketch j."""
+    def _add_loo(self, j, payload, lo, hi, product=None):
+        """Add the slab's contribution to khatri_rao or unstructured sketch j;
+        `product` is the slab's stacked mode-1 product, if sketch j has rows in it."""
         d = self.plan.d
         if self.plan.loo_kind == "khatri_rao":
-            contrib = self._khat_contrib(j, payload, lo, hi)
+            contrib = self._khat_contrib(j, payload, lo, hi, product)
         else:
             omega = self.plan.loo_maps[j - 1]
             if j != d:
@@ -576,14 +678,22 @@ class SketchAccumulator:
         out = self._loo[j - 1][lo:hi] if j == d else self._loo[j - 1]
         out += contrib
 
-    def _khat_contrib(self, j, payload, lo, hi):
+    def _khat_contrib(self, j, payload, lo, hi, product=None):
         """unfold(payload, j) @ composite.T for the khatri_rao composite, matrix-free.
 
         Row a of the composite is the Kronecker product of row a of every
-        other mode's map, so the widest other mode is contracted first by
-        ``mode_product`` (its map's rows become the shared index a) and each
-        remaining other mode is then contracted row-wise against that same a.
-        Nothing of size m x prod(n_k, k != j) is formed.
+        other mode's map, so one other mode is contracted first (its map's
+        rows become the shared index a) and each remaining other mode is then
+        contracted row-wise against that same a. Nothing of size
+        m x prod(n_k, k != j) is formed.
+
+        A sketch whose widest other mode is mode 1, ties going to mode 1
+        (``SketchPlan.mode1_stack``), takes its rows of `product`, the slab's
+        stacked mode-1 product with the map on the left, as a C-contiguous view
+        with a first. Any other contracts its widest other mode, the last one
+        counted at the slab's width, by its own ``mode_product``, and moves a
+        first. The remaining modes are contracted one at a time, the outermost
+        that is not mode j, each by one batched matmul over a.
         """
         d = self.plan.d
         maps = {}
@@ -591,12 +701,25 @@ class SketchAccumulator:
             if i != j:
                 a = self.plan.loo_maps[j - 1][i - 1]
                 maps[i] = a[:, lo:hi] if i == d else a
-        w = max(maps, key=lambda i: maps[i].shape[1])
-        g = mode_product(payload, maps.pop(w), w)
-        operands = [g, list(range(d))]
-        for i, a in maps.items():
-            operands += [a, [w - 1, i - 1]]
-        return np.einsum(*operands, [j - 1, w - 1]) * self.plan.khat_scale()
+        if product is None:
+            w = max(maps, key=lambda i: maps[i].shape[1])
+            g = np.moveaxis(mode_product(payload, maps.pop(w), w), w - 1, 0)
+            modes = [i for i in range(1, d + 1) if i != w]
+        else:
+            g = _block(product, self.plan.mode1_stack[1][j - 1], payload.shape)
+            modes = list(product[1])
+        m = g.shape[0]
+        while len(modes) > 1:
+            if modes[-1] != j:
+                i, rest = modes.pop(), g.shape[1:-1]
+                g = np.matmul(g.reshape(m, -1, g.shape[-1]), maps[i][:, :, None])
+            else:
+                i, rest = modes.pop(0), g.shape[2:]
+                g = np.matmul(maps[i][:, None, :], g.reshape(m, g.shape[1], -1))
+            g = g.reshape((m,) + rest)
+        if d > 2:  # g is the last matmul's own output; at d = 2 the scale is 1
+            g *= self.plan.khat_scale()
+        return g.T
 
     # -- merging / finalizing --------------------------------------------------
 

@@ -476,6 +476,22 @@ class TestErrorReporting:
         assert "--chunks" in msg
         assert not out.exists()
 
+    def test_chunks_without_two_pass_is_config(self, pipeline_files, capsys) -> None:
+        """A one-pass recovery would ignore the tensor, so it is refused; with
+        a config file that sets two_pass, the same flags run the second pass."""
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, out = tmp / "b.tskb", tmp / "t.tuck"
+        assert run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle)) == 0
+        argv = ["--input", str(bundle), "--output", str(out), "--rank", "3", "--chunks", str(tensor)]
+        msg = self.check("config", "recover", *argv, capsys=capsys)
+        assert "--chunks" in msg and "--two-pass" in msg
+        assert not out.exists()
+        cfg = write_json(tmp / "r.json", {"two_pass": True})
+        assert run("recover", "--config", cfg, *argv) == 0
+        x = read_tensor(tensor)
+        expect = reconstruct(two_pass(read_bundle(bundle), x, 3))
+        assert np.allclose(reconstruct(read_factorization(out)), expect, rtol=1e-10, atol=1e-10)
+
     def test_family_list_of_the_wrong_length_is_config(self, pipeline_files, capsys) -> None:
         tmp, _, _, tensor = pipeline_files
         cfg = write_json(tmp / "c.json", {"m": 6, "m_c": 8, "loo_family": ["gaussian", "srtt"]})

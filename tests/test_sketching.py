@@ -117,6 +117,43 @@ class TestMatrixFreeKhatriRao:
             expect = unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
 
+    # shape, and the sketches j whose widest other mode is mode 1 (ties go to
+    # mode 1): they take their rows of the stacked mode-1 product.
+    STACKING = [
+        ((7, 4), [2]),
+        ((3, 8), [2]),
+        ((6, 5, 4), [2, 3]),  # mode 1 the unique widest
+        ((5, 4, 5), [2, 3]),  # tied with the last mode for B_2
+        ((4, 6, 5), []),  # not widest
+        ((6, 9, 9, 4), []),
+        ((9, 6, 9, 4), [2, 3, 4]),  # tied for B_2 and B_4
+        ((5, 6, 4, 3), [2]),
+        ((5, 3, 4, 3, 4), [2, 3, 4, 5]),
+        ((4, 3, 5, 3, 4), [3]),  # tied with mode 5 for B_3
+    ]
+
+    @pytest.mark.parametrize("shape,stacked", STACKING, ids=[str(s) for s, _ in STACKING])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_every_path_of_the_stacking_rule_matches_the_oracle(self, shape, stacked, order, width) -> None:
+        """Two shards of `width`-slice slabs, merged, against the row-loop
+        oracle and the batch sketch, at d = 2..5 with the mix families."""
+        x = random_tensor(shape, seed=sum(shape))
+        plan = make_plan(shape, "khatri_rao", 3, 2, loo_family="mix", seed=len(shape))
+        rows = plan.mode1_stack[1]
+        assert [j for j in range(1, plan.d + 1) if rows[j - 1] is not None] == stacked
+        n = shape[-1]
+        shards = [SketchAccumulator(plan), SketchAccumulator(plan)]
+        for lo in range(0, n, width):
+            hi = min(n, lo + width)
+            payload = np.asarray(x[..., lo:hi], order=order)
+            shards[2 * lo >= n].update(SlabChunk(lo, hi - lo, payload))
+        got = shards[0].merge(shards[1]).finalize()
+        for j in range(1, plan.d + 1):
+            expect = unfold(x, j) @ loo_composite(plan, j).T
+            assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
+        assert rel_gap(sketch(x, plan), got) <= 1e-12
+
     def test_update_never_forms_the_composite(self) -> None:
         """n = 96, m = 64: the leave-mode-3 composite alone would take
         8 m n^2 bytes; folding in a thin slab stays far below that."""
@@ -628,6 +665,35 @@ class TestPlanMaps:
                     assert a._kron.maps[s][i] is b._kron.maps[s][i] is plan.loo_maps[s][i]
         assert a._kron.maps[-1][1] is b._kron.maps[-1][1] is plan.core_maps[1]
         assert rel_gap(sketch(x, plan), a.merge(b).finalize()) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao", "unstructured"])
+    def test_accumulators_of_one_plan_share_its_mode_one_stack(self, kind) -> None:
+        """One read-only matrix per plan: B_2 and B_3 (their widest other mode
+        is mode 1) and the core, in that order; the core map alone is not copied."""
+        family = "gaussian" if kind == "unstructured" else "mix"
+        plan = make_plan((6, 5, 6), kind, 4, 3, loo_family=family, seed=91)
+        a, b = SketchAccumulator(plan), SketchAccumulator(plan)
+        stack, rows = plan.mode1_stack
+        assert a._kron._stack is b._kron._stack is stack
+        if kind == "unstructured":
+            assert stack is plan.core_maps[0] and rows == [None, None, None, slice(0, 3)]
+            return
+        assert not stack.flags.writeable and stack.shape == (4 + 4 + 3, 6)
+        assert rows == [None, slice(0, 4), slice(4, 8), slice(8, 11)]
+        for j in (2, 3):
+            assert np.array_equal(stack[rows[j - 1]], plan.loo_maps[j - 1][0])
+        assert np.array_equal(stack[rows[3]], plan.core_maps[0])
+
+    def test_the_two_pass_core_stacks_nothing(self) -> None:
+        """A single measurement's mode-1 map is its own stack: the engine of
+        the two-pass core reads Q_1^T where it lies."""
+        x = random_tensor((6, 5, 9), seed=92)
+        qs = [np.linalg.qr(random_tensor((n, 2), seed=n))[0] for n in x.shape]
+        eng = _KronSums(x.shape, [[q.T for q in qs]])
+        assert eng._stack.base is qs[0]
+        eng.add(x, 0, 9)
+        (got,) = eng.finish()
+        assert np.allclose(got, compute_core_twopass(x, qs), rtol=1e-13, atol=1e-13)
 
     def test_memory_cap_refuses_before_any_map_is_built(self, monkeypatch) -> None:
         plan = make_plan((30, 30, 30), "unstructured", 20, 2, seed=0)
