@@ -10,8 +10,7 @@ Four families:
                     sqrt(n/m) * P * T * D with D a diagonal of random signs,
                     T the orthonormal type-II cosine transform, and P a
                     uniform row subsample without replacement (needs m <= n).
-* ``identity``    - I_n (square only); what a bundle records for the mode a
-                    sketch leaves uncompressed.
+* ``identity``    - I_n (square only).
 
 Every draw comes from a counter-based generator keyed by SHA-256 over
 (seed, family, rows, cols), so materialization is a pure function of the spec:

@@ -1,23 +1,23 @@
 """Binary file formats. Everything is little-endian; floats are IEEE-754 f64.
 
-Four magics:
+Four magics, each followed by a version u32:
 
-* ``TNSR`` - a dense tensor: version u32, d u32, shape d x u64, then the
-  entries in canonical first-mode-fastest order.
-* ``TSKC`` - a chunk stream: version u32, d u32, shape d x u64, then records
+* ``TNSR`` v1 - a dense tensor: d u32, shape d x u64, then the entries in
+  canonical first-mode-fastest order.
+* ``TSKC`` v1 - a chunk stream: d u32, shape d x u64, then records
   {start u64, count u64, payload f64...} covering last-mode slabs, until EOF.
-* ``TSKB`` - a sketch bundle: version u32, the plan, one record per
-  constituent measurement-matrix spec (family u8, rows u64, cols u64,
-  seed u64, prefixed by its (sketch, mode) indices), the per-mode sketch
-  matrices (column-major), the core tensor, and a partial-coverage flag u8.
-  The plan's diagonal-family byte, the map on the mode a sketch keeps, always
-  holds the identity's id: a sketch leaves that mode unmapped, and a bundle
-  with any other value there is refused.
-* ``TUCK`` - a factorization: version u32, d u32, mode lengths d x u64,
-  r u64, core (canonical order), factors (column-major), and a flag u8
-  recording that each factor column was sign-normalized (largest-magnitude
-  entry positive) at write time, with the core adjusted so the reconstruction
-  is unchanged.
+* ``TSKB`` v2 - a sketch bundle: the plan (d u32, shape d x u64, kind u8,
+  m u64, m_c u64, leave-one-out then core families 2d x u8, seed u64), B_1..B_d
+  and the core column-major in the shapes the plan makes, a partial flag u8.
+  Nothing the plan derives is stored; the header alone sizes the payload.
+* ``TUCK`` v2 - a factorization: d u32, mode lengths d x u64, r u64, core
+  (canonical order), factors (column-major), and a flag u8 recording that each
+  factor column was sign-normalized (largest-magnitude entry positive) at
+  write time, with the core adjusted so the reconstruction is unchanged.
+
+A bundle and a factorization end in a u32 ``zlib.crc32`` of every byte
+before it, folded in by ``_Crc32`` as the bytes are read or written; a
+mismatch, or any other version of either format, is an ``IOFormatError``.
 
 A TNSR file and a TSKC stream both hold last-mode slabs stored
 first-mode-fastest, so any last-mode range of a slab is one contiguous run of
@@ -37,6 +37,7 @@ import bisect
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -58,7 +59,9 @@ __all__ = [
     "read_factorization",
 ]
 
-VERSION = 1
+# The one version each magic is read at. Bundles and factorizations are
+# intermediates between the CLI's steps: their v1, with no CRC, is not read.
+_VERSIONS = {b"TNSR": 1, b"TSKC": 1, b"TSKB": 2, b"TUCK": 2}
 
 _KIND_IDS = {kind: i for i, kind in enumerate(LOO_KINDS)}
 _KIND_NAMES = {i: kind for kind, i in _KIND_IDS.items()}
@@ -89,13 +92,52 @@ def _read_exact(f, n, what):
     return f.read(n)
 
 
+def _magic(magic):
+    return magic + struct.pack("<I", _VERSIONS[magic])
+
+
 def _expect_magic(f, magic):
     got = f.read(4)
     if got != magic:
         raise IOFormatError(f"bad magic {got!r}, expected {magic!r}")
     (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-    if version != VERSION:
-        raise IOFormatError(f"unsupported {magic.decode()} version {version}")
+    if version != _VERSIONS[magic]:
+        raise IOFormatError(f"unsupported {magic.decode()} version {version} "
+                            f"(this build reads version {_VERSIONS[magic]})")
+
+
+class _Crc32:
+    """A binary file whose every byte read or written is folded into a running
+    CRC-32, over the buffers being moved, never a copy of them; ``seal`` writes
+    the CRC and ``check`` reads and compares it. Other calls go to the file."""
+
+    def __init__(self, f):
+        self.f, self.crc = f, 0
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def write(self, b):
+        self.crc = zlib.crc32(b, self.crc)
+        self.f.write(b)
+
+    def read(self, n):
+        b = self.f.read(n)
+        self.crc = zlib.crc32(b, self.crc)
+        return b
+
+    def readinto(self, out):
+        n = self.f.readinto(out)
+        self.crc = zlib.crc32(memoryview(out).cast("B")[:n], self.crc)
+        return n
+
+    def seal(self):
+        self.f.write(struct.pack("<I", self.crc))
+
+    def check(self, what):
+        (stored,) = struct.unpack("<I", _read_exact(self.f, 4, f"{what} CRC-32"))
+        if stored != self.crc:
+            raise IOFormatError(f"corrupt {what}: stored CRC-32 {stored:08x}, the bytes give {self.crc:08x}")
 
 
 def _fill(f, out, what):
@@ -133,8 +175,7 @@ def _shape_header(f):
 def write_tensor(path, x):
     x = np.asarray(x, dtype=np.float64)
     with open(path, "wb") as f:
-        f.write(b"TNSR")
-        f.write(struct.pack("<I", VERSION))
+        f.write(_magic(b"TNSR"))
         f.write(struct.pack("<I", x.ndim))
         f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
         _write_f64(f, x)
@@ -158,8 +199,7 @@ def write_chunks(path, shape, chunks):
     """Write last-mode slabs; `chunks` yields SlabChunk objects."""
     shape = tuple(int(n) for n in shape)
     with open(path, "wb") as f:
-        f.write(b"TSKC")
-        f.write(struct.pack("<I", VERSION))
+        f.write(_magic(b"TSKC"))
         f.write(struct.pack("<I", len(shape)))
         f.write(struct.pack(f"<{len(shape)}Q", *shape))
         for c in chunks:
@@ -303,40 +343,30 @@ def read_chunks_dense(path):
 # -- sketch bundles ----------------------------------------------------------
 
 
-def _write_matrix(f, a):
-    f.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-    _write_f64(f, a)
-
-
-def _read_matrix(f, shape, what):
-    dims = struct.unpack("<QQ", _read_exact(f, 16, f"{what} dimensions"))
-    if dims != shape:
-        raise IOFormatError(f"{what} is {dims[0]}x{dims[1]}, the plan makes it {shape[0]}x{shape[1]}")
-    return _read_f64(f, shape[0] * shape[1], what).reshape(shape, order="F")
+def _power(base, exp):
+    """base**exp, or 2**128 (more entries than any file holds) if it is more,
+    so that a hostile header never forms a huge integer."""
+    return base**exp if base < 2 or exp * (base.bit_length() - 1) < 128 else 2**128
 
 
 def write_bundle(path, bundle):
-    plan = bundle.plan
-    d = plan.d
-    with open(path, "wb") as f:
-        f.write(b"TSKB")
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", d))
-        f.write(struct.pack(f"<{d}Q", *plan.shape))
-        f.write(struct.pack("<B", _KIND_IDS[plan.loo_kind]))
-        f.write(struct.pack("<QQ", plan.m, plan.m_c))
-        f.write(struct.pack("<B", FAMILIES["identity"]))
-        f.write(bytes(FAMILIES[fam] for fam in plan.loo_families))
-        f.write(bytes(FAMILIES[fam] for fam in plan.core_families))
+    plan, d = bundle.plan, bundle.plan.d
+    # No dimensions are stored: a wrongly shaped array of the right size would
+    # read back silently reshaped, so none is written.
+    shapes = [(n, plan.loo_cols()) for n in plan.shape] + [(plan.m_c,) * d]
+    got = [np.shape(a) for a in (*bundle.loo, bundle.core)]
+    if got != shapes:
+        raise ShapeError(f"bundle arrays have shapes {got}, the plan makes {shapes}")
+    with open(path, "wb") as raw:
+        f = _Crc32(raw)
+        f.write(_magic(b"TSKB") + struct.pack(f"<I{d}QBQQ", d, *plan.shape, _KIND_IDS[plan.loo_kind],
+                                              plan.m, plan.m_c))
+        f.write(bytes(FAMILIES[fam] for fam in plan.loo_families + plan.core_families))
         f.write(struct.pack("<Q", plan.seed))
-        specs = plan.all_specs()
-        f.write(struct.pack("<I", len(specs)))
-        for j, i, spec in specs:
-            f.write(struct.pack("<IIBQQQ", j, i, FAMILIES[spec.family], spec.rows, spec.cols, spec.seed))
-        for b in bundle.loo:
-            _write_matrix(f, b)
-        _write_f64(f, bundle.core)
+        for a in (*bundle.loo, bundle.core):
+            _write_f64(f, a)
         f.write(struct.pack("<B", 1 if bundle.partial else 0))
+        f.seal()
 
 
 def _family(family_id):
@@ -346,54 +376,34 @@ def _family(family_id):
 
 
 def read_bundle(path):
-    with _open(path) as f:
+    with _open(path) as raw:
+        f = _Crc32(raw)
         _expect_magic(f, b"TSKB")
         shape = _shape_header(f)
         d = len(shape)
-        (kind_id,) = struct.unpack("<B", _read_exact(f, 1, "sketch kind"))
+        kind_id, m, m_c = struct.unpack("<BQQ", _read_exact(f, 17, "sketch kind and dimensions"))
         if kind_id not in _KIND_NAMES:
             raise IOFormatError(f"unknown sketch kind id {kind_id}")
-        m, m_c = struct.unpack("<QQ", _read_exact(f, 16, "sketch dimensions"))
-        (diag_id,) = struct.unpack("<B", _read_exact(f, 1, "diagonal family"))
-        if diag_id != FAMILIES["identity"]:
-            raise IOFormatError(f"diagonal family id {diag_id} is not the identity's "
-                                f"({FAMILIES['identity']}): a sketch keeps its own mode unmapped")
-        loo_ids = _read_exact(f, d, "leave-one-out families")
-        core_ids = _read_exact(f, d, "core families")
+        ids = _read_exact(f, 2 * d, "families")
         (seed,) = struct.unpack("<Q", _read_exact(f, 8, "seed"))
-        # The plan derives one keyed spec per stored record, d(d+1) of them for
-        # structured kinds, so the table must be in the file before it is built.
-        records = 3 * d if _KIND_NAMES[kind_id] == "unstructured" else d * (d + 1)
-        _need(f, 4 + 33 * records, "measurement spec table")
+        # The header alone sizes the payload (B_1..B_d, the core, the flag and
+        # the CRC), so a header naming thousands of modes fails here, before
+        # a plan is built from it.
+        cols = _power(m, d - 1 if _KIND_NAMES[kind_id] == "kronecker" else 1)
+        need = 8 * (sum(shape) * cols + _power(m_c, d)) + 5
+        left = os.fstat(raw.fileno()).st_size - raw.tell()
+        if left != need:
+            raise IOFormatError(f"bundle payload is {left} bytes, its header implies {need}")
+        families = tuple(map(_family, ids))
         try:
-            plan = SketchPlan(
-                shape=shape,
-                loo_kind=_KIND_NAMES[kind_id],
-                m=int(m),
-                m_c=int(m_c),
-                loo_families=tuple(_family(b) for b in loo_ids),
-                core_families=tuple(_family(b) for b in core_ids),
-                seed=int(seed),
-            )
+            plan = SketchPlan(shape, _KIND_NAMES[kind_id], m, m_c, families[:d], families[d:], seed)
         except (ConfigError, ShapeError) as e:
             raise IOFormatError(f"bundle holds an invalid plan: {e}") from e
-        # The stored spec table must repeat the plan's, record for record.
-        specs = plan.all_specs()
-        (n_specs,) = struct.unpack("<I", _read_exact(f, 4, "spec count"))
-        if n_specs != len(specs):
-            raise IOFormatError(f"bundle stores {n_specs} measurement specs, the plan has {len(specs)}")
-        for j, i, spec in specs:
-            record = struct.unpack("<IIBQQQ", _read_exact(f, 33, "ensemble spec record"))
-            if record != (j, i, FAMILIES[spec.family], spec.rows, spec.cols, spec.seed):
-                raise IOFormatError("stored measurement specs do not match the plan (corrupt bundle)")
-        loo = [
-            _read_matrix(f, (n, plan.loo_cols()), f"mode-{j} sketch")
-            for j, n in enumerate(shape, start=1)
-        ]
-        core = _read_f64(f, plan.m_c**d, "core sketch").reshape((plan.m_c,) * d, order="F")
+        loo = [_read_f64(f, n * cols, f"mode-{j} sketch").reshape((n, cols), order="F")
+               for j, n in enumerate(shape, start=1)]
+        core = _read_f64(f, m_c**d, "core sketch").reshape((m_c,) * d, order="F")
         (partial,) = struct.unpack("<B", _read_exact(f, 1, "partial flag"))
-        if f.read(1):
-            raise IOFormatError("trailing bytes after bundle")
+        f.check("bundle")
     return SketchBundle(plan=plan, loo=loo, core=core, partial=bool(partial))
 
 
@@ -426,9 +436,9 @@ def _sign_normalized(t):
 def write_factorization(path, t):
     t = _sign_normalized(t)
     d = t.core.ndim
-    with open(path, "wb") as f:
-        f.write(b"TUCK")
-        f.write(struct.pack("<I", VERSION))
+    with open(path, "wb") as raw:
+        f = _Crc32(raw)
+        f.write(_magic(b"TUCK"))
         f.write(struct.pack("<I", d))
         f.write(struct.pack(f"<{d}Q", *(q.shape[0] for q in t.factors)))
         f.write(struct.pack("<Q", t.rank))
@@ -436,23 +446,26 @@ def write_factorization(path, t):
         for q in t.factors:
             _write_f64(f, q)
         f.write(struct.pack("<B", 1))  # sign convention applied
+        f.seal()
 
 
 def read_factorization(path):
-    with _open(path) as f:
+    with _open(path) as raw:
+        f = _Crc32(raw)
         _expect_magic(f, b"TUCK")
         shape = _shape_header(f)
         d = len(shape)
         (r,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
         if r < 1:
             raise IOFormatError("factorization rank must be >= 1")
-        core = _read_f64(f, r**d, "core").reshape((r,) * d, order="F")
+        core = _read_f64(f, _power(r, d), "core").reshape((r,) * d, order="F")
         factors = []
         for n in shape:
             factors.append(_read_f64(f, n * r, "factor").reshape((n, r), order="F"))
         (flag,) = struct.unpack("<B", _read_exact(f, 1, "sign flag"))
         if flag not in (0, 1):
             raise IOFormatError(f"bad sign flag {flag}")
-        if f.read(1):
+        f.check("factorization")
+        if raw.read(1):
             raise IOFormatError("trailing bytes after factorization")
     return TuckerFactorization(core=core, factors=factors)

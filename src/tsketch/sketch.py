@@ -166,18 +166,21 @@ class SketchPlan:
         for fam in (*self.loo_families, *self.core_families):
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown ensemble family {fam!r}")
-        # Fail fast on infeasible specs (e.g. srtt with more rows than columns);
-        # constructing an EnsembleSpec validates it.
-        self.all_specs()
+        # Fail fast on infeasible maps (e.g. srtt with more rows than columns):
+        # constructing an EnsembleSpec validates it, whatever its seed, so each
+        # (family, rows, cols) the plan draws is checked once, with no seed derived.
+        if self.loo_kind == "unstructured":
+            size = math.prod(self.shape)
+            loo = [(self.loo_families[0], self.m, size // n) for n in self.shape]
+        else:  # the map on mode i is drawn by every sketch but the i-th
+            loo = list(zip(self.loo_families, [self.m] * self.d, self.shape)) if self.d > 1 else []
+        core = zip(self.core_families, [self.m_c] * self.d, self.shape)
+        for family, rows, cols in dict.fromkeys([*loo, *core]):
+            EnsembleSpec(family, rows, cols, 0)
 
     @property
     def d(self):
         return len(self.shape)
-
-    def diag_spec(self, j):
-        """The identity on mode j, which sketch j keeps unmapped; a bundle's spec table records it."""
-        n = self.shape[j - 1]
-        return EnsembleSpec("identity", n, n, derive_seed(self.seed, "loo", j, j))
 
     def loo_spec(self, j, i):
         """Spec of the map in sketch j acting on mode i (i != j)."""
@@ -187,10 +190,7 @@ class SketchPlan:
 
     def unstructured_spec(self, j):
         """Spec of the single dense composite for sketch j (mode index 0 = all remaining modes)."""
-        cols = 1
-        for k in range(1, self.d + 1):
-            if k != j:
-                cols *= self.shape[k - 1]
+        cols = math.prod(self.shape) // self.shape[j - 1]
         return EnsembleSpec(self.loo_families[0], self.m, cols, derive_seed(self.seed, "loo", j, 0))
 
     def core_spec(self, i):
@@ -258,21 +258,6 @@ class SketchPlan:
 
         return tuple(tuple(None if i == j else loo_map(j, i) for i in range(1, d + 1))
                      for j in range(1, d + 1))
-
-    def all_specs(self):
-        """(i, j, spec) records for every constituent map, in a fixed order."""
-        out = []
-        for j in range(1, self.d + 1):
-            out.append((j, j, self.diag_spec(j)))
-            if self.loo_kind == "unstructured":
-                out.append((j, 0, self.unstructured_spec(j)))
-            else:
-                for i in range(1, self.d + 1):
-                    if i != j:
-                        out.append((j, i, self.loo_spec(j, i)))
-        for i in range(1, self.d + 1):
-            out.append((0, i, self.core_spec(i)))
-        return out
 
     def khat_scale(self):
         """Rescale applied to the raw row-wise Kronecker composite.

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -522,19 +523,37 @@ class TestErrorReporting:
         assert "diag_family" in msg
         assert not out.exists()
 
-    def test_bundle_that_maps_a_kept_mode_is_io(self, pipeline_files, capsys) -> None:
-        """A bundle whose diagonal-family byte is not the identity's id, as one
-        sketched with a gaussian map on the kept mode would be, is refused."""
+    @pytest.mark.parametrize("fault,message", [
+        ("payload bit", "corrupt bundle: stored CRC-32"),
+        ("version 1", "unsupported TSKB version 1 "),
+    ])
+    def test_corrupt_or_v1_bundle_is_io(self, pipeline_files, capsys, fault, message) -> None:
+        """A bundle with one payload bit flipped fails its CRC-32, and a v1
+        bundle is not read: either way recover exits 3 and writes nothing."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, out = tmp / "b.tskb", tmp / "t.tuck"
         run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
         data = bytearray(bundle.read_bytes())
-        data[4 + 4 + 4 + 24 + 1 + 16] = FAMILIES["gaussian"]
+        if fault == "payload bit":
+            data[len(data) // 2] ^= 0x04
+        else:
+            data[4:8] = struct.pack("<I", 1)
         bundle.write_bytes(bytes(data))
         msg = self.check("io", "recover", "--input", str(bundle), "--output", str(out), "--rank", "3",
                          capsys=capsys)
-        assert "diagonal family" in msg
+        assert message in msg
         assert not out.exists()
+
+    def test_corrupt_factorization_is_io(self, pipeline_files, capsys) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
+        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
+        data = bytearray(tuck.read_bytes())
+        data[len(data) // 2] ^= 0x04
+        tuck.write_bytes(bytes(data))
+        msg = self.check("io", "eval", "--input", str(tuck), "--chunks", str(tensor), capsys=capsys)
+        assert "corrupt factorization: stored CRC-32" in msg
 
     def test_unknown_config_key_is_config(self, tmp_path, capsys) -> None:
         cfg = write_json(tmp_path / "c.json", {"nn": 10})
@@ -599,8 +618,10 @@ class TestErrorReporting:
     def test_rank_zero_factorization_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, _, tensor = pipeline_files
         tuck = tmp / "t.tuck"
-        tuck.write_bytes(b"TUCK" + struct.pack("<II3QQB", 1, 3, 14, 14, 14, 0, 1))
-        self.check("io", "eval", "--input", str(tuck), "--chunks", str(tensor), capsys=capsys)
+        body = b"TUCK" + struct.pack("<II3QQB", 2, 3, 14, 14, 14, 0, 1)
+        tuck.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        msg = self.check("io", "eval", "--input", str(tuck), "--chunks", str(tensor), capsys=capsys)
+        assert "rank" in msg
 
     def test_eval_shape_mismatch_is_shape(self, tmp_path, capsys) -> None:
         """A 12^3 factorization against a 13^3 tensor is a shape error, as a
@@ -623,15 +644,15 @@ class TestErrorReporting:
             "--output", str(tmp_path / "b.tskb"), capsys=capsys,
         )
 
-    def test_bundle_header_without_its_spec_table_is_io_at_once(self, tmp_path, capsys) -> None:
+    def test_bundle_header_without_its_payload_is_io_at_once(self, tmp_path, capsys) -> None:
         """A 2000-mode kronecker header (modes of length 1) ending after the
-        seed: recover refuses it before the plan derives its 4 million specs."""
+        seed: recover refuses it by the payload its header implies, before
+        a plan is built from it."""
         d = 2000
         bundle = tmp_path / "b.tskb"
         bundle.write_bytes(
             b"TSKB"
-            + struct.pack(f"<II{d}QBQQB", formats.VERSION, d, *[1] * d,
-                          LOO_KINDS.index("kronecker"), 1, 1, FAMILIES["identity"])
+            + struct.pack(f"<II{d}QBQQ", 2, d, *[1] * d, LOO_KINDS.index("kronecker"), 1, 1)
             + bytes([FAMILIES["gaussian"]]) * (2 * d)
             + struct.pack("<Q", 0)
         )
@@ -639,7 +660,7 @@ class TestErrorReporting:
         msg = self.check("io", "recover", "--input", str(bundle), "--output", str(tmp_path / "t.tuck"),
                          "--rank", "1", capsys=capsys)
         assert time.perf_counter() - t0 < 1.0
-        assert "spec table" in msg
+        assert "payload" in msg
 
     def test_one_mode_khatri_rao_is_config(self, tmp_path, capsys) -> None:
         tensor = tmp_path / "x.tnsr"
@@ -697,19 +718,20 @@ class TestErrorReporting:
             "--rank", "3", "--two-pass", "--chunks", str(other), capsys=capsys,
         )
 
-    def test_unknown_family_in_spec_record_is_io(self, pipeline_files, capsys) -> None:
+    def test_unknown_family_in_plan_header_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle = tmp / "b.tskb"
         run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
         data = bytearray(bundle.read_bytes())
-        # plan block of a 3-mode bundle, then the u32 spec count; byte 8 of a
-        # spec record is its family id.
-        data[4 + 4 + 4 + 24 + 1 + 16 + 1 + 3 + 3 + 8 + 4 + 8] = 250
+        # magic, version, d, shape, kind, m and m_c of a 3-mode bundle, then
+        # the leave-one-out family of mode 1
+        data[4 + 4 + 4 + 24 + 1 + 16] = 250
         bundle.write_bytes(bytes(data))
-        self.check(
+        msg = self.check(
             "io", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
             "--rank", "3", capsys=capsys,
         )
+        assert "unknown family id 250" in msg
 
     def test_non_finite_chunk_is_config(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files

@@ -3,6 +3,7 @@
 import struct
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -104,11 +105,17 @@ def test_writers_encode_every_layout_as_before(tmp_path, tensor) -> None:
         write_factorization(tmp_path / "t.tuck", TuckerFactorization(arrays[0], list(arrays[1:])))
         factorizations.add((tmp_path / "t.tuck").read_bytes())
     assert len(bundles) == 1 and len(factorizations) == 1
-    (data,) = bundles
-    assert data.endswith(entries(b.loo[-1]) + entries(b.core) + b"\x00")
+    # v2: the plan, the arrays in the shapes it makes, the flag, then a CRC-32 of all before it
+    plan = b.plan
+    body = (b"TSKB" + struct.pack("<II3QBQQ", 2, 3, *tensor.shape, LOO_KINDS.index("kronecker"), 3, 4)
+            + bytes(FAMILIES[f] for f in plan.loo_families + plan.core_families)
+            + struct.pack("<Q", 5) + b"".join(entries(a) for a in b.loo + [b.core]) + b"\x00")
+    assert bundles == {body + struct.pack("<I", zlib.crc32(body))}
     (data,) = factorizations
     signed = formats._sign_normalized(t)
-    assert data.endswith(entries(signed.core) + b"".join(entries(q) for q in signed.factors) + b"\x01")
+    body = data[:-4]
+    assert body.endswith(entries(signed.core) + b"".join(entries(q) for q in signed.factors) + b"\x01")
+    assert data[-4:] == struct.pack("<I", zlib.crc32(body))
 
 
 def test_chunks_dense_requires_full_coverage(tmp_path, tensor) -> None:
@@ -314,81 +321,95 @@ class TestCorruption:
         with pytest.raises(IOFormatError):
             read_tensor(p)
 
-    def test_tampered_bundle_spec_table(self, tmp_path, tensor) -> None:
-        """Bundles embed the table of measurement-matrix specs; a table that
-        disagrees with the plan must be rejected, not silently re-derived."""
-        plan = make_plan(tensor.shape, "kronecker", 3, 4, seed=5)
+    # Offsets into the 3-mode bundle of `bundle_bytes`: magic, version, d,
+    # shape, kind, m, m_c, then the leave-one-out and core families and the seed.
+    FAMILIES_AT = 4 + 4 + 4 + 24 + 1 + 16
+    SEED_AT = FAMILIES_AT + 6
+    B1_AT = SEED_AT + 8
+
+    @staticmethod
+    def bundle_bytes(tmp_path, tensor):
         p = tmp_path / "b.tskb"
-        write_bundle(p, sketch(tensor, plan))
-        data = bytearray(p.read_bytes())
-        # the spec table starts right after the plan block; flip one seed byte.
-        # plan block: 4+4+4 + 3*8 + 1 + 16 + 1 + 3 + 3 + 8 bytes, then u32 count,
-        # then records of 33 bytes each ending in the u64 seed.
-        off = 4 + 4 + 4 + 24 + 1 + 16 + 1 + 3 + 3 + 8 + 4 + 33 - 8
-        data[off] ^= 0xFF
+        write_bundle(p, sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4, seed=5)))
+        return p, bytearray(p.read_bytes())
+
+    def test_tampered_bundle_seed(self, tmp_path, tensor) -> None:
+        """Any seed makes a valid plan, so a changed one would silently draw
+        other maps: the CRC-32 refuses it."""
+        p, data = self.bundle_bytes(tmp_path, tensor)
+        assert struct.unpack_from("<Q", data, self.SEED_AT) == (5,)
+        data[self.SEED_AT] ^= 0xFF
         p.write_bytes(bytes(data))
-        with pytest.raises(IOFormatError):
+        with pytest.raises(IOFormatError, match="corrupt bundle: stored CRC-32"):
             read_bundle(p)
 
-    @pytest.mark.parametrize("family_id", [FAMILIES["gaussian"], FAMILIES["srtt"], 250])
-    def test_bundle_that_maps_a_kept_mode_is_refused(self, tmp_path, tensor, family_id) -> None:
-        """The diagonal-family byte, right after m and m_c, holds the identity's
-        id: a sketch keeps its own mode unmapped. Any other value is refused
-        before the plan is built."""
-        p = tmp_path / "b.tskb"
-        write_bundle(p, sketch(tensor, make_plan(tensor.shape, "khatri_rao", 4, 3, seed=6)))
-        data = bytearray(p.read_bytes())
-        diag_at = 4 + 4 + 4 + 24 + 1 + 16
-        assert data[diag_at] == FAMILIES["identity"]
-        data[diag_at] = family_id
+    @pytest.mark.parametrize("where", ["B_1", "core", "partial flag", "CRC"])
+    def test_bundle_with_a_flipped_bit_is_refused(self, tmp_path, tensor, where) -> None:
+        """One flipped bit anywhere in the payload or in the stored CRC-32 is
+        a format error, not a sketch that reads back changed."""
+        p, data = self.bundle_bytes(tmp_path, tensor)
+        at = {"B_1": self.B1_AT, "core": len(data) - 5 - 8, "partial flag": len(data) - 5,
+              "CRC": len(data) - 1}[where]
+        data[at] ^= 0x10
         p.write_bytes(bytes(data))
-        with pytest.raises(IOFormatError, match=f"diagonal family id {family_id} is not"):
+        with pytest.raises(IOFormatError, match="corrupt bundle: stored CRC-32"):
             read_bundle(p)
+
+    @pytest.mark.parametrize("magic,writer,reader", [
+        (b"TSKB", lambda p, b, t: write_bundle(p, b), read_bundle),
+        (b"TUCK", lambda p, b, t: write_factorization(p, t), read_factorization),
+    ])
+    def test_version_1_is_refused_naming_it(self, tmp_path, tensor, magic, writer, reader) -> None:
+        """Bundles and factorizations are read at version 2 only: v1 carried no CRC."""
+        b = sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4, seed=5))
+        p = tmp_path / "f"
+        writer(p, b, one_pass(b, 2))
+        data = bytearray(p.read_bytes())
+        assert data[:8] == magic + struct.pack("<I", 2)
+        data[4:8] = struct.pack("<I", 1)
+        p.write_bytes(bytes(data))
+        with pytest.raises(IOFormatError, match=f"unsupported {magic.decode()} version 1 "):
+            reader(p)
 
     @pytest.mark.parametrize(
-        "field,value",
+        "field,value,message",
         [
-            ("family of the first spec record", 250),
-            ("rows of B_1", 2**40),
-            ("swapped dimensions of B_1", None),
+            ("leave-one-out family of mode 1", 250, "unknown family id 250"),
+            ("core family of mode 3", 250, "unknown family id 250"),
+            ("m", 2**40, "payload"),
+            ("m_c", 2**63, "payload"),
         ],
     )
-    def test_hostile_bundle_field(self, tmp_path, tensor, field, value) -> None:
-        """Unknown ids and dimensions the plan does not make are format errors
-        raised before anything is allocated from them."""
-        plan = make_plan(tensor.shape, "kronecker", 3, 4, seed=5)
-        p = tmp_path / "b.tskb"
-        write_bundle(p, sketch(tensor, plan))
-        data = bytearray(p.read_bytes())
-        specs_at = 4 + 4 + 4 + 24 + 1 + 16 + 1 + 3 + 3 + 8 + 4
-        b1_at = specs_at + 33 * len(plan.all_specs())
-        assert struct.unpack_from("<QQ", data, b1_at) == (5, 9)
-        if field.startswith("family"):
-            data[specs_at + 8] = value
-        elif field.startswith("rows"):
-            struct.pack_into("<Q", data, b1_at, value)
+    def test_hostile_bundle_field(self, tmp_path, tensor, field, value, message) -> None:
+        """Unknown ids and sketch dimensions the payload does not hold are
+        format errors raised before anything is allocated from them."""
+        p, data = self.bundle_bytes(tmp_path, tensor)
+        at = {"leave-one-out family of mode 1": self.FAMILIES_AT, "core family of mode 3":
+              self.FAMILIES_AT + 5, "m": self.FAMILIES_AT - 16, "m_c": self.FAMILIES_AT - 8}[field]
+        if field.startswith("m"):
+            struct.pack_into("<Q", data, at, value)
         else:
-            struct.pack_into("<QQ", data, b1_at, 9, 5)
+            data[at] = value
         p.write_bytes(bytes(data))
-        with pytest.raises(IOFormatError):
+        with pytest.raises(IOFormatError, match=message):
             read_bundle(p)
 
+    @pytest.mark.parametrize("d,m", [(2000, 1), (2000, 2**64 - 1), (200_000, 2**64 - 1)])
     @pytest.mark.parametrize("kind", LOO_KINDS)
-    def test_bundle_header_without_its_spec_table_fails_at_once(self, tmp_path, kind) -> None:
-        """A 2000-mode plan of length-1 modes fits in a 20 KB header, but a
-        structured plan derives d(d+1) keyed specs: the missing table is a
-        format error before any of them is derived."""
-        d = 2000
+    def test_bundle_header_without_its_payload_fails_at_once(self, tmp_path, kind, d, m) -> None:
+        """A 2000-mode plan of length-1 modes fits in a 20 KB header; the
+        payload it implies is checked against the file before the plan is
+        built, and without forming m^(d-1) when m is 2^64 - 1 (seconds of
+        big-integer work at d = 200000)."""
         p = tmp_path / "b.tskb"
         p.write_bytes(
             b"TSKB"
-            + struct.pack(f"<II{d}QBQQB", formats.VERSION, d, *[1] * d, LOO_KINDS.index(kind),
-                          1, 1, FAMILIES["identity"])
+            + struct.pack(f"<II{d}QBQQ", 2, d, *[1] * d, LOO_KINDS.index(kind), m, m)
             + bytes([FAMILIES["gaussian"]]) * (2 * d)
             + struct.pack("<Q", 0)
         )
         t0 = time.perf_counter()
-        with pytest.raises(IOFormatError, match="spec table"):
+        with pytest.raises(IOFormatError, match="payload"):
             read_bundle(p)
         assert time.perf_counter() - t0 < 1.0
 
@@ -408,13 +429,44 @@ class TestCorruption:
         """A TUCK header of rank 0 holds no factorization, though its empty
         core and factors would otherwise read cleanly."""
         p = tmp_path / "t.tuck"
-        p.write_bytes(b"TUCK" + struct.pack("<II3QQB", 1, 3, 5, 4, 6, 0, 1))
+        body = b"TUCK" + struct.pack("<II3QQB", 2, 3, 5, 4, 6, 0, 1)
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(IOFormatError, match="rank"):
             read_factorization(p)
+
+    def test_hostile_factorization_rank_fails_at_once(self, tmp_path) -> None:
+        """A 200000-mode TUCK header of rank 2^64 - 1 names a core of r^d
+        entries: it is refused by the bytes left, without forming r^d."""
+        d = 200_000
+        p = tmp_path / "t.tuck"
+        p.write_bytes(b"TUCK" + struct.pack(f"<II{d}QQ", 2, d, *[1] * d, 2**64 - 1))
+        t0 = time.perf_counter()
+        with pytest.raises(IOFormatError, match="truncated file while reading core"):
+            read_factorization(p)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(IOFormatError):
             read_tensor(tmp_path / "absent.tnsr")
+
+
+@pytest.mark.parametrize("bad", ["transposed B_1", "flattened core", "missing B_3"])
+def test_write_bundle_refuses_arrays_the_plan_does_not_shape(tmp_path, tensor, bad) -> None:
+    """Nothing but the plan records the shapes, so a transposed B_j of the
+    right size would read back silently reshaped: it is refused, and no file
+    is left."""
+    b = sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4, seed=5))
+    loo, core = list(b.loo), b.core
+    if bad == "transposed B_1":
+        loo[0] = loo[0].T
+    elif bad == "flattened core":
+        core = core.reshape(16, 4)
+    else:
+        loo.pop()
+    p = tmp_path / "b.tskb"
+    with pytest.raises(ShapeError, match="the plan makes"):
+        write_bundle(p, SketchBundle(b.plan, loo, core))
+    assert not p.exists()
 
 
 def test_partial_bundle_round_trips_the_flag(tmp_path, tensor) -> None:
@@ -465,7 +517,8 @@ def valid_files(tmp_path_factory):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 def test_byte_flips_read_or_raise_io_error(valid_files, name, flips) -> None:
     """Flipping one to three bytes of a valid file either still reads or
-    raises IOFormatError; no other exception escapes the reader."""
+    raises IOFormatError; no other exception escapes the reader. A bundle or a
+    factorization, checked by its CRC-32, never still reads once changed."""
     d, files = valid_files
     raw, reader = files[name]
     data = bytearray(raw)
@@ -473,7 +526,28 @@ def test_byte_flips_read_or_raise_io_error(valid_files, name, flips) -> None:
         data[pos % len(data)] ^= mask
     p = d / f"flipped-{name}"
     p.write_bytes(bytes(data))
+    if name.startswith(("tskb", "tuck")) and data != raw:
+        with pytest.raises(IOFormatError):
+            reader(p)
+        return
     try:
         reader(p)
     except IOFormatError:
         pass
+
+
+@pytest.mark.parametrize("name", ["tskb-kronecker", "tuck"])
+def test_every_single_bit_flip_is_refused(valid_files, name) -> None:
+    """A CRC-32 detects every error burst of 32 bits or fewer, so each
+    single-bit flip of a small bundle or factorization, at every position,
+    is an IOFormatError."""
+    d, files = valid_files
+    raw, reader = files[name]
+    p = d / f"bit-flipped-{name}"
+    for pos in range(len(raw)):
+        for bit in range(8):
+            data = bytearray(raw)
+            data[pos] ^= 1 << bit
+            p.write_bytes(bytes(data))
+            with pytest.raises(IOFormatError):
+                reader(p)
