@@ -376,12 +376,12 @@ def cmd_recover(args, cfg):
         raise ConfigError("--two-pass needs the tensor via --chunks")
     if args.chunks and not cfg["two_pass"]:
         raise ConfigError("--chunks is read only by the second pass: add --two-pass")
-    bundle = read_bundle(bundle_path)
     if cfg["two_pass"]:
+        # No local holds the bundle, so `two_pass` frees it before its pass.
         with TensorFile(args.chunks) as x:
-            t = two_pass(bundle, x.slabs(), rank)
+            t = two_pass(read_bundle(bundle_path), x.slabs(), rank)
     else:
-        t = one_pass(bundle, rank)
+        t = one_pass(read_bundle(bundle_path), rank)
     write_factorization(output, t)
     return 0
 

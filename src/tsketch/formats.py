@@ -10,6 +10,9 @@ Four magics, each followed by a version u32:
   m u64, m_c u64, leave-one-out then core families 2d x u8, seed u64), B_1..B_d
   and the core column-major in the shapes the plan makes, a partial flag u8.
   Nothing the plan derives is stored; the header alone sizes the payload.
+  Recovery rebuilds the core maps from the seed but never a leave-one-out
+  map, so how those are drawn (one per mode, shared by the sketches) is not
+  part of the format: a bundle recovers the same whichever draw made it.
 * ``TUCK`` v2 - a factorization: d u32, mode lengths d x u64, r u64, core
   (canonical order), factors (column-major), and a flag u8 recording that each
   factor column was sign-normalized (largest-magnitude entry positive) at
@@ -169,6 +172,16 @@ def _shape_header(f):
     return tuple(int(n) for n in shape)
 
 
+def _tensor_shape(f):
+    """The shape in a TNSR or TSKC header, refused if it names 2^128 entries
+    or more, more than any file holds, so that no count formed from it grows
+    past the digits an error message can print."""
+    shape = _shape_header(f)
+    if sum(n.bit_length() - 1 for n in shape) >= 128:
+        raise IOFormatError(f"a shape of {len(shape)} modes names more entries than any file holds")
+    return shape
+
+
 # -- tensors -------------------------------------------------------------
 
 
@@ -184,7 +197,7 @@ def write_tensor(path, x):
 def read_tensor(path):
     with _open(path) as f:
         _expect_magic(f, b"TNSR")
-        shape = _shape_header(f)
+        shape = _tensor_shape(f)
         count = math.prod(shape)
         data = _read_f64(f, count, "tensor entries")
         if f.read(1):
@@ -274,7 +287,7 @@ class TensorFile:
             raise IOFormatError(f"{path}: expected a TNSR or TSKC file, found magic {magic!r}")
         f.seek(0)
         _expect_magic(f, magic)
-        self.shape = _shape_header(f)
+        self.shape = _tensor_shape(f)
         self._slab_bytes = 8 * math.prod(self.shape[:-1])
         n = self.shape[-1]
         if magic == b"TNSR":

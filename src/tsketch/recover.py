@@ -348,9 +348,12 @@ def two_pass(bundle, x, r):
 
     `x` is the dense tensor or its last-mode slabs, as ``compute_core_twopass``
     takes them. The projection core is the best core for given factors, so
-    against the observed tensor two-pass is never worse than one-pass.
+    against the observed tensor two-pass is never worse than one-pass. The
+    second pass needs only the factors, so the bundle is dropped before it:
+    a caller that keeps no reference of its own frees it there.
     """
     qs = recover_factors(bundle, r)
+    del bundle
     core = compute_core_twopass(x, qs)
     return TuckerFactorization(core=core, factors=qs)
 

@@ -7,10 +7,12 @@ tensor it defines:
   which stays at full length n_j and is not mapped at all. Three structures
   are supported:
 
-  - ``kronecker``: one small map per (sketch, mode) pair, applied modewise;
-    the composite acting on the unfolding is their Kronecker product in
-    descending mode order and is never materialized. B_j is n_j x m^(d-1).
-  - ``khatri_rao``: per-mode components share the row count m and the
+  - ``kronecker``: one small map A_i per mode i, applied modewise and shared
+    by every sketch that compresses mode i (the modewise measurements of
+    Iwen, Needell, Rebrova & Zare 2021); the composite of sketch j acting on
+    the unfolding is the Kronecker product of the A_i, i != j, in descending
+    mode order and is never materialized. B_j is n_j x m^(d-1).
+  - ``khatri_rao``: the same per-mode maps A_i, with the row count m, and the
     composite is their row-wise Kronecker product (descending mode order),
     rescaled so a unit vector keeps unit expected squared norm. B_j is n x m.
     The composite is never materialized either: a slab is contracted on its
@@ -34,7 +36,8 @@ kept at full length) and the two-pass core. Each slab is read once for every
 measurement that contracts mode 1 first, by one matmul with the plan's
 stacked mode-1 maps (``SketchPlan.mode1_stack``) on the left: the core, the
 kronecker B_j for j != 1, and each khatri_rao B_j whose widest other mode is
-mode 1, ties going to mode 1. Each takes its rows of the product as a view.
+mode 1, ties going to mode 1. The leave-one-out ones share A_1, so the stack
+holds it once: m + m_c rows. Each takes its rows of the product as a view.
 A last-mode map applied to a thin slab is a matmul with a small inner
 dimension and an output as large as the measurement, so thin slabs are
 parked, contracted on the other modes, in a buffer of up to
@@ -123,8 +126,9 @@ class SketchPlan:
     `m` is the per-mode sketch dimension for kronecker plans and the composite
     row count for khatri_rao / unstructured plans; they, `m_c`, `seed` and the
     shape entries are integers (a numpy integer will do). `loo_families[i-1]`
-    is the family of every map that compresses mode i; `core_families[i-1]`
-    likewise for the core maps. The plan owns its materialized maps
+    is the family of the one leave-one-out map A_i on mode i, which every
+    kronecker or khatri_rao sketch j != i applies; `core_families[i-1]`
+    likewise for the core map on mode i. The plan owns its materialized maps
     (``core_maps``, ``loo_maps`` and their stacked ``mode1_stack``): built on
     first use, read-only, and shared by every accumulator and recovery of the plan.
     """
@@ -172,7 +176,7 @@ class SketchPlan:
         if self.loo_kind == "unstructured":
             size = math.prod(self.shape)
             loo = [(self.loo_families[0], self.m, size // n) for n in self.shape]
-        else:  # the map on mode i is drawn by every sketch but the i-th
+        else:  # one map per mode, applied by every sketch but the i-th
             loo = list(zip(self.loo_families, [self.m] * self.d, self.shape)) if self.d > 1 else []
         core = zip(self.core_families, [self.m_c] * self.d, self.shape)
         for family, rows, cols in dict.fromkeys([*loo, *core]):
@@ -183,9 +187,10 @@ class SketchPlan:
         return len(self.shape)
 
     def loo_spec(self, j, i):
-        """Spec of the map in sketch j acting on mode i (i != j)."""
+        """Spec of the map in sketch j acting on mode i (i != j). Every sketch
+        that compresses mode i applies the same map A_i, so it depends on i alone."""
         return EnsembleSpec(
-            self.loo_families[i - 1], self.m, self.shape[i - 1], derive_seed(self.seed, "loo", j, i)
+            self.loo_families[i - 1], self.m, self.shape[i - 1], derive_seed(self.seed, "loo", i)
         )
 
     def unstructured_spec(self, j):
@@ -213,17 +218,20 @@ class SketchPlan:
 
         Those measurements are the core, the kronecker B_j for j != 1 and each
         khatri_rao B_j whose widest other mode is mode 1, ties going to mode 1
-        (at d = 3 and a cubic shape, B_2 and B_3). Their leave-one-out maps are
-        materialized straight into the stack, and ``loo_maps`` holds its rows,
-        so each is held once; the core rows are a copy of ``core_maps[0]``,
-        which recovery builds without any leave-one-out map.
+        (at d = 3 and a cubic shape, B_2 and B_3). The B_j among them share
+        A_1, which is materialized once, straight into the first m rows, and
+        each of them reads those rows: the stack has m + m_c rows, and
+        ``loo_maps`` holds A_1 as a view of them. The core rows are a copy of
+        ``core_maps[0]``, which recovery builds without any leave-one-out map.
         """
         d, n = self.d, self.shape
         firsts = [None] * d + [self.core_maps[0] if d > 1 else None]
-        for j in range(2, d + 1):
-            widest = max((n[i - 1] for i in range(2, d + 1) if i != j), default=0)
-            if self.loo_kind == "kronecker" or (self.loo_kind == "khatri_rao" and n[0] >= widest):
-                firsts[j - 1] = self.loo_spec(j, 1)
+        starts = [j for j in range(2, d + 1) if self.loo_kind == "kronecker" or (
+            self.loo_kind == "khatri_rao"
+            and n[0] >= max((n[i - 1] for i in range(2, d + 1) if i != j), default=0))]
+        a1 = self.loo_spec(starts[0], 1) if starts else None
+        for j in starts:
+            firsts[j - 1] = a1
         return _stack_mode1(firsts)
 
     @cached_property
@@ -234,8 +242,9 @@ class SketchPlan:
         For an unstructured plan, the d dense composites, refused with
         ``ConfigError`` before any is built if one needs more than
         ``TSKETCH_MEM_CAP_MB``. Otherwise, per sketch j, the map on each mode
-        i, None at i = j, the mode the sketch keeps; a mode-1 map in
-        ``mode1_stack`` is its rows there.
+        i, None at i = j, the mode the sketch keeps. Each mode's map A_i is
+        materialized once and every sketch j != i holds the same array; A_1,
+        if ``mode1_stack`` has rows for it, is a view of those rows.
         """
         d = self.d
         if self.loo_kind == "unstructured":
@@ -250,13 +259,15 @@ class SketchPlan:
                     )
             return tuple(_read_only(materialize(spec)) for spec in specs)
         stack, rows = self.mode1_stack
+        stacked = next((r for r in rows[:-1] if r is not None), None)
 
-        def loo_map(j, i):
-            if i == 1 and rows[j - 1] is not None:
-                return stack[rows[j - 1]]
-            return _read_only(materialize(self.loo_spec(j, i)))
+        def loo_map(i):  # A_i, named by a sketch that compresses mode i
+            if i == 1 and stacked is not None:
+                return stack[stacked]
+            return _read_only(materialize(self.loo_spec(1 if i > 1 else 2, i)))
 
-        return tuple(tuple(None if i == j else loo_map(j, i) for i in range(1, d + 1))
+        maps = [loo_map(i) for i in range(1, d + 1)] if d > 1 else [None]
+        return tuple(tuple(None if i == j else maps[i - 1] for i in range(1, d + 1))
                      for j in range(1, d + 1))
 
     def khat_scale(self):
@@ -437,23 +448,25 @@ def _stack_mode1(firsts):
     """(stack, rows): the mode-1 maps `firsts`, each an array, an
     ``EnsembleSpec`` to materialize straight into its rows, or None (a
     measurement that keeps mode 1 or contracts another mode first), stacked in
-    one read-only matrix, and each one's slice of its rows, or None. A single
-    array is its own stack, not copied."""
-    rows, at = [], 0
+    one read-only matrix, and each one's slice of its rows, or None. An entry
+    repeated, the same object, is stacked once and its measurements share its
+    rows. A single array is its own stack, not copied."""
+    rows, at, placed = [], 0, {}  # placed: id of each distinct map -> (map, its rows)
     for a in firsts:
-        height = 0 if a is None else a.rows if isinstance(a, EnsembleSpec) else a.shape[0]
-        rows.append(None if a is None else slice(at, at + height))
-        at += height
-    given = [a for a in firsts if a is not None]
+        if a is not None and id(a) not in placed:
+            height = a.rows if isinstance(a, EnsembleSpec) else a.shape[0]
+            placed[id(a)] = (a, slice(at, at + height))
+            at += height
+        rows.append(None if a is None else placed[id(a)][1])
+    given = [a for a, _ in placed.values()]
     if not given:
         return None, rows
     if len(given) == 1 and isinstance(given[0], np.ndarray):
         return given[0], rows
     cols = given[0].cols if isinstance(given[0], EnsembleSpec) else given[0].shape[1]
     stack = np.empty((at, cols))
-    for a, r in zip(firsts, rows):
-        if a is not None:
-            stack[r] = materialize(a) if isinstance(a, EnsembleSpec) else a
+    for a, r in placed.values():
+        stack[r] = materialize(a) if isinstance(a, EnsembleSpec) else a
     stack.flags.writeable = False
     return stack, rows
 

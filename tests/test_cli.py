@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 
@@ -275,6 +276,28 @@ class TestStreamingMemory:
         assert code == 0
         assert peak < nbytes / 4, (peak, nbytes)
 
+    def test_two_pass_frees_the_bundle_before_its_pass(self, files, monkeypatch) -> None:
+        """The second pass needs only the factors: the bundle `recover
+        --two-pass` read is gone before the first slab is read."""
+        d, _ = files
+        refs, alive = [], []
+        read_bundle, read = tsketch.cli.read_bundle, formats.TensorFile.read
+
+        def reading(path):
+            bundle = read_bundle(path)
+            refs.append(weakref.ref(bundle))
+            return bundle
+
+        def slab(self, lo, hi):
+            alive.append(refs[0]() is not None)
+            return read(self, lo, hi)
+
+        monkeypatch.setattr(tsketch.cli, "read_bundle", reading)
+        monkeypatch.setattr(formats.TensorFile, "read", slab)
+        assert main(["recover", "--two-pass", "--rank", "4", "--input", str(d / "b.tskb"),
+                     "--chunks", str(d / "x.tskc"), "--output", str(d / "t2.tuck")]) == 0
+        assert len(alive) == 16 and not any(alive)
+
     def test_sketch_holds_one_piece(self, tmp_path, monkeypatch) -> None:
         """The sketch step drops each piece before it reads the next: over 8
         pieces it peaks below the sketch, the buffers, the maps and one and a
@@ -292,9 +315,10 @@ class TestStreamingMemory:
         sketch_bytes = 8 * (plan.loo_entry_count() + plan.core_entry_count())
         # B_1 (n x m), B_2 (m x n) and the core (m x m) each buffer 8 slices.
         buffer_bytes = 8 * 8 * (n * m + m * n + m * m)
-        # Every map, and the stacked copy of those that compress mode 1.
-        maps = [a for ms in plan.loo_maps for a in ms if a is not None] + list(plan.core_maps)
-        maps += [ms[0] for ms in plan.loo_maps[1:]] + [plan.core_maps[0]]
+        # Every map once (sketches share each mode's map, and A_1 lives in the
+        # stack), and the stack's copy of the core's mode-1 map.
+        maps = list({id(a): a for ms in plan.loo_maps for a in ms if a is not None}.values())
+        maps += list(plan.core_maps) + [plan.core_maps[0]]
         bound = sketch_bytes + buffer_bytes + sum(a.nbytes for a in maps) + 1.5 * piece
         tracemalloc.start()
         try:
@@ -661,6 +685,19 @@ class TestErrorReporting:
                          "--rank", "1", capsys=capsys)
         assert time.perf_counter() - t0 < 1.0
         assert "payload" in msg
+
+    @pytest.mark.parametrize("magic", [b"TNSR", b"TSKC"])
+    def test_tensor_header_past_any_file_is_io(self, tmp_path, magic, capsys) -> None:
+        """2000 modes of 2^63 name a count of about 38,000 digits, past what
+        Python prints: the header is refused before the count is formed."""
+        d = 2000
+        path = tmp_path / "x"
+        head = magic + struct.pack(f"<II{d}Q", 1, d, *[2**63] * d)
+        # A stream's record header is sized against the file, as a TNSR's entries are.
+        path.write_bytes(head + (struct.pack("<QQ", 0, 1) if magic == b"TSKC" else b""))
+        msg = self.check("io", "sketch", "--chunks", str(path), "--output", str(tmp_path / "b.tskb"),
+                         capsys=capsys)
+        assert "more entries than any file holds" in msg
 
     def test_one_mode_khatri_rao_is_config(self, tmp_path, capsys) -> None:
         tensor = tmp_path / "x.tnsr"

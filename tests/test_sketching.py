@@ -529,16 +529,20 @@ class TestCoalescing:
         assert acc._kron._width == 4
 
     def test_mode_one_maps_are_rows_of_one_stacked_matrix(self) -> None:
+        """B_2 and B_3 apply the same A_1: they read the same rows of the
+        stack, above the core's, and the stack holds A_1 once."""
         plan = make_plan((6, 5, 40), "kronecker", 3, 4, loo_family="mix", seed=73)
         acc = SketchAccumulator(plan)
         eng = acc._kron
         firsts = [eng.maps[j - 1][0] for j in (2, 3)] + [eng.maps[-1][0]]
         specs = [plan.loo_spec(2, 1), plan.loo_spec(3, 1), plan.core_spec(1)]
+        assert specs[0] == specs[1]
         assert eng.maps[0][0] is None
+        assert eng._rows == [None, slice(0, 3), slice(0, 3), slice(3, 7)]
         for a, spec in zip(firsts, specs):
             assert a.base is eng._stack
             assert np.array_equal(a, materialize(spec))
-        assert eng._stack.shape == (3 + 3 + 4, 6)
+        assert eng._stack.shape == (3 + 4, 6)
 
 
 class TestMerge:
@@ -650,8 +654,12 @@ class TestPlanMaps:
         if kind == "unstructured":
             maps = [(plan.unstructured_spec(j), plan.loo_maps[j - 1]) for j in (1, 2, 3)]
         else:
-            maps = [(plan.loo_spec(j, i), plan.loo_maps[j - 1][i - 1])
-                    for j in (1, 2, 3) for i in (1, 2, 3) if i != j]
+            # One map per mode: sketches 2 and 3 name A_1, sketches 1 and 3 A_2, 1 and 2 A_3.
+            maps = [(plan.loo_spec(2 if i == 1 else 1, i), plan.loo_maps[2 if i == 1 else 0][i - 1])
+                    for i in (1, 2, 3)]
+            for j, i in [(j, i) for j in (1, 2, 3) for i in (1, 2, 3) if i != j]:
+                assert plan.loo_spec(j, i) == maps[i - 1][0]
+                assert plan.loo_maps[j - 1][i - 1] is maps[i - 1][1]
             assert all(plan.loo_maps[j - 1][j - 1] is None for j in (1, 2, 3))
         specs = [spec for spec, _ in maps] + [plan.core_spec(i) for i in (1, 2, 3)]
         assert sorted(calls, key=specs.index) == specs  # each once, no map on a kept mode
@@ -663,13 +671,15 @@ class TestPlanMaps:
             for s in range(3):
                 for i in (1, 2):
                     assert a._kron.maps[s][i] is b._kron.maps[s][i] is plan.loo_maps[s][i]
+            assert a._kron.maps[0][2] is a._kron.maps[1][2]  # B_1 and B_2 apply one A_3
         assert a._kron.maps[-1][1] is b._kron.maps[-1][1] is plan.core_maps[1]
         assert rel_gap(sketch(x, plan), a.merge(b).finalize()) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao", "unstructured"])
     def test_accumulators_of_one_plan_share_its_mode_one_stack(self, kind) -> None:
-        """One read-only matrix per plan: B_2 and B_3 (their widest other mode
-        is mode 1) and the core, in that order; the core map alone is not copied."""
+        """One read-only matrix per plan: A_1, which B_2 and B_3 (their widest
+        other mode is mode 1) both read, then the core; the core map alone is
+        not copied."""
         family = "gaussian" if kind == "unstructured" else "mix"
         plan = make_plan((6, 5, 6), kind, 4, 3, loo_family=family, seed=91)
         a, b = SketchAccumulator(plan), SketchAccumulator(plan)
@@ -678,11 +688,57 @@ class TestPlanMaps:
         if kind == "unstructured":
             assert stack is plan.core_maps[0] and rows == [None, None, None, slice(0, 3)]
             return
-        assert not stack.flags.writeable and stack.shape == (4 + 4 + 3, 6)
-        assert rows == [None, slice(0, 4), slice(4, 8), slice(8, 11)]
-        for j in (2, 3):
-            assert np.array_equal(stack[rows[j - 1]], plan.loo_maps[j - 1][0])
+        assert not stack.flags.writeable and stack.shape == (4 + 3, 6)
+        assert rows == [None, slice(0, 4), slice(0, 4), slice(4, 7)]
+        assert plan.loo_maps[1][0] is plan.loo_maps[2][0]
+        assert plan.loo_maps[1][0].base is stack
+        assert np.array_equal(stack[rows[1]], plan.loo_maps[1][0])
         assert np.array_equal(stack[rows[3]], plan.core_maps[0])
+
+    @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao"])
+    @pytest.mark.parametrize("shape", [(7, 5), (6, 5, 4), (5, 4, 3, 4), (4, 3, 3, 2, 3)],
+                             ids=lambda s: f"d{len(s)}")
+    def test_one_map_per_compressed_mode(self, kind, shape, monkeypatch) -> None:
+        """At d = 2..5 a plan builds A_i once per mode and every sketch j != i
+        applies it; every sketch that starts on mode 1 reads the same rows of
+        the stack, which holds m + m_c rows. Two merged shards of one-slice
+        slabs match the explicit composite and the batch sketch."""
+        x = random_tensor(shape, seed=93 + len(shape))
+        plan = make_plan(shape, kind, 3, 2, loo_family="mix", seed=94)
+        d = plan.d
+        calls = []
+        module = importlib.import_module("tsketch.sketch")
+        monkeypatch.setattr(module, "materialize", lambda spec: calls.append(spec) or materialize(spec))
+        shards = [SketchAccumulator(plan), SketchAccumulator(plan)]
+        n = shape[-1]
+        for lo in range(n):
+            shards[2 * lo >= n].update(SlabChunk(lo, 1, x[..., lo : lo + 1]))
+        got = shards[0].merge(shards[1]).finalize()
+
+        loo_specs = [plan.loo_spec(2 if i == 1 else 1, i) for i in range(1, d + 1)]
+        core_specs = [plan.core_spec(i) for i in range(1, d + 1)]
+        assert sorted(calls, key=(loo_specs + core_specs).index) == loo_specs + core_specs
+        for i in range(1, d + 1):
+            others = [j for j in range(1, d + 1) if j != i]
+            assert {plan.loo_spec(j, i) for j in others} == {loo_specs[i - 1]}
+            assert len({id(plan.loo_maps[j - 1][i - 1]) for j in others}) == 1
+
+        stack, rows = plan.mode1_stack
+        starts = [j for j in range(2, d + 1) if rows[j - 1] is not None]
+        assert starts and all(rows[j - 1] == slice(0, plan.m) for j in starts)
+        assert stack.shape == (plan.m + plan.m_c, shape[0])
+        assert np.array_equal(stack[: plan.m], materialize(loo_specs[0]))
+        if kind == "kronecker":
+            assert starts == list(range(2, d + 1))
+            for acc in shards:
+                for j in starts:
+                    assert acc._kron.maps[j - 1][0].base is stack
+                    assert acc._kron._rows[j - 1] == slice(0, plan.m)
+
+        for j in range(1, d + 1):
+            expect = unfold(x, j) @ loo_composite(plan, j).T
+            assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
+        assert rel_gap(sketch(x, plan), got) <= 1e-12
 
     def test_the_two_pass_core_stacks_nothing(self) -> None:
         """A single measurement's mode-1 map is its own stack: the engine of
