@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
-from .recover import TuckerFactorization, compute_core_twopass, reconstruct
+from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import SlabChunk, _require_coverage, _take_slab
 from .tensor import inner, multi_mode_product, norm, unfold
 
@@ -190,7 +190,7 @@ def max_principal_angle(q, u):
 
 def tail_energy(x, r, j):
     """Sum of squared singular values of the mode-j unfolding beyond index r."""
-    m = unfold(x, j)
+    r, m = _rank(r), unfold(x, j)
     if r > min(m.shape):
         raise RankError(f"rank {r} exceeds min dimension {min(m.shape)} of the mode-{j} unfolding")
     if m.shape[1] > m.shape[0]:
@@ -207,7 +207,7 @@ def hosvd_truncate(x, r):
     The classical quasi-optimal baseline: its squared error is at most the sum
     of the per-mode tail energies.
     """
-    x = np.asarray(x, dtype=np.float64)
+    r, x = _rank(r), np.asarray(x, dtype=np.float64)
     if r > min(x.shape):
         raise RankError(f"rank {r} exceeds smallest mode length {min(x.shape)}")
     factors = []
@@ -236,7 +236,7 @@ def gen_lowrank(n, d, r, seed):
 
     Returns (tensor, factors). Deterministic in `seed`.
     """
-    if r > n:
+    if _rank(r) > n:
         raise RankError(f"rank {r} exceeds mode length {n}")
     core = keyed_generator(seed, "lowrank-core").random((r,) * d)
     factors = []
@@ -248,7 +248,7 @@ def gen_lowrank(n, d, r, seed):
 
 
 def _superdiag(n, d, r, tail):
-    if r > n:
+    if _rank(r) > n:
         raise RankError(f"rank {r} exceeds mode length {n}")
     if r + 1 >= n:
         warnings.warn(f"super-diagonal tensor with n={n}, r={r} has no decaying tail", stacklevel=3)
@@ -276,7 +276,7 @@ def tail_baseline(x, r):
 
     The floor any rank-r approximation of a super-diagonal tensor converges to.
     """
-    x = np.asarray(x, dtype=np.float64)
+    r, x = _rank(r), np.asarray(x, dtype=np.float64)
     n = min(x.shape)
     idx = np.arange(r, n)
     tail = x[tuple(idx for _ in range(x.ndim))]

@@ -195,14 +195,12 @@ def write_tensor(path, x):
 
 
 def read_tensor(path):
-    with _open(path) as f:
-        _expect_magic(f, b"TNSR")
-        shape = _tensor_shape(f)
-        count = math.prod(shape)
-        data = _read_f64(f, count, "tensor entries")
-        if f.read(1):
-            raise IOFormatError(f"trailing bytes after {count} tensor entries")
-    return data.reshape(shape, order="F")
+    """A TNSR file as one array, read and checked by ``TensorFile``. A TSKC
+    stream is refused: ``read_chunks_dense`` assembles either format."""
+    with TensorFile(path) as x:
+        if x.magic != b"TNSR":
+            raise IOFormatError(f"{path}: expected a TNSR file, found a {x.magic.decode()} stream")
+        return x.read(0, x.shape[-1])
 
 
 # -- chunk streams ---------------------------------------------------------
@@ -269,7 +267,8 @@ class TensorFile:
     Opening reads the header and, for a stream, every record header (not the
     payloads), and checks that the records tile the last mode: none overlaps
     another and together they cover it. A TNSR file is one record covering
-    the whole mode. Use as a context manager, or call ``close``.
+    the whole mode. `magic` is b"TNSR" or b"TSKC", `shape` the tensor's. Use
+    as a context manager, or call ``close``.
     """
 
     def __init__(self, path):
@@ -287,6 +286,7 @@ class TensorFile:
             raise IOFormatError(f"{path}: expected a TNSR or TSKC file, found magic {magic!r}")
         f.seek(0)
         _expect_magic(f, magic)
+        self.magic = magic
         self.shape = _tensor_shape(f)
         self._slab_bytes = 8 * math.prod(self.shape[:-1])
         n = self.shape[-1]

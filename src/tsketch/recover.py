@@ -48,6 +48,7 @@ matrices, so the cost of recovery does not grow with the tensor.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -109,6 +110,14 @@ class TuckerFactorization:
     @property
     def shape(self):
         return tuple(q.shape[0] for q in self.factors)
+
+
+def _rank(r):
+    """A rank argument, an integer (a numpy integer will do), as an int."""
+    try:
+        return operator.index(r)
+    except TypeError:
+        raise RankError(f"rank must be an integer, got {r!r}") from None
 
 
 def _pinv(a, mode):
@@ -211,7 +220,7 @@ def recover_factors(bundle, r):
     if bundle.partial:
         raise ConfigError("bundle is partial (stream did not cover the last mode); "
                           "recovery needs a complete sketch")
-    r = int(r)
+    r = _rank(r)
     if r < 1:
         raise RankError(f"rank must be >= 1, got {r}")
     cap = min(plan.m_c // 2, *(min(b.shape) for b in bundle.loo))

@@ -30,22 +30,20 @@ range selects. ``SketchAccumulator`` holds the fixed-size measurement arrays
 finalizes into a :class:`SketchBundle`. Batch sketching is the special case
 of one slab covering the whole mode, which is how ``sketch`` is implemented.
 
-One engine, ``_KronSums``, sums every product of the slab stream by one map
-per mode: the core sketch of every plan, the B_j of a kronecker plan (mode j
-kept at full length) and the two-pass core. Each slab is read once for every
-measurement that contracts mode 1 first, by one matmul with the plan's
-stacked mode-1 maps (``SketchPlan.mode1_stack``) on the left: the core, the
-kronecker B_j for j != 1, and each khatri_rao B_j whose widest other mode is
-mode 1, ties going to mode 1. The leave-one-out ones share A_1, so the stack
-holds it once: m + m_c rows. Each takes its rows of the product as a view.
-A last-mode map applied to a thin slab is a matmul with a small inner
-dimension and an output as large as the measurement, so thin slabs are
-parked, contracted on the other modes, in a buffer of up to
-``_BUFFER_SLICES`` slices, and applied a buffer at a time. The accumulator
-itself sums the row-wise khatri_rao and unstructured sketches, each slab as
-it comes: a khatri_rao B_j with rows in the stacked product finishes from
-them, and any other takes its own first product before the stacked one is
-formed, so that the two are never held at once.
+One engine, ``_KronSums``, sums every measurement of a plan over the slab
+stream: the modewise products (the core, the kronecker B_j, and the
+two-pass core too) and the khatri_rao and unstructured B_j. Each slab is
+read once for every measurement that contracts mode 1 first, by one matmul
+with the plan's stacked mode-1 maps (``SketchPlan.mode1_stack``) on the
+left: the core, the kronecker B_j for j != 1, and each khatri_rao B_j whose
+widest other mode is mode 1, ties going to mode 1. The leave-one-out ones
+share A_1, so the stack holds it once: m + m_c rows. Each takes its rows of
+the product as a view; any other B_j takes its own first product before the
+stacked one is formed, so that the two are never held at once. A last-mode
+map applied to a thin slab is a matmul with a small inner dimension and an
+output as large as the measurement, so the modewise measurements park thin
+slabs, contracted on the other modes, in a buffer of up to
+``_BUFFER_SLICES`` slices, and apply them a buffer at a time.
 
 Streaming memory is one slab in hand plus the sketch: the sums, the buffers
 and the maps. ``finalize`` lends the sums to its bundle as read-only views
@@ -53,9 +51,10 @@ instead of copying them, and the accumulator copies them before it next
 changes them.
 
 A streamed sketch, the two-pass core and the error of a factorization are
-each a sum over slabs, right only if every slab is finite and fits the tensor
-and the slabs tile the last mode once. ``_take_slab`` and ``_require_coverage``
-hold that rule for the accumulator, ``compute_core_twopass`` and ``score``.
+each a sum over slabs, right only if every slab is real, finite and fits the
+tensor and the slabs tile the last mode once. ``_take_slab`` and
+``_require_coverage`` hold that rule for the accumulator,
+``compute_core_twopass`` and ``score``.
 """
 
 from __future__ import annotations
@@ -89,11 +88,12 @@ LOO_KINDS = ("kronecker", "khatri_rao", "unstructured")
 
 DEFAULT_MEM_CAP_MB = 256.0
 
-# Last-mode slices a measurement of ``_KronSums`` gathers before applying its
-# last-mode map, capped by the rows of that map, so that no buffer outgrows the
-# measurement it feeds, and by the length of the mode. A buffer of w slices is
-# w/m of a measurement whose last-mode map has m rows: at m = 25 a cap of 32
-# made each buffer as large as the measurement, which 8 slices cut to a third.
+# Last-mode slices a modewise measurement of ``_KronSums`` gathers before
+# applying its last-mode map, capped by the rows of that map, so that no buffer
+# outgrows the measurement it feeds, and by the length of the mode. A buffer of
+# w slices is w/m of a measurement whose last-mode map has m rows: at m = 25 a
+# cap of 32 made each buffer as large as the measurement, which 8 slices cut to
+# a third.
 # A flush is still one matmul per measurement, of inner dimension 8, so thin
 # slabs still reach the last-mode map a buffer at a time, not a slice at a time.
 _BUFFER_SLICES = 8
@@ -377,8 +377,9 @@ def _take_slab(covered, shape, chunk, what="slab"):
 
     In order: the range is integral (a numpy integer will do) and lies in the
     last mode, and the payload has the tensor's other mode lengths
-    (``ShapeError``); every entry is finite and the range
-    overlaps no slab in `covered` (``ConfigError``).
+    (``ShapeError``); the entries are real (bool, integer or float, never
+    complex, text or objects), every entry is finite, and the range overlaps
+    no slab in `covered` (``ConfigError``).
     """
     try:
         lo, count = operator.index(chunk.start), operator.index(chunk.count)
@@ -388,10 +389,13 @@ def _take_slab(covered, shape, chunk, what="slab"):
     hi, n = lo + count, shape[-1]
     if lo < 0 or count < 0 or hi > n:
         raise ShapeError(f"{what} [{lo}, {hi}) outside mode of length {n}")
-    payload = np.asarray(chunk.payload, dtype=np.float64)
+    payload = np.asarray(chunk.payload)
     if payload.shape != shape[:-1] + (count,):
         raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
                          f"the tensor's shape {shape}")
+    if payload.dtype.kind not in "biuf":
+        raise ConfigError(f"{what} [{lo}, {hi}) has entries of type {payload.dtype}, not real numbers")
+    payload = payload.astype(np.float64, copy=False)
     if not np.isfinite(payload).all():
         raise ConfigError(f"{what} [{lo}, {hi}) has non-finite entries")
     hit = _overlap(covered, lo, count)
@@ -431,16 +435,68 @@ class SketchBundle:
         return self.core.size
 
 
-def _zeros_kept_first(shape, maps):
-    """Zeros for the product of a tensor of `shape` by `maps`, one per mode,
-    laid out column-major with the modes a None keeps first.
+@dataclass(frozen=True, eq=False)
+class _Joint:
+    """A leave-one-out sketch B_j (n_j x m) whose maps act on the other modes
+    jointly: a khatri_rao B_j, whose `maps` (one per mode, None at j) compose
+    row-wise, rescaled by `scale`, or an unstructured B_j, whose `maps` is one
+    dense map on the columns of the mode-j unfolding.
 
-    So the unfolding on a kept mode j, the B_j of a kronecker plan, is a
-    column-major view of the sum, and a sum that keeps no mode is column-major.
+    Row a of the row-wise composite is the Kronecker product of row a of every
+    other mode's map. So one other mode is contracted first, its map's rows
+    becoming the shared index a: mode 1, through `first`, the sketch's rows of
+    the slab's stacked mode-1 product, or else the widest other mode, by a
+    ``mode_product``. Each remaining other mode is then contracted by one
+    batched matmul over a. Nothing of size m x prod(n_k, k != j) is formed.
     """
-    dims = [n if a is None else a.shape[0] for n, a in zip(shape, maps)]
-    kept = [k for k, a in enumerate(maps) if a is None]
-    rest = [k for k, a in enumerate(maps) if a is not None]
+
+    j: int
+    maps: object
+    m: int
+    scale: float
+
+    def contract(self, x, lo, hi, first=None, modes=None):
+        """unfold(x, j) times the composite's transpose, for the slab x, slices lo..hi-1 of the last mode."""
+        d, j = x.ndim, self.j
+        if isinstance(self.maps, np.ndarray):  # dense: mode d is the slowest of its columns
+            stride = math.prod(x.shape[:-1]) // x.shape[j - 1]
+            return unfold(x, j) @ (self.maps if j == d else self.maps[:, lo * stride : hi * stride]).T
+        maps = {i: a[:, lo:hi] if i == d else a for i, a in enumerate(self.maps, start=1) if i != j}
+        if first is None:
+            w = max(maps, key=lambda i: maps[i].shape[1])
+            g = np.moveaxis(mode_product(x, maps.pop(w), w), w - 1, 0)
+            modes = [i for i in range(1, d + 1) if i != w]
+        else:
+            g, modes = first, list(modes)
+        m = g.shape[0]
+        while len(modes) > 1:
+            if modes[-1] != j:
+                i, rest = modes.pop(), g.shape[1:-1]
+                g = np.matmul(g.reshape(m, -1, g.shape[-1]), maps[i][:, :, None])
+            else:
+                i, rest = modes.pop(0), g.shape[2:]
+                g = np.matmul(maps[i][:, None, :], g.reshape(m, g.shape[1], -1))
+            g = g.reshape((m,) + rest)
+        if d > 2:  # g is the last matmul's own output; at d = 2 the scale is 1
+            g *= self.scale
+        return g.T
+
+
+def _zeros_kept_first(shape, meas):
+    """Zeros for the sum of the measurement `meas` of a tensor of `shape`,
+    laid out column-major with the modes it keeps first: where its map is
+    None, or mode j of a ``_Joint`` B_j, which holds its m columns on the
+    first other mode and is 1 long on the rest. So B_j, the unfolding on a
+    kept mode j, is a column-major view of the sum of either kind, and a sum
+    that keeps no mode is column-major.
+    """
+    if isinstance(meas, _Joint):
+        dims, kept = [1] * max(len(shape), 2), [meas.j - 1]
+        dims[meas.j - 1], dims[1 if meas.j == 1 else 0] = shape[meas.j - 1], meas.m
+    else:
+        dims = [n if a is None else a.shape[0] for n, a in zip(shape, meas)]
+        kept = [k for k, a in enumerate(meas) if a is None]
+    rest = [k for k in range(len(dims)) if k not in kept]
     return np.moveaxis(np.zeros([dims[k] for k in kept + rest], order="F"), range(len(kept)), kept)
 
 
@@ -493,56 +549,69 @@ def _block(product, rows, shape):
 
 
 class _KronSums:
-    """Sums over a last-mode slab stream of modewise products of the slabs.
+    """Sums over a last-mode slab stream of linear measurements of the slabs.
 
-    Each measurement is a list of one map per mode, None keeping that mode at
-    full length; the last-mode map is cut to each slab's columns. Slabs are
-    checked by the caller (``_take_slab``). Every measurement that compresses
-    mode 1 takes its rows of one ``_mode1_product`` per slab, through `stack`:
-    (matrix, rows), as ``_stack_mode1`` builds it for the measurements (a
-    plan passes its ``mode1_stack``, whose matrix may hold rows for other
-    measurements too). A row block of an F-ordered slab holds its modes in
-    reverse, so its transpose, F-contiguous with mode 1 last, is contracted
-    and mode 1 moved back first at the end; no block is copied. A measurement
-    that compresses the last mode applies its map to a slab at least `_width`
-    wide and parks a thinner one, applying the parked slabs when the buffer
-    fills, and at `merge` and `finish`.
+    A measurement is a list of one map per mode, None keeping that mode at
+    full length, for a modewise product (the core, a kronecker B_j, the
+    two-pass core), or a ``_Joint`` B_j. The last-mode map is cut to each
+    slab's columns. Slabs are checked by the caller (``_take_slab``). Every
+    measurement that compresses mode 1 first takes its rows of one
+    ``_mode1_product`` per slab, through `stack`: (matrix, rows), as
+    ``_stack_mode1`` builds it (a plan passes its ``mode1_stack``). Of an
+    F-ordered slab, whose row blocks hold their modes in reverse, a modewise
+    measurement contracts a block's transpose, F-contiguous with mode 1 last,
+    and moves mode 1 back first at the end; no block is copied. A ``_Joint``
+    sketch with a first product of its own goes before the stacked product is
+    formed, so that the two are never held at once; one with rows in it goes
+    after the modewise ones. A modewise measurement that compresses the last
+    mode applies its map to a slab at least `_width` wide and parks a thinner
+    one, applying the parked slabs when the buffer fills, and at `merge` and
+    `finish`.
     """
 
     def __init__(self, shape, measurements, stack=None):
-        self.maps = [list(maps) for maps in measurements]
-        self.sums = [_zeros_kept_first(shape, maps) for maps in self.maps]
+        self.maps = [m if isinstance(m, _Joint) else list(m) for m in measurements]
+        self.sums = [_zeros_kept_first(shape, m) for m in self.maps]
+        joint = [s for s, m in enumerate(self.maps) if isinstance(m, _Joint)]
         # With one mode, the mode-1 map is the last-mode map, which each slab
         # cuts to its own columns: it is not stacked.
         if stack is None:
-            stack = _stack_mode1([maps[0] if len(shape) > 1 else None for maps in self.maps])
+            stack = _stack_mode1([None if s in joint or len(shape) == 1 else m[0]
+                                  for s, m in enumerate(self.maps)])
         self._stack, self._rows = stack
-        for maps, rows in zip(self.maps, self._rows):
-            if rows is not None:
+        self._own = [s for s in joint if self._rows[s] is None]
+        self._stacked = [s for s in joint if self._rows[s] is not None]
+        for s, (maps, rows) in enumerate(zip(self.maps, self._rows)):
+            if rows is not None and s not in joint:
                 maps[0] = self._stack[rows]
-        last = [maps[-1].shape[0] for maps in self.maps if maps[-1] is not None]
-        self._width = min(_BUFFER_SLICES, shape[-1], *last)
+        self._parks = [s for s, m in enumerate(self.maps) if s not in joint and m[-1] is not None]
+        self._width = min(_BUFFER_SLICES, shape[-1], *(self.maps[s][-1].shape[0] for s in self._parks))
         # (start, count) of the parked slabs, and the buffers: allocated by the
         # first thin slab after construction or `finish`, which releases them.
         self._parked, self._bufs = [], None
 
     def _buffers(self):
-        """Per measurement that compresses the last mode, room for `_width` slices of it."""
+        """Per modewise measurement that compresses the last mode, room for `_width` slices of it."""
         if self._bufs is None:
-            self._bufs = [
-                None if maps[-1] is None else np.empty(t.shape[:-1] + (self._width,), order="F")
-                for maps, t in zip(self.maps, self.sums)
-            ]
+            self._bufs = [np.empty(t.shape[:-1] + (self._width,), order="F") if s in self._parks else None
+                          for s, t in enumerate(self.sums)]
         return self._bufs
+
+    def _add_joint(self, s, x, lo, hi, *first):
+        """Add the slab x, slices lo..hi-1 of the last mode, to the ``_Joint`` B_j of measurement s,
+        through `first`: its block of the stacked mode-1 product and the product's modes, if any."""
+        t, j = self.sums[s], self.maps[s].j
+        b = t.swapaxes(0, j - 1).reshape(t.shape[j - 1], -1, order="F")  # unfold(t, j), at less cost
+        out = b[lo:hi] if j == x.ndim else b
+        out += self.maps[s].contract(x, lo, hi, *first)
 
     def add(self, x, lo, hi):
         """Add the slab x, slices lo..hi-1 of the last mode, to every measurement:
-        its rows of the stacked mode-1 product (or x, when it keeps mode 1),
-        contracted on modes 2..d-1, then on the last mode or parked.
-
-        Returns the slab's ``_mode1_product``, None without a stack, for the
-        caller's measurements that have rows in the stack too.
-        """
+        a modewise one takes its rows of the stacked mode-1 product (or x,
+        when it keeps mode 1), contracted on modes 2..d-1, then on the last
+        mode or parked."""
+        for s in self._own:
+            self._add_joint(s, x, lo, hi)
         d, w = x.ndim, hi - lo
         direct = w >= self._width
         at = sum(c for _, c in self._parked)
@@ -552,6 +621,8 @@ class _KronSums:
         bufs = None if direct else self._buffers()
         product = None if self._stack is None else _mode1_product(x, self._stack)
         for s, (maps, rows, t) in enumerate(zip(self.maps, self._rows, self.sums)):
+            if isinstance(maps, _Joint):
+                continue
             y, rot = x, 0
             if rows is not None:
                 # With its modes reversed (an F-ordered slab), a block is
@@ -574,7 +645,8 @@ class _KronSums:
                 bufs[s][..., at : at + w] = y
         if not direct:
             self._parked.append((lo, w))
-        return product
+        for s in self._stacked:
+            self._add_joint(s, x, lo, hi, _block(product, self._rows[s], x.shape), product[1])
 
     def _flush_into(self, sums):
         """Apply the last-mode map columns of the parked slabs to the buffers,
@@ -611,29 +683,23 @@ class _KronSums:
 class SketchAccumulator:
     """Single-writer additive state for one measurement campaign.
 
-    Holds the plan and fixed-size measurement arrays; the maps are the plan's
-    own (``SketchPlan.loo_maps`` and ``core_maps``), so the accumulators of one
-    plan share one copy of them. Chunks are folded in by `update` and never
-    retained (``_KronSums`` parks thin slabs only after contracting them on
-    every mode but the last); `merge` combines two accumulators built from the
-    same plan over disjoint slab ranges.
+    Holds the plan and one engine, ``_KronSums``, that sums every measurement
+    of the plan; the maps are the plan's own (``SketchPlan.loo_maps``,
+    ``core_maps`` and ``mode1_stack``), so the accumulators of one plan share
+    one copy of them. Chunks are folded in by `update` and never retained
+    (the engine parks thin slabs only after contracting them on every mode
+    but the last); `merge` combines two accumulators built from the same plan
+    over disjoint slab ranges.
     """
 
     def __init__(self, plan):
         if not isinstance(plan, SketchPlan):
             raise ConfigError("accumulator needs a SketchPlan")
         self.plan = plan
-        shape = plan.shape
         loo = plan.loo_maps  # first, so that the memory cap refuses before any map is built
-        # `_kron` sums the core and, for a kronecker plan, B_1..B_d, each with
-        # mode j kept; the row-wise B_j of the other kinds are summed in `_loo`.
-        stack, rows = plan.mode1_stack
-        if plan.loo_kind == "kronecker":
-            self._kron = _KronSums(shape, [*loo, plan.core_maps], (stack, rows))
-            self._loo = []
-        else:
-            self._kron = _KronSums(shape, [plan.core_maps], (stack, rows[-1:]))
-            self._loo = [np.zeros((n, plan.m), order="F") for n in shape]
+        if plan.loo_kind != "kronecker":
+            loo = [_Joint(j, maps, plan.m, plan.khat_scale()) for j, maps in enumerate(loo, start=1)]
+        self._kron = _KronSums(plan.shape, [*loo, plan.core_maps], plan.mode1_stack)
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
         self._lent = False  # whether a bundle shares the sums
 
@@ -646,78 +712,8 @@ class SketchAccumulator:
             return
         if self._lent:  # a bundle holds the sums: add to copies of them
             self._kron.sums = [t.copy(order="K") for t in self._kron.sums]
-            self._loo = [b.copy(order="K") for b in self._loo]
             self._lent = False
-        lo, hi = chunk.start, chunk.start + chunk.count
-        # The row-wise sketches with a first product of their own go before
-        # the stacked product is formed, so that the two are never held at once.
-        stacked = self.plan.mode1_stack[1]
-        for j in range(1, len(self._loo) + 1):
-            if stacked[j - 1] is None:
-                self._add_loo(j, payload, lo, hi)
-        product = self._kron.add(payload, lo, hi)
-        for j in range(1, len(self._loo) + 1):
-            if stacked[j - 1] is not None:
-                self._add_loo(j, payload, lo, hi, product)
-
-    def _add_loo(self, j, payload, lo, hi, product=None):
-        """Add the slab's contribution to khatri_rao or unstructured sketch j;
-        `product` is the slab's stacked mode-1 product, if sketch j has rows in it."""
-        d = self.plan.d
-        if self.plan.loo_kind == "khatri_rao":
-            contrib = self._khat_contrib(j, payload, lo, hi, product)
-        else:
-            omega = self.plan.loo_maps[j - 1]
-            if j != d:
-                # Mode d is the slowest of the composite's columns.
-                stride = math.prod(self.plan.shape[:-1]) // self.plan.shape[j - 1]
-                omega = omega[:, lo * stride : hi * stride]
-            contrib = unfold(payload, j) @ omega.T
-        out = self._loo[j - 1][lo:hi] if j == d else self._loo[j - 1]
-        out += contrib
-
-    def _khat_contrib(self, j, payload, lo, hi, product=None):
-        """unfold(payload, j) @ composite.T for the khatri_rao composite, matrix-free.
-
-        Row a of the composite is the Kronecker product of row a of every
-        other mode's map, so one other mode is contracted first (its map's
-        rows become the shared index a) and each remaining other mode is then
-        contracted row-wise against that same a. Nothing of size
-        m x prod(n_k, k != j) is formed.
-
-        A sketch whose widest other mode is mode 1, ties going to mode 1
-        (``SketchPlan.mode1_stack``), takes its rows of `product`, the slab's
-        stacked mode-1 product with the map on the left, as a C-contiguous view
-        with a first. Any other contracts its widest other mode, the last one
-        counted at the slab's width, by its own ``mode_product``, and moves a
-        first. The remaining modes are contracted one at a time, the outermost
-        that is not mode j, each by one batched matmul over a.
-        """
-        d = self.plan.d
-        maps = {}
-        for i in range(1, d + 1):
-            if i != j:
-                a = self.plan.loo_maps[j - 1][i - 1]
-                maps[i] = a[:, lo:hi] if i == d else a
-        if product is None:
-            w = max(maps, key=lambda i: maps[i].shape[1])
-            g = np.moveaxis(mode_product(payload, maps.pop(w), w), w - 1, 0)
-            modes = [i for i in range(1, d + 1) if i != w]
-        else:
-            g = _block(product, self.plan.mode1_stack[1][j - 1], payload.shape)
-            modes = list(product[1])
-        m = g.shape[0]
-        while len(modes) > 1:
-            if modes[-1] != j:
-                i, rest = modes.pop(), g.shape[1:-1]
-                g = np.matmul(g.reshape(m, -1, g.shape[-1]), maps[i][:, :, None])
-            else:
-                i, rest = modes.pop(0), g.shape[2:]
-                g = np.matmul(maps[i][:, None, :], g.reshape(m, g.shape[1], -1))
-            g = g.reshape((m,) + rest)
-        if d > 2:  # g is the last matmul's own output; at d = 2 the scale is 1
-            g *= self.plan.khat_scale()
-        return g.T
+        self._kron.add(payload, chunk.start, chunk.start + chunk.count)
 
     # -- merging / finalizing --------------------------------------------------
 
@@ -734,7 +730,6 @@ class SketchAccumulator:
                 raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
         out = copy.copy(self)
         out._kron = self._kron.merge(other._kron)
-        out._loo = [a + b for a, b in zip(self._loo, other._loo)]
         out._covered = sorted(self._covered + other._covered)
         out._lent = False
         return out
@@ -754,16 +749,11 @@ class SketchAccumulator:
         accumulator takes more slabs after, and copies its sums before the
         next slab changes them, so the bundle never changes.
         """
-        plan = self.plan
-        *kron, core = self._kron.finish()
-        if plan.loo_kind == "kronecker":
-            loo = [unfold(t, j) for j, t in enumerate(kron, start=1)]
-        else:
-            loo = self._loo
+        *loo, core = self._kron.finish()
         self._lent = True
         return SketchBundle(
-            plan=plan,
-            loo=[_read_only(b) for b in loo],
+            plan=self.plan,
+            loo=[_read_only(unfold(t, j)) for j, t in enumerate(loo, start=1)],
             core=_read_only(core),
             partial=not self.coverage_complete(),
         )

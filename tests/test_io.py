@@ -449,6 +449,14 @@ class TestCorruption:
         with pytest.raises(IOFormatError):
             read_tensor(tmp_path / "absent.tnsr")
 
+    def test_read_tensor_refuses_a_chunk_stream(self, tmp_path, tensor) -> None:
+        """`read_tensor` reads TNSR only; `read_chunks_dense` takes either format."""
+        p = tmp_path / "x.tskc"
+        write_chunks(p, tensor.shape, slab_chunks(tensor, 2))
+        with pytest.raises(IOFormatError, match="expected a TNSR file, found a TSKC stream"):
+            read_tensor(p)
+        assert np.array_equal(read_chunks_dense(p), tensor)
+
 
 @pytest.mark.parametrize("bad", ["transposed B_1", "flattened core", "missing B_3"])
 def test_write_bundle_refuses_arrays_the_plan_does_not_shape(tmp_path, tensor, bad) -> None:

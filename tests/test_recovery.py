@@ -13,10 +13,13 @@ from tsketch.evaluate import (
     add_noise_snr,
     gen_lowrank,
     gen_superdiag_exp,
+    gen_superdiag_poly,
+    hosvd_truncate,
     max_principal_angle,
     relative_error,
     score,
     tail_baseline,
+    tail_energy,
 )
 from tsketch.recover import (
     TuckerFactorization,
@@ -296,6 +299,37 @@ class TestErrorPaths:
             recover_factors(b, 0)
         with pytest.raises(RankError):
             recover_factors(b, 7)  # above the mode length
+
+    RANKED = {
+        "recover_factors": lambda b, x, r: recover_factors(b, r),
+        "one_pass": lambda b, x, r: one_pass(b, r),
+        "two_pass": lambda b, x, r: two_pass(b, x, r),
+        "tail_energy": lambda b, x, r: tail_energy(x, r, 1),
+        "hosvd_truncate": lambda b, x, r: hosvd_truncate(x, r),
+        "tail_baseline": lambda b, x, r: tail_baseline(x, r),
+        "gen_lowrank": lambda b, x, r: gen_lowrank(6, 3, r, 0),
+        "gen_superdiag_exp": lambda b, x, r: gen_superdiag_exp(6, 3, r),
+        "gen_superdiag_poly": lambda b, x, r: gen_superdiag_poly(6, 3, r),
+    }
+
+    @pytest.mark.parametrize("call", list(RANKED))
+    @pytest.mark.parametrize("r", [2.9, 2.0, "2", None], ids=["2.9", "2.0", "str", "None"])
+    def test_ranks_must_be_integers(self, call, r) -> None:
+        """Refused, not truncated or parsed: a rank of 2.9 once fitted rank 2,
+        and "3" rank 3. A numpy integer gives what the int gives."""
+        x = np.random.default_rng(122).standard_normal((6, 6, 6))
+        b = sketch(x, make_plan(x.shape, "kronecker", 4, 8, seed=123))
+        fn = self.RANKED[call]
+        with pytest.raises(RankError, match="rank must be an integer"):
+            fn(b, x, r)
+        got, want = fn(b, x, np.int64(2)), fn(b, x, 2)
+        if isinstance(want, tuple):  # gen_lowrank: (tensor, factors)
+            got, want = got[0], want[0]
+        if isinstance(want, TuckerFactorization):
+            got, want = reconstruct(got), reconstruct(want)
+        if isinstance(want, list):
+            got, want = np.stack(got), np.stack(want)
+        assert np.array_equal(got, want)
 
     def test_core_rank_above_sketch_size(self) -> None:
         x = np.random.default_rng(119).standard_normal((8, 8, 8))

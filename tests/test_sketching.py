@@ -355,7 +355,7 @@ class TestStreaming:
         for lo, hi in [(0, 2), (2, 3), (10, 12)]:  # thin: the core parks them
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
         lent, again = acc.finalize(), acc.finalize()
-        sums = acc._kron.sums + acc._loo
+        sums = acc._kron.sums
         for a in lent.loo + [lent.core] + again.loo + [again.core]:
             assert not a.flags.writeable and a.flags.f_contiguous
             assert any(np.shares_memory(a, t) for t in sums)
@@ -956,6 +956,18 @@ class TestSlabRule:
         x = data[0]
         chunks = self.stream(x, [(0, 2), (2, 5)], bad)
         with pytest.raises(ConfigError, match=r"slab \[2, 5\) has non-finite entries"):
+            self.consume(consumer, data, chunks)
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize("kind", ["complex", "string", "object"])
+    def test_slab_that_is_not_real(self, data, consumer, kind) -> None:
+        """Refused, not converted: a complex slab once lost its imaginary
+        part with a warning, and numeric text or objects were read as floats."""
+        chunks = self.stream(data[0], [(0, 2), (2, 5)])
+        payload = chunks[-1].payload
+        chunks[-1] = SlabChunk(2, 3, {"complex": payload + 1j, "string": payload.astype(str),
+                                      "object": payload.astype(object)}[kind])
+        with pytest.raises(ConfigError, match=r"slab \[2, 5\) has entries of type .*, not real numbers"):
             self.consume(consumer, data, chunks)
 
     @pytest.mark.parametrize("consumer", CONSUMERS)
