@@ -113,11 +113,14 @@ class TuckerFactorization:
 
 
 def _rank(r):
-    """A rank argument, an integer (a numpy integer will do), as an int."""
+    """A rank argument, an integer (a numpy integer will do) of at least 1, as an int."""
     try:
-        return operator.index(r)
+        r = operator.index(r)
     except TypeError:
         raise RankError(f"rank must be an integer, got {r!r}") from None
+    if r < 1:
+        raise RankError(f"rank must be >= 1, got {r}")
+    return r
 
 
 def _pinv(a, mode):
@@ -221,8 +224,6 @@ def recover_factors(bundle, r):
         raise ConfigError("bundle is partial (stream did not cover the last mode); "
                           "recovery needs a complete sketch")
     r = _rank(r)
-    if r < 1:
-        raise RankError(f"rank must be >= 1, got {r}")
     cap = min(plan.m_c // 2, *(min(b.shape) for b in bundle.loo))
     k = max(r, min(r + _OVERSAMPLE, cap)) if plan.d > 1 else r
     qs = []

@@ -43,10 +43,13 @@ stacked one is formed, so that the two are never held at once. A last-mode
 map applied to a thin slab is a matmul with a small inner dimension and an
 output as large as the measurement, so the modewise measurements park thin
 slabs, contracted on the other modes, in a buffer of up to
-``_BUFFER_SLICES`` slices, and apply them a buffer at a time.
+``_BUFFER_SLICES`` slices, and apply them a buffer at a time. A full buffer
+reaches its sum in tiles: each tile of the sum's rows is formed in a
+temporary of at most ``_TILE_BYTES`` and added, so no flush forms a
+temporary as large as the measurement.
 
-Streaming memory is one slab in hand plus the sketch: the sums, the buffers
-and the maps. ``finalize`` lends the sums to its bundle as read-only views
+A streaming step holds the sums, the buffers, the maps and one slab with
+its products. ``finalize`` lends the sums to its bundle as read-only views
 instead of copying them, and the accumulator copies them before it next
 changes them.
 
@@ -97,6 +100,11 @@ DEFAULT_MEM_CAP_MB = 256.0
 # A flush is still one matmul per measurement, of inner dimension 8, so thin
 # slabs still reach the last-mode map a buffer at a time, not a slice at a time.
 _BUFFER_SLICES = 8
+
+# Bytes of the temporary through which a flush adds the product of a buffer
+# and its last-mode map to a sum, one tile of the sum's rows at a time, so that
+# no flush forms a temporary as large as the measurement it adds to.
+_TILE_BYTES = 64 * 2**10
 
 
 def _mem_cap_mb():
@@ -482,22 +490,40 @@ class _Joint:
         return g.T
 
 
-def _zeros_kept_first(shape, meas):
+def _memory_order(meas, ndim):
+    """The `ndim` axes of the sum of the measurement `meas`, fastest first:
+    the modes it keeps at full length (where its map is None, or mode j of a
+    ``_Joint`` B_j), then the others ascending, so that a compressed last
+    mode is the slowest."""
+    kept = [meas.j - 1] if isinstance(meas, _Joint) else [k for k, a in enumerate(meas) if a is None]
+    return kept + [k for k in range(ndim) if k not in kept]
+
+
+def _zeros_kept_first(shape, meas, last=None):
     """Zeros for the sum of the measurement `meas` of a tensor of `shape`,
-    laid out column-major with the modes it keeps first: where its map is
-    None, or mode j of a ``_Joint`` B_j, which holds its m columns on the
-    first other mode and is 1 long on the rest. So B_j, the unfolding on a
-    kept mode j, is a column-major view of the sum of either kind, and a sum
-    that keeps no mode is column-major.
+    laid out column-major in ``_memory_order``, or, given `last`, for a
+    buffer of it that many slices long, laid out alike. A ``_Joint`` B_j
+    holds its m columns on the first other mode and is 1 long on the rest.
+    So B_j, the unfolding on a kept mode j, is a column-major view of the
+    sum of either kind, and a sum that keeps no mode is column-major.
     """
     if isinstance(meas, _Joint):
-        dims, kept = [1] * max(len(shape), 2), [meas.j - 1]
+        dims = [1] * max(len(shape), 2)
         dims[meas.j - 1], dims[1 if meas.j == 1 else 0] = shape[meas.j - 1], meas.m
     else:
         dims = [n if a is None else a.shape[0] for n, a in zip(shape, meas)]
-        kept = [k for k, a in enumerate(meas) if a is None]
-    rest = [k for k in range(len(dims)) if k not in kept]
-    return np.moveaxis(np.zeros([dims[k] for k in kept + rest], order="F"), range(len(kept)), kept)
+    if last is not None:
+        dims[-1] = last
+    order = _memory_order(meas, len(dims))
+    return np.moveaxis(np.zeros([dims[k] for k in order], order="F"), range(len(order)), order)
+
+
+def _columns(t, meas):
+    """The sum of the modewise measurement `meas` that compresses the last
+    mode, or a buffer of it, as a column-major matrix with one column per
+    last-mode index. Transposed to its ``_memory_order``, `t` is column-major
+    with the last mode slowest, so this is a view."""
+    return t.transpose(_memory_order(meas, t.ndim)).reshape((-1, t.shape[-1]), order="F")
 
 
 def _stack_mode1(firsts):
@@ -566,7 +592,10 @@ class _KronSums:
     after the modewise ones. A modewise measurement that compresses the last
     mode applies its map to a slab at least `_width` wide and parks a thinner
     one, applying the parked slabs when the buffer fills, and at `merge` and
-    `finish`.
+    `finish`. A buffer is laid out as its sum is, so that both are column-major
+    matrices with a column per last-mode index (``_columns``), and a flush adds
+    the buffer's product with the map to the sum one tile of rows at a time,
+    each formed in a temporary of at most ``_TILE_BYTES``.
     """
 
     def __init__(self, shape, measurements, stack=None):
@@ -591,9 +620,10 @@ class _KronSums:
         self._parked, self._bufs = [], None
 
     def _buffers(self):
-        """Per modewise measurement that compresses the last mode, room for `_width` slices of it."""
+        """Per modewise measurement that compresses the last mode, room for
+        `_width` slices of it, laid out as its sum is."""
         if self._bufs is None:
-            self._bufs = [np.empty(t.shape[:-1] + (self._width,), order="F") if s in self._parks else None
+            self._bufs = [_zeros_kept_first(t.shape, self.maps[s], self._width) if s in self._parks else None
                           for s, t in enumerate(self.sums)]
         return self._bufs
 
@@ -650,13 +680,20 @@ class _KronSums:
 
     def _flush_into(self, sums):
         """Apply the last-mode map columns of the parked slabs to the buffers,
-        one matmul per measurement, adding the results to `sums`."""
+        adding the products to `sums` one tile of rows at a time, each formed
+        in a temporary of at most ``_TILE_BYTES``."""
         if not self._parked:
             return
         idx = np.concatenate([np.arange(lo, lo + c) for lo, c in self._parked])
         for maps, t, buf in zip(self.maps, sums, self._bufs):
             if buf is not None:
-                t += mode_product(buf[..., : idx.size], maps[-1][:, idx], t.ndim)
+                t, buf, a = _columns(t, maps), _columns(buf, maps)[:, : idx.size], maps[-1][:, idx].T
+                # column-major, as the sum is, so that each add runs down its columns
+                rows = max(1, min(t.shape[0], _TILE_BYTES // (8 * a.shape[1])))
+                tile = np.empty((rows, a.shape[1]), order="F")
+                for p in range(0, t.shape[0], rows):
+                    q = min(p + rows, t.shape[0])
+                    t[p:q] += np.matmul(buf[p:q], a, out=tile[: q - p])
 
     def _flush(self):
         self._flush_into(self.sums)

@@ -55,6 +55,22 @@ def test_read_chunks_is_a_generator_function() -> None:
     assert inspect.isgeneratorfunction(formats.read_chunks)
 
 
+def _child(mode, spec):
+    """Run one ``child.py`` mode in a child process set up as the benchmark sets up its children."""
+    env = _load("procs").child_env(PERFBENCH.parent)
+    return subprocess.run([sys.executable, str(PERFBENCH / "child.py"), mode, json.dumps(spec)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_child_setup_runs_the_kronecker_plan() -> None:
+    """W1's set-up at a tiny size: a kronecker gaussian plan on 24^3, m = 5,
+    m_c = 10, one accumulator."""
+    plan_kwargs = {"shape": [24, 24, 24], "loo_kind": "kronecker", "m": 5, "m_c": 10,
+                   "loo_family": "gaussian", "seed": 5}
+    res = _child("setup", {"plan": plan_kwargs, "accumulators": 1})
+    assert res.returncode == 0, res.stderr
+
+
 def test_child_setup_and_libjob_run(tmp_path) -> None:
     """W2's two child modes at a tiny size: a 24^3 stream, khatri_rao `mix`,
     m = 8, m_c = 6, rank 2. Each exits 0; the library job prints its stage
@@ -63,17 +79,11 @@ def test_child_setup_and_libjob_run(tmp_path) -> None:
     write_chunks(tmp_path / "x.tskc", x.shape, slab_chunks(x, 4))
     plan_kwargs = {"shape": [24, 24, 24], "loo_kind": "khatri_rao", "m": 8, "m_c": 6,
                    "loo_family": "mix", "seed": 3}
-    env = _load("procs").child_env(PERFBENCH.parent)
-
-    def child(mode, spec):
-        return subprocess.run([sys.executable, str(PERFBENCH / "child.py"), mode, json.dumps(spec)],
-                              env=env, capture_output=True, text=True, timeout=120)
-
-    res = child("setup", {"plan": plan_kwargs, "accumulators": 2})
+    res = _child("setup", {"plan": plan_kwargs, "accumulators": 2})
     assert res.returncode == 0, res.stderr
     spec = {"plan": plan_kwargs, "chunks": str(tmp_path / "x.tskc"), "bundle": str(tmp_path / "b.tskb"),
             "factorization": str(tmp_path / "t.tuck"), "rank": 2}
-    res = child("libjob", spec)
+    res = _child("libjob", spec)
     assert res.returncode == 0, res.stderr
     stages = json.loads(res.stdout.strip().splitlines()[-1])
     assert set(stages) == {"sketch_s", "recover_s"} and all(t > 0 for t in stages.values())

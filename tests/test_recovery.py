@@ -331,6 +331,17 @@ class TestErrorPaths:
             got, want = np.stack(got), np.stack(want)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("call", list(RANKED))
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_ranks_below_one_are_refused(self, call, r) -> None:
+        """Every rank argument is checked by one rule: -1 once sliced from the
+        end (tail_energy gave rank 4's tail on a 5^3 tensor, hosvd_truncate a
+        4 x 4 x 4 core) and 0 reached numpy as a shape."""
+        x = np.random.default_rng(124).standard_normal((6, 6, 6))
+        b = sketch(x, make_plan(x.shape, "kronecker", 4, 8, seed=125))
+        with pytest.raises(RankError, match="rank must be >= 1"):
+            self.RANKED[call](b, x, r)
+
     def test_core_rank_above_sketch_size(self) -> None:
         x = np.random.default_rng(119).standard_normal((8, 8, 8))
         plan = make_plan(x.shape, "kronecker", 6, 3, seed=120)

@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from tsketch import formats
 from tsketch.ensembles import materialize
 from tsketch.errors import ConfigError, ShapeError
 from tsketch.evaluate import score
@@ -497,6 +498,30 @@ class TestCoalescing:
         acc = SketchAccumulator(plan)
         acc.update(SlabChunk(3, 5, random_tensor((6, 5, 5), seed=72)))
         assert acc._kron._width == 5 and not acc._kron._parked
+
+    def test_a_full_buffer_reaches_the_sum_through_a_small_tile(self) -> None:
+        """`finish` on a full buffer of a d = 4 core larger than a piece peaks
+        below a quarter of the core's bytes: adding the buffer's product in
+        one step took a temporary as large as the core."""
+        plan = make_plan((24, 22, 21, 40), "kronecker", 5, 20, seed=81)
+        x = random_tensor(plan.shape, seed=82)
+        eng = _KronSums(plan.shape, [plan.core_maps])
+        core_bytes = eng.sums[0].nbytes
+        assert core_bytes > formats._PIECE_BYTES
+        for lo in range(eng._width):
+            eng.add(x[..., lo : lo + 1], lo, lo + 1)
+        assert sum(c for _, c in eng._parked) == eng._width == 8
+        tracemalloc.start()
+        try:
+            (got,) = eng.finish()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < core_bytes / 4, (peak, core_bytes)
+        seen = np.zeros_like(x)
+        seen[..., :8] = x[..., :8]
+        want = sketch(seen, plan).core
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", ["khatri_rao", "unstructured"])
     def test_row_wise_plans_buffer_the_core(self, kind) -> None:
