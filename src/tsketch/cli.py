@@ -4,11 +4,10 @@ Subcommands: gen, sketch, recover, eval, experiment. Each takes a JSON config
 (--config) merged over built-in defaults, with a few flags (--seed, --rank,
 --two-pass, --threads) overriding the merged values; --print-config shows the
 result and exits. Every tensor-bearing input is a whole-tensor TNSR file or a
-TSKC slab stream, told apart by its magic: sketch takes it through --input or
---chunks, recover --two-pass and eval through --chunks. Each reads it in
-bounded pieces at fixed last-mode positions (``TensorFile.slabs``), never
-whole and whatever its records. A stream whose records overlap or leave a gap
-is refused before any of it is used.
+TSKC slab stream, told apart by its magic: sketch, recover --two-pass and eval
+take it through --chunks. Each reads it in bounded pieces at fixed last-mode
+positions (``TensorFile.slabs``), never whole and whatever its records. A
+stream whose records overlap or leave a gap is refused before any of it is used.
 Failures, command-line mistakes included, exit nonzero with one JSON line on
 stderr: {"error": {"category": ..., "message": ...}}.
 """
@@ -180,10 +179,9 @@ def _build_parser():
                      help="override config seed")
 
     sk = sub.add_parser("sketch", parents=[common], help="sketch a tensor into a bundle")
-    sk.add_argument("--input", metavar="PATH",
+    sk.add_argument("--chunks", metavar="PATH",
                     help="tensor to sketch (TNSR or TSKC), read in bounded pieces")
     sk.add_argument("--output", metavar="PATH", help="bundle file to write (TSKB)")
-    sk.add_argument("--chunks", metavar="PATH", help="tensor to sketch (TNSR or TSKC); same as --input")
     sk.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="U64",
                     help="override config seed")
 
@@ -354,9 +352,7 @@ def _plan_from_config(cfg, shape):
 
 def cmd_sketch(args, cfg):
     output = _require(args.output, "--output")
-    if bool(args.input) == bool(args.chunks):
-        raise ConfigError("exactly one of --input and --chunks is required")
-    with TensorFile(args.input or args.chunks) as x:
+    with TensorFile(_require(args.chunks, "--chunks")) as x:
         acc = SketchAccumulator(_plan_from_config(cfg, x.shape))
         for chunk in x.slabs():
             acc.update(chunk)

@@ -112,9 +112,7 @@ def _dct_rows(sel, n):
 
 
 def materialize(spec):
-    """Build the matrix described by `spec`. Pure: equal specs give bitwise-equal results."""
-    if not isinstance(spec, EnsembleSpec):
-        spec = EnsembleSpec(**spec)
+    """Build the matrix an ``EnsembleSpec`` describes. Pure: equal specs give bitwise-equal results."""
     m, n = spec.rows, spec.cols
     if spec.family == "identity":
         return np.eye(n)

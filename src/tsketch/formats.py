@@ -47,7 +47,7 @@ import numpy as np
 from .ensembles import FAMILIES, FAMILY_NAMES
 from .errors import ConfigError, IOFormatError, ShapeError
 from .recover import TuckerFactorization
-from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk
+from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk, _real, _slab_range
 
 __all__ = [
     "TensorFile",
@@ -186,7 +186,8 @@ def _tensor_shape(f):
 
 
 def write_tensor(path, x):
-    x = np.asarray(x, dtype=np.float64)
+    """Write `x`, whose entries must be real (``ConfigError``), as a TNSR file."""
+    x = _real(np.asarray(x), "tensor")
     with open(path, "wb") as f:
         f.write(_magic(b"TNSR"))
         f.write(struct.pack("<I", x.ndim))
@@ -207,20 +208,27 @@ def read_tensor(path):
 
 
 def write_chunks(path, shape, chunks):
-    """Write last-mode slabs; `chunks` yields SlabChunk objects."""
+    """Write last-mode slabs; `chunks` yields SlabChunk objects.
+
+    Each range must lie in the last mode (``ShapeError``) and each payload
+    hold real entries (``ConfigError``). Nothing else is checked: a stream
+    may leave gaps, overlap or hold non-finite entries, which its readers refuse.
+    """
     shape = tuple(int(n) for n in shape)
     with open(path, "wb") as f:
         f.write(_magic(b"TSKC"))
         f.write(struct.pack("<I", len(shape)))
         f.write(struct.pack(f"<{len(shape)}Q", *shape))
         for c in chunks:
-            payload = np.asarray(c.payload, dtype=np.float64)
-            if payload.shape != shape[:-1] + (c.count,):
+            lo, hi = _slab_range(c, shape[-1], "chunk")
+            payload = np.asarray(c.payload)
+            if payload.shape != shape[:-1] + (hi - lo,):
                 raise IOFormatError(
                     f"chunk payload shape {payload.shape} inconsistent with {shape} "
-                    f"and count {c.count}"
+                    f"and count {hi - lo}"
                 )
-            f.write(struct.pack("<QQ", c.start, c.count))
+            payload = _real(payload, f"chunk [{lo}, {hi})")
+            f.write(struct.pack("<QQ", lo, hi - lo))
             _write_f64(f, payload)
             del payload
 

@@ -373,8 +373,15 @@ def reconstruct(t, lo=0, hi=None):
 
     With a last-mode range [lo, hi), only those slices are built, from rows
     lo..hi-1 of Q_d. The last mode is expanded first, so building the tensor
-    slab by slab costs about what building it whole does.
+    slab by slab costs about what building it whole does. The range must be
+    integers 0 <= lo < hi <= n_d (``ShapeError``).
     """
-    d = len(t.factors)
+    d, n = len(t.factors), t.factors[-1].shape[0]
+    try:
+        lo, hi = operator.index(lo), operator.index(n if hi is None else hi)
+    except TypeError:
+        raise ShapeError(f"slab range lo={lo!r}, hi={hi!r} is not a pair of integers") from None
+    if not 0 <= lo < hi <= n:
+        raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
     mats = [(t.factors[-1][lo:hi], d)] + [(q, i) for i, q in enumerate(t.factors[:-1], start=1)]
     return multi_mode_product(t.core, mats)

@@ -21,6 +21,10 @@ tensor it defines:
   - ``unstructured``: a single dense m x prod(n_k, k != j) map per sketch,
     memory-guarded because nothing about it is compressible.
 
+  Either way the plan draws d leave-one-out maps, the i-th named by
+  ``SketchPlan.loo_spec(i)`` and held in ``loo_maps[i - 1]``: A_i, or
+  sketch i's dense composite.
+
 * one core sketch: the tensor compressed on every mode down to side m_c.
 
 All measurements are linear, so a tensor arriving in last-mode slabs can be
@@ -194,17 +198,15 @@ class SketchPlan:
     def d(self):
         return len(self.shape)
 
-    def loo_spec(self, j, i):
-        """Spec of the map in sketch j acting on mode i (i != j). Every sketch
-        that compresses mode i applies the same map A_i, so it depends on i alone."""
-        return EnsembleSpec(
-            self.loo_families[i - 1], self.m, self.shape[i - 1], derive_seed(self.seed, "loo", i)
-        )
-
-    def unstructured_spec(self, j):
-        """Spec of the single dense composite for sketch j (mode index 0 = all remaining modes)."""
-        cols = math.prod(self.shape) // self.shape[j - 1]
-        return EnsembleSpec(self.loo_families[0], self.m, cols, derive_seed(self.seed, "loo", j, 0))
+    def loo_spec(self, i):
+        """Spec of the i-th leave-one-out map: A_i on mode i, which every
+        kronecker or khatri_rao sketch j != i applies, or, for an unstructured
+        plan, sketch i's dense m x prod(n_k, k != i) composite."""
+        if self.loo_kind == "unstructured":
+            cols, key = math.prod(self.shape) // self.shape[i - 1], (i, 0)
+        else:
+            cols, key = self.shape[i - 1], (i,)
+        return EnsembleSpec(self.loo_families[i - 1], self.m, cols, derive_seed(self.seed, "loo", *key))
 
     def core_spec(self, i):
         return EnsembleSpec(
@@ -227,36 +229,39 @@ class SketchPlan:
         Those measurements are the core, the kronecker B_j for j != 1 and each
         khatri_rao B_j whose widest other mode is mode 1, ties going to mode 1
         (at d = 3 and a cubic shape, B_2 and B_3). The B_j among them share
-        A_1, which is materialized once, straight into the first m rows, and
-        each of them reads those rows: the stack has m + m_c rows, and
-        ``loo_maps`` holds A_1 as a view of them. The core rows are a copy of
-        ``core_maps[0]``, which recovery builds without any leave-one-out map.
+        A_1, which fills the first m rows, and ``loo_maps`` holds it as a view
+        of them: the stack is [A_1; Phi_1], of m + m_c rows. With no such B_j
+        the stack is ``core_maps[0]`` itself; at d = 1 there is none, because
+        mode 1 is the last mode, which each slab cuts to its own columns.
         """
-        d, n = self.d, self.shape
-        firsts = [None] * d + [self.core_maps[0] if d > 1 else None]
+        d, n, m = self.d, self.shape, self.m
+        if d == 1:
+            return None, [None, None]
         starts = [j for j in range(2, d + 1) if self.loo_kind == "kronecker" or (
             self.loo_kind == "khatri_rao"
             and n[0] >= max((n[i - 1] for i in range(2, d + 1) if i != j), default=0))]
-        a1 = self.loo_spec(starts[0], 1) if starts else None
-        for j in starts:
-            firsts[j - 1] = a1
-        return _stack_mode1(firsts)
+        rows = [slice(0, m) if j in starts else None for j in range(1, d + 1)]
+        core = self.core_maps[0]  # a copy in the stack: recovery builds it without any A_i
+        if not starts:
+            return core, rows + [slice(0, self.m_c)]
+        stack = np.concatenate([materialize(self.loo_spec(1)), core])
+        stack.flags.writeable = False
+        return stack, rows + [slice(m, m + self.m_c)]
 
     @cached_property
     def loo_maps(self):
-        """The leave-one-out maps, built on first use and read-only, so that every
-        accumulator of this plan (every shard of a stream) shares one copy.
+        """The d leave-one-out maps, ``loo_maps[i - 1]`` built from
+        ``loo_spec(i)`` on first use and read-only, so that every accumulator
+        of this plan (every shard of a stream) shares one copy. A_1 is a view
+        of ``mode1_stack``'s rows if any B_j reads it there. A kronecker plan
+        of one mode maps nothing: (None,).
 
-        For an unstructured plan, the d dense composites, refused with
-        ``ConfigError`` before any is built if one needs more than
-        ``TSKETCH_MEM_CAP_MB``. Otherwise, per sketch j, the map on each mode
-        i, None at i = j, the mode the sketch keeps. Each mode's map A_i is
-        materialized once and every sketch j != i holds the same array; A_1,
-        if ``mode1_stack`` has rows for it, is a view of those rows.
+        An unstructured plan's composites are refused with ``ConfigError``
+        before any is built if one needs more than ``TSKETCH_MEM_CAP_MB``.
         """
         d = self.d
+        specs = [self.loo_spec(i) for i in range(1, d + 1)]
         if self.loo_kind == "unstructured":
-            specs = [self.unstructured_spec(j) for j in range(1, d + 1)]
             cap_mb = _mem_cap_mb()
             for j, spec in enumerate(specs, start=1):
                 need_mb = spec.rows * spec.cols * 8.0 / 2**20
@@ -265,18 +270,12 @@ class SketchPlan:
                         f"unstructured map for sketch {j} needs {need_mb:.1f} MiB, over the "
                         f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
                     )
-            return tuple(_read_only(materialize(spec)) for spec in specs)
+        elif d == 1:
+            return (None,)
         stack, rows = self.mode1_stack
-        stacked = next((r for r in rows[:-1] if r is not None), None)
-
-        def loo_map(i):  # A_i, named by a sketch that compresses mode i
-            if i == 1 and stacked is not None:
-                return stack[stacked]
-            return _read_only(materialize(self.loo_spec(1 if i > 1 else 2, i)))
-
-        maps = [loo_map(i) for i in range(1, d + 1)] if d > 1 else [None]
-        return tuple(tuple(None if i == j else maps[i - 1] for i in range(1, d + 1))
-                     for j in range(1, d + 1))
+        stacked = any(r is not None for r in rows[:-1])
+        return tuple(stack[: self.m] if i == 1 and stacked else _read_only(materialize(spec))
+                     for i, spec in enumerate(specs, start=1))
 
     def khat_scale(self):
         """Rescale applied to the raw row-wise Kronecker composite.
@@ -379,39 +378,51 @@ def _overlap(covered, start, count):
     return None
 
 
-def _take_slab(covered, shape, chunk, what="slab"):
-    """Check one last-mode slab of a tensor of `shape`, record its range in
-    the sorted `covered` (unless empty), and return its payload as float64.
-
-    In order: the range is integral (a numpy integer will do) and lies in the
-    last mode, and the payload has the tensor's other mode lengths
-    (``ShapeError``); the entries are real (bool, integer or float, never
-    complex, text or objects), every entry is finite, and the range overlaps
-    no slab in `covered` (``ConfigError``).
-    """
+def _slab_range(chunk, n, what="slab"):
+    """(lo, hi) of the last-mode slab `chunk` of a mode of length n, refused
+    with ``ShapeError`` unless its start and count are integers (a numpy
+    integer will do) and [lo, hi) lies in the mode."""
     try:
         lo, count = operator.index(chunk.start), operator.index(chunk.count)
     except TypeError:
         raise ShapeError(f"{what} range start={chunk.start!r}, count={chunk.count!r} "
                          "is not a pair of integers") from None
-    hi, n = lo + count, shape[-1]
-    if lo < 0 or count < 0 or hi > n:
-        raise ShapeError(f"{what} [{lo}, {hi}) outside mode of length {n}")
+    if lo < 0 or count < 0 or lo + count > n:
+        raise ShapeError(f"{what} [{lo}, {lo + count}) outside mode of length {n}")
+    return lo, lo + count
+
+
+def _real(a, what):
+    """`a` as float64, refused with ``ConfigError`` unless its entries are real:
+    bool, integer or float, never complex, text or objects."""
+    if a.dtype.kind not in "biuf":
+        raise ConfigError(f"{what} has entries of type {a.dtype}, not real numbers")
+    return a.astype(np.float64, copy=False)
+
+
+def _take_slab(covered, shape, chunk, what="slab"):
+    """Check one last-mode slab of a tensor of `shape`, record its range in
+    the sorted `covered` (unless empty), and return its payload as float64.
+
+    In order: the range lies in the last mode (``_slab_range``) and the
+    payload has the tensor's other mode lengths (``ShapeError``); the entries
+    are real (``_real``), every entry is finite, and the range overlaps no
+    slab in `covered` (``ConfigError``).
+    """
+    lo, hi = _slab_range(chunk, shape[-1], what)
     payload = np.asarray(chunk.payload)
-    if payload.shape != shape[:-1] + (count,):
+    if payload.shape != shape[:-1] + (hi - lo,):
         raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
                          f"the tensor's shape {shape}")
-    if payload.dtype.kind not in "biuf":
-        raise ConfigError(f"{what} [{lo}, {hi}) has entries of type {payload.dtype}, not real numbers")
-    payload = payload.astype(np.float64, copy=False)
+    payload = _real(payload, f"{what} [{lo}, {hi})")
     if not np.isfinite(payload).all():
         raise ConfigError(f"{what} [{lo}, {hi}) has non-finite entries")
-    hit = _overlap(covered, lo, count)
+    hit = _overlap(covered, lo, hi - lo)
     if hit:
         s, c = hit
         raise ConfigError(f"{what} [{lo}, {hi}) overlaps [{s}, {s + c})")
-    if count:
-        bisect.insort(covered, (lo, count))
+    if hi > lo:
+        bisect.insort(covered, (lo, hi - lo))
     return payload
 
 
@@ -446,9 +457,10 @@ class SketchBundle:
 @dataclass(frozen=True, eq=False)
 class _Joint:
     """A leave-one-out sketch B_j (n_j x m) whose maps act on the other modes
-    jointly: a khatri_rao B_j, whose `maps` (one per mode, None at j) compose
-    row-wise, rescaled by `scale`, or an unstructured B_j, whose `maps` is one
-    dense map on the columns of the mode-j unfolding.
+    jointly. `maps` is the plan's ``loo_maps``: for a khatri_rao B_j, the maps
+    on the other modes compose row-wise, rescaled by `scale`; for an
+    unstructured (`dense`) B_j, ``maps[j - 1]`` is one dense map on the
+    columns of the mode-j unfolding.
 
     Row a of the row-wise composite is the Kronecker product of row a of every
     other mode's map. So one other mode is contracted first, its map's rows
@@ -459,16 +471,17 @@ class _Joint:
     """
 
     j: int
-    maps: object
+    maps: tuple
     m: int
     scale: float
+    dense: bool
 
     def contract(self, x, lo, hi, first=None, modes=None):
         """unfold(x, j) times the composite's transpose, for the slab x, slices lo..hi-1 of the last mode."""
         d, j = x.ndim, self.j
-        if isinstance(self.maps, np.ndarray):  # dense: mode d is the slowest of its columns
-            stride = math.prod(x.shape[:-1]) // x.shape[j - 1]
-            return unfold(x, j) @ (self.maps if j == d else self.maps[:, lo * stride : hi * stride]).T
+        if self.dense:  # mode d is the slowest of the composite's columns
+            a, stride = self.maps[j - 1], math.prod(x.shape[:-1]) // x.shape[j - 1]
+            return unfold(x, j) @ (a if j == d else a[:, lo * stride : hi * stride]).T
         maps = {i: a[:, lo:hi] if i == d else a for i, a in enumerate(self.maps, start=1) if i != j}
         if first is None:
             w = max(maps, key=lambda i: maps[i].shape[1])
@@ -526,33 +539,6 @@ def _columns(t, meas):
     return t.transpose(_memory_order(meas, t.ndim)).reshape((-1, t.shape[-1]), order="F")
 
 
-def _stack_mode1(firsts):
-    """(stack, rows): the mode-1 maps `firsts`, each an array, an
-    ``EnsembleSpec`` to materialize straight into its rows, or None (a
-    measurement that keeps mode 1 or contracts another mode first), stacked in
-    one read-only matrix, and each one's slice of its rows, or None. An entry
-    repeated, the same object, is stacked once and its measurements share its
-    rows. A single array is its own stack, not copied."""
-    rows, at, placed = [], 0, {}  # placed: id of each distinct map -> (map, its rows)
-    for a in firsts:
-        if a is not None and id(a) not in placed:
-            height = a.rows if isinstance(a, EnsembleSpec) else a.shape[0]
-            placed[id(a)] = (a, slice(at, at + height))
-            at += height
-        rows.append(None if a is None else placed[id(a)][1])
-    given = [a for a, _ in placed.values()]
-    if not given:
-        return None, rows
-    if len(given) == 1 and isinstance(given[0], np.ndarray):
-        return given[0], rows
-    cols = given[0].cols if isinstance(given[0], EnsembleSpec) else given[0].shape[1]
-    stack = np.empty((at, cols))
-    for a, r in placed.values():
-        stack[r] = materialize(a) if isinstance(a, EnsembleSpec) else a
-    stack.flags.writeable = False
-    return stack, rows
-
-
 def _mode1_product(x, stack):
     """(z, modes): z = stack @ unfold(x, 1), one GEMM with the map rows on the
     left, as a C-ordered matrix whose columns run over modes 2..d in the order
@@ -582,8 +568,9 @@ class _KronSums:
     two-pass core), or a ``_Joint`` B_j. The last-mode map is cut to each
     slab's columns. Slabs are checked by the caller (``_take_slab``). Every
     measurement that compresses mode 1 first takes its rows of one
-    ``_mode1_product`` per slab, through `stack`: (matrix, rows), as
-    ``_stack_mode1`` builds it (a plan passes its ``mode1_stack``). Of an
+    ``_mode1_product`` per slab, through `stack`: (matrix, rows), as a plan's
+    ``mode1_stack``. Given no stack, the engine takes one modewise
+    measurement, the two-pass core, whose mode-1 map is its own stack. Of an
     F-ordered slab, whose row blocks hold their modes in reverse, a modewise
     measurement contracts a block's transpose, F-contiguous with mode 1 last,
     and moves mode 1 back first at the end; no block is copied. A ``_Joint``
@@ -599,20 +586,17 @@ class _KronSums:
     """
 
     def __init__(self, shape, measurements, stack=None):
-        self.maps = [m if isinstance(m, _Joint) else list(m) for m in measurements]
+        self.maps = list(measurements)
         self.sums = [_zeros_kept_first(shape, m) for m in self.maps]
-        joint = [s for s, m in enumerate(self.maps) if isinstance(m, _Joint)]
-        # With one mode, the mode-1 map is the last-mode map, which each slab
-        # cuts to its own columns: it is not stacked.
         if stack is None:
-            stack = _stack_mode1([None if s in joint or len(shape) == 1 else m[0]
-                                  for s, m in enumerate(self.maps)])
+            # With one mode, the mode-1 map is the last-mode map, which each
+            # slab cuts to its own columns: it is not stacked.
+            ((first, *_),) = self.maps
+            stack = (None, [None]) if len(shape) == 1 else (first, [slice(None)])
         self._stack, self._rows = stack
+        joint = [s for s, m in enumerate(self.maps) if isinstance(m, _Joint)]
         self._own = [s for s in joint if self._rows[s] is None]
         self._stacked = [s for s in joint if self._rows[s] is not None]
-        for s, (maps, rows) in enumerate(zip(self.maps, self._rows)):
-            if rows is not None and s not in joint:
-                maps[0] = self._stack[rows]
         self._parks = [s for s, m in enumerate(self.maps) if s not in joint and m[-1] is not None]
         self._width = min(_BUFFER_SLICES, shape[-1], *(self.maps[s][-1].shape[0] for s in self._parks))
         # (start, count) of the parked slabs, and the buffers: allocated by the
@@ -734,8 +718,11 @@ class SketchAccumulator:
             raise ConfigError("accumulator needs a SketchPlan")
         self.plan = plan
         loo = plan.loo_maps  # first, so that the memory cap refuses before any map is built
-        if plan.loo_kind != "kronecker":
-            loo = [_Joint(j, maps, plan.m, plan.khat_scale()) for j, maps in enumerate(loo, start=1)]
+        if plan.loo_kind == "kronecker":  # B_j keeps mode j
+            loo = [[None if i == j else a for i, a in enumerate(loo)] for j in range(plan.d)]
+        else:
+            dense = plan.loo_kind == "unstructured"
+            loo = [_Joint(j, loo, plan.m, plan.khat_scale(), dense) for j in range(1, plan.d + 1)]
         self._kron = _KronSums(plan.shape, [*loo, plan.core_maps], plan.mode1_stack)
         self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
         self._lent = False  # whether a bundle shares the sums

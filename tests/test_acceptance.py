@@ -281,7 +281,7 @@ def test_08_small_instance_oracles(report):
 
     err_loo = 0.0
     for j in (1, 2, 3):
-        others = [materialize(plan.loo_spec(j, i)) for i in (3, 2, 1) if i != j]
+        others = [materialize(plan.loo_spec(i)) for i in (3, 2, 1) if i != j]
         expect = unfold(x, j) @ reduce(np.kron, others).T
         err_loo = max(err_loo, float(np.linalg.norm(b.loo[j - 1] - expect) / np.linalg.norm(expect)))
 
@@ -290,7 +290,7 @@ def test_08_small_instance_oracles(report):
     kb = sketch(x, kplan)
     err_khat = 0.0
     for j in (1, 2, 3):
-        others = [materialize(kplan.loo_spec(j, i)) for i in (3, 2, 1) if i != j]
+        others = [materialize(kplan.loo_spec(i)) for i in (3, 2, 1) if i != j]
         rows = [np.kron(others[0][p], others[1][p]) for p in range(kplan.m)]
         expect = unfold(x, j) @ (np.asarray(rows) * kplan.khat_scale()).T
         err_khat = max(err_khat, float(np.linalg.norm(kb.loo[j - 1] - expect) / np.linalg.norm(expect)))

@@ -80,7 +80,7 @@ def test_end_to_end_exact_recovery(pipeline_files, capsys) -> None:
     tmp, _, sketch_cfg, tensor = pipeline_files
     bundle = tmp / "b.tskb"
     tuck = tmp / "t.tuck"
-    assert run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle)) == 0
+    assert run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle)) == 0
     assert run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3") == 0
     assert run("eval", "--input", str(tuck), "--chunks", str(tensor)) == 0
     report = json.loads(capsys.readouterr().out)
@@ -93,7 +93,7 @@ def test_recover_never_needs_the_tensor(pipeline_files) -> None:
     """One-pass recovery works after the data file is gone for good."""
     tmp, _, sketch_cfg, tensor = pipeline_files
     bundle = tmp / "b.tskb"
-    assert run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle)) == 0
+    assert run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle)) == 0
     tensor.unlink()
     assert run("recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"), "--rank", "3") == 0
 
@@ -102,7 +102,7 @@ def test_two_pass_via_chunks(pipeline_files, capsys) -> None:
     tmp, _, sketch_cfg, tensor = pipeline_files
     bundle = tmp / "b.tskb"
     tuck = tmp / "t2.tuck"
-    run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+    run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
     assert (
         run(
             "recover", "--input", str(bundle), "--output", str(tuck),
@@ -121,14 +121,9 @@ def test_sketching_a_chunk_stream_matches_the_whole_file(pipeline_files) -> None
     stream1 = tmp / "x1.tskc"
     run("gen", "--config", write_json(tmp / "g1.json", {**cfg, "slabs": 1}), "--output", str(stream1))
     b_file, b_one = tmp / "bf.tskb", tmp / "b1.tskb"
-    run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(b_file))
+    run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(b_file))
     run("sketch", "--config", sketch_cfg, "--chunks", str(stream1), "--output", str(b_one))
     assert b_file.read_bytes() == b_one.read_bytes()
-    # either flag takes either format
-    for flag, path in [("--chunks", tensor), ("--input", stream1)]:
-        b_swap = tmp / "bs.tskb"
-        assert run("sketch", "--config", sketch_cfg, flag, str(path), "--output", str(b_swap)) == 0
-        assert b_swap.read_bytes() == b_file.read_bytes()
 
     # multi-slab streaming agrees to rounding
     stream5 = tmp / "x5.tskc"
@@ -228,7 +223,7 @@ def test_eval_report_is_strict_json(pipeline_files, capsys) -> None:
     the non-JSON token Infinity."""
     tmp, _, sketch_cfg, tensor = pipeline_files
     bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
-    run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+    run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
     run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
     cfg = write_json(tmp / "ev.json", {"clean": str(tensor)})
     assert run("eval", "--config", cfg, "--input", str(tuck), "--chunks", str(tensor)) == 0
@@ -262,8 +257,7 @@ class TestStreamingMemory:
             argv = ["recover", "--two-pass", "--rank", "4", "--input", str(d / "b.tskb"),
                     "--chunks", str(d / name), "--output", str(d / "t2.tuck")]
         elif step == "sketch":
-            flag = "--input" if name == "x.tnsr" else "--chunks"
-            argv = ["sketch", flag, str(d / name), "--output", str(d / "bs.tskb")]
+            argv = ["sketch", "--chunks", str(d / name), "--output", str(d / "bs.tskb")]
         else:
             argv = ["eval", "--input", str(d / "t.tuck"), "--chunks", str(d / name),
                     "--output", str(d / "e.json")]
@@ -308,7 +302,7 @@ class TestStreamingMemory:
         piece = 2 * 8 * n * n  # two last-mode slices
         monkeypatch.setattr(formats, "_PIECE_BYTES", piece)
         cfg = write_json(tmp_path / "sk.json", {"m": m, "m_c": m})
-        argv = ["sketch", "--config", cfg, "--input", str(tmp_path / "x.tnsr"),
+        argv = ["sketch", "--config", cfg, "--chunks", str(tmp_path / "x.tnsr"),
                 "--output", str(tmp_path / "b.tskb")]
         assert main(argv + ["--print-config"]) == 0  # imports what the CLI loads on first use, untraced
         plan = make_plan(x.shape, "kronecker", m, m)
@@ -317,8 +311,7 @@ class TestStreamingMemory:
         buffer_bytes = 8 * 8 * (n * m + m * n + m * m)
         # Every map once (sketches share each mode's map, and A_1 lives in the
         # stack), and the stack's copy of the core's mode-1 map.
-        maps = list({id(a): a for ms in plan.loo_maps for a in ms if a is not None}.values())
-        maps += list(plan.core_maps) + [plan.core_maps[0]]
+        maps = [*plan.loo_maps, *plan.core_maps, plan.core_maps[0]]
         bound = sketch_bytes + buffer_bytes + sum(a.nbytes for a in maps) + 1.5 * piece
         tracemalloc.start()
         try:
@@ -369,7 +362,7 @@ def test_print_config_merges_defaults_file_and_flags(tmp_path, capsys) -> None:
 # Each subcommand's options, --help aside.
 OPTIONS = {
     "gen": {"--config", "--print-config", "--output", "--seed"},
-    "sketch": {"--config", "--print-config", "--input", "--chunks", "--output", "--seed"},
+    "sketch": {"--config", "--print-config", "--chunks", "--output", "--seed"},
     "recover": {"--config", "--print-config", "--input", "--output", "--rank", "--two-pass", "--chunks"},
     "eval": {"--config", "--print-config", "--input", "--chunks", "--output"},
     "experiment": {"--config", "--print-config", "--output", "--seed", "--threads"},
@@ -426,7 +419,7 @@ def test_per_mode_family_list_equals_mix(pipeline_files) -> None:
     for name, family in (("mix", "mix"), ("list", ["gaussian", "srtt", "sparse_sign"])):
         cfg = write_json(tmp / f"{name}.json", {"m": 6, "m_c": 8, "seed": 21, "loo_family": family})
         bundles[name] = tmp / f"{name}.tskb"
-        assert run("sketch", "--config", cfg, "--input", str(tensor), "--output", str(bundles[name])) == 0
+        assert run("sketch", "--config", cfg, "--chunks", str(tensor), "--output", str(bundles[name])) == 0
     assert read_bundle(bundles["list"]).plan.loo_families == ("gaussian", "srtt", "sparse_sign")
     assert bundles["list"].read_bytes() == bundles["mix"].read_bytes()
 
@@ -457,7 +450,7 @@ class TestErrorReporting:
     def test_missing_rank_is_config(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle = tmp / "b.tskb"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         self.check(
             "config", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
             capsys=capsys,
@@ -483,19 +476,17 @@ class TestErrorReporting:
                          capsys=capsys)
         assert "fractal" in msg
 
-    @pytest.mark.parametrize("flags", [["--input", "--chunks"], []], ids=["both", "neither"])
-    def test_sketch_takes_exactly_one_tensor_flag(self, pipeline_files, capsys, flags) -> None:
-        tmp, _, _, tensor = pipeline_files
+    def test_sketch_requires_chunks(self, pipeline_files, capsys) -> None:
+        tmp = pipeline_files[0]
         out = tmp / "b.tskb"
-        argv = [a for flag in flags for a in (flag, str(tensor))]
-        msg = self.check("config", "sketch", *argv, "--output", str(out), capsys=capsys)
-        assert "--input" in msg and "--chunks" in msg
+        msg = self.check("config", "sketch", "--output", str(out), capsys=capsys)
+        assert "--chunks" in msg
         assert not out.exists()
 
     def test_two_pass_without_chunks_is_config(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, out = tmp / "b.tskb", tmp / "t.tuck"
-        assert run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle)) == 0
+        assert run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle)) == 0
         msg = self.check("config", "recover", "--input", str(bundle), "--output", str(out),
                          "--rank", "3", "--two-pass", capsys=capsys)
         assert "--chunks" in msg
@@ -506,7 +497,7 @@ class TestErrorReporting:
         a config file that sets two_pass, the same flags run the second pass."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, out = tmp / "b.tskb", tmp / "t.tuck"
-        assert run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle)) == 0
+        assert run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle)) == 0
         argv = ["--input", str(bundle), "--output", str(out), "--rank", "3", "--chunks", str(tensor)]
         msg = self.check("config", "recover", *argv, capsys=capsys)
         assert "--chunks" in msg and "--two-pass" in msg
@@ -521,7 +512,7 @@ class TestErrorReporting:
         tmp, _, _, tensor = pipeline_files
         cfg = write_json(tmp / "c.json", {"m": 6, "m_c": 8, "loo_family": ["gaussian", "srtt"]})
         out = tmp / "b.tskb"
-        msg = self.check("config", "sketch", "--config", cfg, "--input", str(tensor),
+        msg = self.check("config", "sketch", "--config", cfg, "--chunks", str(tensor),
                          "--output", str(out), capsys=capsys)
         assert "expected 3 families, got 2" in msg
         assert not out.exists()
@@ -541,7 +532,7 @@ class TestErrorReporting:
         assert "diag_family" not in capsys.readouterr().out
         cfg = write_json(tmp / "c.json", values)
         out = tmp / "out"
-        inputs = ["--input", str(tensor)] if command == "sketch" else []
+        inputs = ["--chunks", str(tensor)] if command == "sketch" else []
         msg = self.check("config", command, "--config", cfg, *inputs, "--output", str(out),
                          capsys=capsys)
         assert "diag_family" in msg
@@ -556,7 +547,7 @@ class TestErrorReporting:
         bundle is not read: either way recover exits 3 and writes nothing."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, out = tmp / "b.tskb", tmp / "t.tuck"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         data = bytearray(bundle.read_bytes())
         if fault == "payload bit":
             data[len(data) // 2] ^= 0x04
@@ -571,7 +562,7 @@ class TestErrorReporting:
     def test_corrupt_factorization_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
         data = bytearray(tuck.read_bytes())
         data[len(data) // 2] ^= 0x04
@@ -608,11 +599,11 @@ class TestErrorReporting:
         or an out-of-range value is a config error, and nothing is written."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         tuck, out = tmp / "t.tuck", tmp / "out"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(tmp / "b.tskb"))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(tmp / "b.tskb"))
         run("recover", "--input", str(tmp / "b.tskb"), "--output", str(tuck), "--rank", "3")
         base = {"experiment": {"n": 8, "r_true": 2, "r_fit": 2, "m": 4, "m_c": 6}}.get(command, {})
         cfg = write_json(tmp / "bad.json", {**base, **values})
-        inputs = {"sketch": ["--input", str(tensor)], "eval": ["--input", str(tuck), "--chunks", str(tensor)]}
+        inputs = {"sketch": ["--chunks", str(tensor)], "eval": ["--input", str(tuck), "--chunks", str(tensor)]}
         msg = self.check(
             "config", command, "--config", cfg, *inputs.get(command, []), "--output", str(out),
             capsys=capsys,
@@ -655,7 +646,7 @@ class TestErrorReporting:
             write_tensor(tmp_path / f"x{n}.tnsr", gen_lowrank(n, 3, 2, seed=n)[0])
         x12, x13 = str(tmp_path / "x12.tnsr"), str(tmp_path / "x13.tnsr")
         bundle, tuck = str(tmp_path / "b.tskb"), str(tmp_path / "t.tuck")
-        assert run("sketch", "--input", x12, "--output", bundle) == 0
+        assert run("sketch", "--chunks", x12, "--output", bundle) == 0
         assert run("recover", "--input", bundle, "--output", tuck, "--rank", "2") == 0
         clean13 = write_json(tmp_path / "ev.json", {"clean": x13})
         self.check("shape", "eval", "--input", tuck, "--chunks", x13, capsys=capsys)
@@ -664,7 +655,7 @@ class TestErrorReporting:
 
     def test_missing_file_is_io(self, tmp_path, capsys) -> None:
         self.check(
-            "io", "sketch", "--input", str(tmp_path / "absent.tnsr"),
+            "io", "sketch", "--chunks", str(tmp_path / "absent.tnsr"),
             "--output", str(tmp_path / "b.tskb"), capsys=capsys,
         )
 
@@ -704,7 +695,7 @@ class TestErrorReporting:
         write_tensor(str(tensor), np.arange(30.0))
         cfg = write_json(tmp_path / "s.json", {"loo_kind": "khatri_rao", "m": 10, "m_c": 10})
         self.check(
-            "config", "sketch", "--config", cfg, "--input", str(tensor),
+            "config", "sketch", "--config", cfg, "--chunks", str(tensor),
             "--output", str(tmp_path / "b.tskb"), capsys=capsys,
         )
 
@@ -719,7 +710,7 @@ class TestErrorReporting:
     def test_oversized_rank_is_rank(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle = tmp / "b.tskb"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         self.check(
             "rank", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
             "--rank", "40", capsys=capsys,
@@ -743,7 +734,7 @@ class TestErrorReporting:
     def test_mismatched_second_pass_tensor_is_shape(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle = tmp / "b.tskb"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         other = tmp / "other.tnsr"
         run(
             "gen", "--config",
@@ -758,7 +749,7 @@ class TestErrorReporting:
     def test_unknown_family_in_plan_header_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle = tmp / "b.tskb"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         data = bytearray(bundle.read_bytes())
         # magic, version, d, shape, kind, m and m_c of a 3-mode bundle, then
         # the leave-one-out family of mode 1
@@ -789,7 +780,7 @@ class TestErrorReporting:
         read: the one piece a small file is read in, whatever its records."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
         x = read_tensor(tensor)
         x[3, 1, 9] = np.nan
@@ -815,7 +806,7 @@ class TestErrorReporting:
         the same way, before sketching or scoring any of it."""
         tmp, _, sketch_cfg, tensor = pipeline_files
         bundle, tuck, bad = tmp / "b.tskb", tmp / "t.tuck", tmp / "bad.tskc"
-        run("sketch", "--config", sketch_cfg, "--input", str(tensor), "--output", str(bundle))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
         run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
         write_slabs(bad, read_tensor(tensor), ranges)
         for argv in [

@@ -70,6 +70,53 @@ def test_chunk_round_trip(tmp_path, tensor, monkeypatch) -> None:
     assert np.array_equal(read_chunks_dense(p), tensor)
 
 
+class TestWritersRefuseWithTypedErrors:
+    """A writer refuses with a typed error a chunk range that is not integral
+    or leaves the last mode (``ShapeError``), and entries that are not real
+    (``ConfigError``): a complex payload would lose its imaginary part."""
+
+    @pytest.mark.parametrize("start,count,match", [
+        (-1, 2, r"chunk \[-1, 1\) outside mode of length 6"),
+        (5, 2, r"chunk \[5, 7\) outside mode of length 6"),
+        (2, -1, r"chunk \[2, 1\) outside mode of length 6"),
+        (1.0, 2, "not a pair of integers"),
+        (1, 2.5, "not a pair of integers"),
+    ])
+    def test_a_chunk_range_outside_the_mode(self, tmp_path, tensor, start, count, match) -> None:
+        payload = np.zeros((5, 4, 2))
+        with pytest.raises(ShapeError, match=match):
+            write_chunks(tmp_path / "x.tskc", tensor.shape, [SlabChunk(start, count, payload)])
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x + 1j,
+        lambda x: x.astype(str),
+        lambda x: x.astype(object),
+    ], ids=["complex", "text", "object"])
+    def test_entries_that_are_not_real(self, tmp_path, tensor, make) -> None:
+        bad = make(tensor)
+        with pytest.raises(ConfigError, match=r"tensor has entries of type .*, not real numbers"):
+            write_tensor(tmp_path / "x.tnsr", bad)
+        chunks = [SlabChunk(0, 2, tensor[..., :2]), SlabChunk(2, 4, bad[..., 2:])]
+        with pytest.raises(ConfigError, match=r"chunk \[2, 6\) has entries of type .*, not real numbers"):
+            write_chunks(tmp_path / "x.tskc", tensor.shape, chunks)
+
+    def test_gap_overlap_and_nan_streams_stay_writable(self, tmp_path, tensor) -> None:
+        """Readers refuse these; the writer must still make them, so that the
+        readers' checks can be tested."""
+        nan = tensor.copy()
+        nan[0, 0, 5] = np.nan
+        streams = {
+            "gap": [SlabChunk(0, 2, tensor[..., :2]), SlabChunk(4, 2, tensor[..., 4:])],
+            "overlap": [SlabChunk(0, 4, tensor[..., :4]), SlabChunk(3, 3, tensor[..., 3:])],
+            "nan": [SlabChunk(0, 6, nan)],
+            "bool": [SlabChunk(0, 6, tensor > 0)],
+        }
+        for name, chunks in streams.items():
+            write_chunks(tmp_path / f"{name}.tskc", tensor.shape, chunks)
+        assert np.array_equal(read_chunks_dense(tmp_path / "bool.tskc"), (tensor > 0).astype(float))
+        assert np.isnan(read_chunks_dense(tmp_path / "nan.tskc")[0, 0, 5])
+
+
 def layouts(x):
     """One float64 array in the layouts a writer may be given: C order, F order,
     a strided view and big-endian."""

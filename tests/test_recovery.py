@@ -206,6 +206,25 @@ def test_reconstruct_slab_is_the_slice_of_the_whole() -> None:
     whole = reconstruct(t)
     for lo, hi in [(0, 9), (0, 1), (3, 7), (8, 9)]:
         assert np.allclose(reconstruct(t, lo, hi), whole[..., lo:hi], rtol=1e-14, atol=1e-14)
+    assert np.array_equal(reconstruct(t, np.int64(3), 7), reconstruct(t, 3, 7))
+
+
+@pytest.mark.parametrize("lo,hi,match", [
+    (5, 100, r"slab \[5, 100\) outside mode of length 10"),
+    (-3, None, r"slab \[-3, 10\) outside mode of length 10"),
+    (7, 3, r"slab \[7, 3\) outside mode of length 10"),
+    (4, 4, r"slab \[4, 4\) outside mode of length 10"),
+    (1.0, 4, "not a pair of integers"),
+    (0, "9", "not a pair of integers"),
+])
+def test_reconstruct_refuses_a_range_outside_the_last_mode(lo, hi, match) -> None:
+    """Only integers 0 <= lo < hi <= n name slices to build: a range past
+    the mode would come back shorter, and a negative one wrapped."""
+    rng = np.random.default_rng(117)
+    qs = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for n in (4, 5, 10)]
+    t = TuckerFactorization(core=rng.standard_normal((2, 2, 2)), factors=qs)
+    with pytest.raises(ShapeError, match=match):
+        reconstruct(t, lo, hi)
 
 
 def test_reconstruct_unfolds_to_factored_form() -> None:
@@ -229,7 +248,7 @@ class TestRecycledCore:
 
     def maps_for(self, plan, j):
         return [
-            np.eye(plan.shape[j - 1]) if i == j else materialize(plan.loo_spec(j, i))
+            np.eye(plan.shape[j - 1]) if i == j else materialize(plan.loo_spec(i))
             for i in range(1, plan.d + 1)
         ]
 

@@ -31,10 +31,10 @@ def random_tensor(shape, seed):
 def loo_composite(plan, j):
     """Explicit dense leave-mode-j composite map, built the slow way."""
     if plan.loo_kind == "unstructured":
-        return materialize(plan.unstructured_spec(j))
-    others = [materialize(plan.loo_spec(j, i)) for i in range(plan.d, 0, -1) if i != j]
-    if plan.loo_kind == "kronecker":
-        return reduce(np.kron, others)
+        return materialize(plan.loo_spec(j))
+    others = [materialize(plan.loo_spec(i)) for i in range(plan.d, 0, -1) if i != j]
+    if plan.loo_kind == "kronecker":  # at d = 1, the 1 x 1 identity
+        return reduce(np.kron, others, np.ones((1, 1)))
     rows = []
     for p in range(plan.m):
         w = np.array([1.0])
@@ -68,7 +68,7 @@ class TestAgainstExplicitOperators:
         plan = make_plan(x.shape, "unstructured", 5, 2, seed=5)
         b = sketch(x, plan).loo
         for j in (1, 2, 3):
-            omega = materialize(plan.unstructured_spec(j))
+            omega = materialize(plan.loo_spec(j))
             assert np.allclose(b[j - 1], unfold(x, j) @ omega.T, atol=1e-12)
 
     def test_core_matches_modewise_compression(self) -> None:
@@ -559,15 +559,13 @@ class TestCoalescing:
         plan = make_plan((6, 5, 40), "kronecker", 3, 4, loo_family="mix", seed=73)
         acc = SketchAccumulator(plan)
         eng = acc._kron
-        firsts = [eng.maps[j - 1][0] for j in (2, 3)] + [eng.maps[-1][0]]
-        specs = [plan.loo_spec(2, 1), plan.loo_spec(3, 1), plan.core_spec(1)]
-        assert specs[0] == specs[1]
         assert eng.maps[0][0] is None
+        assert eng.maps[1][0] is eng.maps[2][0] is plan.loo_maps[0]
+        assert plan.loo_maps[0].base is eng._stack
         assert eng._rows == [None, slice(0, 3), slice(0, 3), slice(3, 7)]
-        for a, spec in zip(firsts, specs):
-            assert a.base is eng._stack
-            assert np.array_equal(a, materialize(spec))
         assert eng._stack.shape == (3 + 4, 6)
+        for rows, spec in [(slice(0, 3), plan.loo_spec(1)), (slice(3, 7), plan.core_spec(1))]:
+            assert np.array_equal(eng._stack[rows], materialize(spec))
 
 
 class TestMerge:
@@ -676,27 +674,20 @@ class TestPlanMaps:
         a, b = SketchAccumulator(plan), SketchAccumulator(plan)
         for acc, (lo, hi) in [(a, (0, 4)), (b, (4, 9))]:
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
-        if kind == "unstructured":
-            maps = [(plan.unstructured_spec(j), plan.loo_maps[j - 1]) for j in (1, 2, 3)]
-        else:
-            # One map per mode: sketches 2 and 3 name A_1, sketches 1 and 3 A_2, 1 and 2 A_3.
-            maps = [(plan.loo_spec(2 if i == 1 else 1, i), plan.loo_maps[2 if i == 1 else 0][i - 1])
-                    for i in (1, 2, 3)]
-            for j, i in [(j, i) for j in (1, 2, 3) for i in (1, 2, 3) if i != j]:
-                assert plan.loo_spec(j, i) == maps[i - 1][0]
-                assert plan.loo_maps[j - 1][i - 1] is maps[i - 1][1]
-            assert all(plan.loo_maps[j - 1][j - 1] is None for j in (1, 2, 3))
+        # One map per mode, A_i, which every sketch j != i applies; for unstructured, sketch i's composite.
+        maps = [(plan.loo_spec(i), plan.loo_maps[i - 1]) for i in (1, 2, 3)]
         specs = [spec for spec, _ in maps] + [plan.core_spec(i) for i in (1, 2, 3)]
         assert sorted(calls, key=specs.index) == specs  # each once, no map on a kept mode
         for spec, a_map in maps:
             assert np.array_equal(a_map, materialize(spec))
             assert not a_map.flags.writeable
         if kind == "kronecker":
-            # The engines read the plan's arrays; only the stacked mode-1 rows are their own.
+            # The engines read the plan's arrays, None on the mode each sketch keeps.
             for s in range(3):
-                for i in (1, 2):
-                    assert a._kron.maps[s][i] is b._kron.maps[s][i] is plan.loo_maps[s][i]
-            assert a._kron.maps[0][2] is a._kron.maps[1][2]  # B_1 and B_2 apply one A_3
+                for i in range(3):
+                    assert a._kron.maps[s][i] is b._kron.maps[s][i] is (None if i == s else plan.loo_maps[i])
+        else:
+            assert all(a._kron.maps[s].maps is b._kron.maps[s].maps is plan.loo_maps for s in range(3))
         assert a._kron.maps[-1][1] is b._kron.maps[-1][1] is plan.core_maps[1]
         assert rel_gap(sketch(x, plan), a.merge(b).finalize()) <= 1e-12
 
@@ -715,9 +706,8 @@ class TestPlanMaps:
             return
         assert not stack.flags.writeable and stack.shape == (4 + 3, 6)
         assert rows == [None, slice(0, 4), slice(0, 4), slice(4, 7)]
-        assert plan.loo_maps[1][0] is plan.loo_maps[2][0]
-        assert plan.loo_maps[1][0].base is stack
-        assert np.array_equal(stack[rows[1]], plan.loo_maps[1][0])
+        assert plan.loo_maps[0].base is stack
+        assert np.array_equal(stack[rows[1]], plan.loo_maps[0])
         assert np.array_equal(stack[rows[3]], plan.core_maps[0])
 
     @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao"])
@@ -740,13 +730,13 @@ class TestPlanMaps:
             shards[2 * lo >= n].update(SlabChunk(lo, 1, x[..., lo : lo + 1]))
         got = shards[0].merge(shards[1]).finalize()
 
-        loo_specs = [plan.loo_spec(2 if i == 1 else 1, i) for i in range(1, d + 1)]
+        loo_specs = [plan.loo_spec(i) for i in range(1, d + 1)]
         core_specs = [plan.core_spec(i) for i in range(1, d + 1)]
         assert sorted(calls, key=(loo_specs + core_specs).index) == loo_specs + core_specs
-        for i in range(1, d + 1):
-            others = [j for j in range(1, d + 1) if j != i]
-            assert {plan.loo_spec(j, i) for j in others} == {loo_specs[i - 1]}
-            assert len({id(plan.loo_maps[j - 1][i - 1]) for j in others}) == 1
+        for acc in shards:  # every sketch j != i applies the plan's one A_i
+            for j, meas in enumerate(acc._kron.maps[:d], start=1):
+                held = meas if kind == "kronecker" else meas.maps
+                assert all(held[i - 1] is plan.loo_maps[i - 1] for i in range(1, d + 1) if i != j)
 
         stack, rows = plan.mode1_stack
         starts = [j for j in range(2, d + 1) if rows[j - 1] is not None]
@@ -764,6 +754,45 @@ class TestPlanMaps:
             expect = unfold(x, j) @ loo_composite(plan, j).T
             assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
         assert rel_gap(sketch(x, plan), got) <= 1e-12
+
+    @pytest.mark.parametrize("kind,shape", [
+        ("kronecker", (7,)), ("unstructured", (7,)),
+        ("kronecker", (5, 7)), ("khatri_rao", (5, 7)), ("unstructured", (5, 7)),
+    ], ids=lambda v: v if isinstance(v, str) else f"d{len(v)}")
+    def test_low_order_plans_hold_d_maps(self, kind, shape) -> None:
+        """``loo_maps[i - 1]`` is ``loo_spec(i)`` materialized, except at d = 1
+        for kronecker, which maps nothing. The stack is [A_1; Phi_1] when a
+        B_j starts on mode 1, the core's map itself when none does, and absent
+        at d = 1. The batch sketch and two merged shards match the composite."""
+        x = random_tensor(shape, seed=95 + len(shape))
+        plan = make_plan(shape, kind, 3, 2, seed=96)
+        d = plan.d
+        if kind == "kronecker" and d == 1:
+            assert plan.loo_maps == (None,)
+        else:
+            assert len(plan.loo_maps) == d
+            for i, a in enumerate(plan.loo_maps, start=1):
+                assert np.array_equal(a, materialize(plan.loo_spec(i)))
+                assert not a.flags.writeable
+        stack, rows = plan.mode1_stack
+        if d == 1:
+            assert stack is None and rows == [None, None]
+        elif kind == "unstructured":
+            assert stack is plan.core_maps[0] and rows == [None, None, slice(0, 2)]
+        else:
+            assert rows == [None, slice(0, 3), slice(3, 5)]
+            assert plan.loo_maps[0].base is stack and not stack.flags.writeable
+            assert np.array_equal(stack, np.vstack([plan.loo_maps[0], plan.core_maps[0]]))
+        n = shape[-1]
+        shards = [SketchAccumulator(plan), SketchAccumulator(plan)]
+        for lo in range(n):
+            shards[2 * lo >= n].update(SlabChunk(lo, 1, x[..., lo : lo + 1]))
+        phis = [(phi, i) for i, phi in enumerate(plan.core_maps, start=1)]
+        for got in (sketch(x, plan), shards[0].merge(shards[1]).finalize()):
+            for j in range(1, d + 1):
+                expect = unfold(x, j) @ loo_composite(plan, j).T
+                assert np.allclose(got.loo[j - 1], expect, rtol=1e-12, atol=1e-12)
+            assert np.allclose(got.core, multi_mode_product(x, phis), rtol=1e-12, atol=1e-12)
 
     def test_the_two_pass_core_stacks_nothing(self) -> None:
         """A single measurement's mode-1 map is its own stack: the engine of
