@@ -55,7 +55,7 @@ from .recover import (
     recover_factors,
     two_pass,
 )
-from .sketch import SketchAccumulator, make_plan, sketch, slab_chunks
+from .sketch import make_plan, sketch, slab_chunks
 from .tensor import norm
 
 __all__ = ["main"]
@@ -353,11 +353,8 @@ def _plan_from_config(cfg, shape):
 def cmd_sketch(args, cfg):
     output = _require(args.output, "--output")
     with TensorFile(_require(args.chunks, "--chunks")) as x:
-        acc = SketchAccumulator(_plan_from_config(cfg, x.shape))
-        for chunk in x.slabs():
-            acc.update(chunk)
-            del chunk  # hold one piece: drop it before the next is read
-    write_bundle(output, acc.finalize())
+        bundle = sketch(x.slabs(), _plan_from_config(cfg, x.shape))
+    write_bundle(output, bundle)
     return 0
 
 
@@ -391,15 +388,13 @@ def cmd_eval(args, cfg):
         x = files.enter_context(TensorFile(_require(args.chunks, "--chunks")))
         if t.shape != x.shape:
             raise ShapeError(f"factorization reconstructs to {t.shape}, tensor has shape {x.shape}")
-        x0 = None
+        clean = None
         if cfg["clean"] is not None:
             x0 = files.enter_context(TensorFile(cfg["clean"]))
             if x0.shape != x.shape:
                 raise ShapeError(f"shape mismatch: {x0.shape} vs {x.shape}")
-        # The clean tensor is read over the observed slab's range, whatever its own records.
-        slabs = ((c, None if x0 is None else x0.read(c.start, c.start + c.count))
-                 for c in x.slabs())
-        report = {"shape": list(x.shape), "rank": t.rank, **score(t, slabs)}
+            clean = x0.read  # over each observed slab's range, whatever its own records
+        report = {"shape": list(x.shape), "rank": t.rank, **score(t, x.slabs(), clean)}
     if math.isinf(report.get("snr_db", 0.0)):
         report["snr_db"] = None  # noiseless: the clean tensor equals the observed one
     try:

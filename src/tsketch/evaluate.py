@@ -24,7 +24,7 @@ import numpy as np
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
-from .sketch import SlabChunk, _require_coverage, _take_slab
+from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
 from .tensor import inner, multi_mode_product, norm, unfold
 
 __all__ = [
@@ -60,9 +60,11 @@ def relative_error(x_hat, x, x0=None):
     """||x_hat - x|| / ||x0||; x0 defaults to x (the noiseless convention)."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x_hat.shape != x.shape:
-        raise ShapeError(f"shape mismatch: {x_hat.shape} vs {x.shape}")
-    return _ratio(norm(x_hat - x), norm(x if x0 is None else x0))
+    x0 = x if x0 is None else np.asarray(x0, dtype=np.float64)
+    for y in (x_hat, x0):
+        if y.shape != x.shape:
+            raise ShapeError(f"shape mismatch: {y.shape} vs {x.shape}")
+    return _ratio(norm(x_hat - x), norm(x0))
 
 
 def snr_db(x, x0):
@@ -74,10 +76,10 @@ def snr_db(x, x0):
     return _decibels(norm(x), norm(x0 - x))
 
 
-def _slab_squares(t, chunk, x, x0):
-    """Squared norms of one slab: ||x_hat - x||^2 and ||x||^2, then, with the
-    clean slab x0, ||x_hat - x0||^2, ||x0||^2 and ||x0 - x||^2 (zeros without)."""
-    x_hat = reconstruct(t, chunk.start, chunk.start + chunk.count)
+def _slab_squares(t, lo, hi, x, x0):
+    """Squared norms of the slab [lo, hi): ||x_hat - x||^2 and ||x||^2, then, with
+    the clean slab x0, ||x_hat - x0||^2, ||x0||^2 and ||x0 - x||^2 (zeros without)."""
+    x_hat = reconstruct(t, lo, hi)
     out = np.zeros(5)
     out[1] = inner(x, x)
     if x0 is not None:
@@ -91,36 +93,30 @@ def _slab_squares(t, chunk, x, x0):
     return out
 
 
-def score(t, slabs):
+def score(t, x, clean=None):
     """Relative errors of factorization `t` against a tensor read slab by slab.
 
-    `slabs` yields pairs (chunk, clean): a ``SlabChunk`` of the observed tensor
-    x and the same last-mode range of the clean tensor x0, or None when there
-    is no clean tensor. Every pair has a clean slab or none does. The chunks
-    tile the last mode, and each slab, observed or clean, is checked as
-    ``SketchAccumulator.update`` checks it. Each slab of the reconstruction
+    `x` is the observed tensor, dense or an iterable of its last-mode slabs
+    (``SlabChunk``) that tile the last mode, as ``sketch`` takes it; each slab
+    is checked as ``SketchAccumulator.update`` checks it. `clean`, if given,
+    reads the clean tensor x0: ``clean(lo, hi)`` returns its last-mode slices
+    [lo, hi), as ``TensorFile.read`` does, and is called over each slab's
+    range, the slab it returns checked alike. Each slab of the reconstruction
     x_hat is built from its own rows of the last factor (see ``reconstruct``),
     so nothing tensor-sized is held. Returns ``relative_error``
-    ||x_hat - x|| / ||x|| and, with clean slabs, ``relative_error_clean``
+    ||x_hat - x|| / ||x|| and, given `clean`, ``relative_error_clean``
     ||x_hat - x0|| / ||x0|| and ``snr_db`` as ``snr_db(x, x0)`` computes it.
     """
-    sums, covered, clean_covered, has_clean = np.zeros(5), [], [], None
-    for chunk, clean in slabs:
-        x = _take_slab(covered, t.shape, chunk)
-        if has_clean is None:
-            has_clean = clean is not None
-        if has_clean != (clean is not None):
-            raise ConfigError(f"slab [{chunk.start}, {chunk.start + chunk.count}) has "
-                              f"{'no' if has_clean else 'a'} clean slab, unlike the first slab")
-        if clean is not None:
-            clean_chunk = SlabChunk(chunk.start, chunk.count, clean)
-            clean = _take_slab(clean_covered, t.shape, clean_chunk, "clean slab")
-        if chunk.count:
-            sums += _slab_squares(t, chunk, x, clean)
+    sums, covered = np.zeros(5), []
+    for chunk in _as_slabs(x):
+        lo, hi, slab = _take_slab(covered, t.shape, chunk)
+        if hi > lo:
+            x0 = None if clean is None else _slab_entries(clean(lo, hi), t.shape, lo, hi, "clean slab")
+            sums += _slab_squares(t, lo, hi, slab, x0)
     _require_coverage(covered, t.shape[-1])
     res, xx, res0, x0x0, noise = np.sqrt(sums)
     out = {"relative_error": _ratio(float(res), float(xx))}
-    if has_clean:
+    if clean is not None:
         out["relative_error_clean"] = _ratio(float(res0), float(x0x0))
         out["snr_db"] = _decibels(float(xx), float(noise))
     return out

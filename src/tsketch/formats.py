@@ -47,7 +47,9 @@ import numpy as np
 from .ensembles import FAMILIES, FAMILY_NAMES
 from .errors import ConfigError, IOFormatError, ShapeError
 from .recover import TuckerFactorization
-from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk, _real, _slab_range
+from .sketch import (
+    LOO_KINDS, SketchBundle, SketchPlan, SlabChunk, _as_shape, _fit, _int_pair, _real, _slab_range,
+)
 
 __all__ = [
     "TensorFile",
@@ -186,8 +188,11 @@ def _tensor_shape(f):
 
 
 def write_tensor(path, x):
-    """Write `x`, whose entries must be real (``ConfigError``), as a TNSR file."""
-    x = _real(np.asarray(x), "tensor")
+    """Write `x` as a TNSR file. It must have at least one mode and no mode of
+    length 0 (``ShapeError``), and real entries (``ConfigError``)."""
+    x = np.asarray(x)
+    _as_shape(x.shape)
+    x = _real(x, "tensor")
     with open(path, "wb") as f:
         f.write(_magic(b"TNSR"))
         f.write(struct.pack("<I", x.ndim))
@@ -210,24 +215,20 @@ def read_tensor(path):
 def write_chunks(path, shape, chunks):
     """Write last-mode slabs; `chunks` yields SlabChunk objects.
 
-    Each range must lie in the last mode (``ShapeError``) and each payload
-    hold real entries (``ConfigError``). Nothing else is checked: a stream
-    may leave gaps, overlap or hold non-finite entries, which its readers refuse.
+    The shape must be positive integers, refused before the file is opened,
+    and each range must lie in the last mode and each payload fit it, as
+    ``sketch._take_slab`` checks them (``ShapeError``); each payload must hold
+    real entries (``ConfigError``). Nothing else is checked: a stream may
+    leave gaps, overlap or hold non-finite entries, which its readers refuse.
     """
-    shape = tuple(int(n) for n in shape)
+    shape = _as_shape(shape)
     with open(path, "wb") as f:
         f.write(_magic(b"TSKC"))
         f.write(struct.pack("<I", len(shape)))
         f.write(struct.pack(f"<{len(shape)}Q", *shape))
         for c in chunks:
             lo, hi = _slab_range(c, shape[-1], "chunk")
-            payload = np.asarray(c.payload)
-            if payload.shape != shape[:-1] + (hi - lo,):
-                raise IOFormatError(
-                    f"chunk payload shape {payload.shape} inconsistent with {shape} "
-                    f"and count {hi - lo}"
-                )
-            payload = _real(payload, f"chunk [{lo}, {hi})")
+            payload = _real(_fit(c.payload, shape, lo, hi, "chunk"), f"chunk [{lo}, {hi})")
             f.write(struct.pack("<QQ", lo, hi - lo))
             _write_f64(f, payload)
             del payload
@@ -325,8 +326,11 @@ class TensorFile:
         self.close()
 
     def read(self, lo, hi):
-        """The last-mode slices [lo, hi) as a first-mode-fastest array."""
+        """The last-mode slices [lo, hi) as a first-mode-fastest array. The
+        range must be integers (a numpy integer will do) with
+        0 <= lo <= hi <= n (``ShapeError``)."""
         n = self.shape[-1]
+        lo, hi = _int_pair(lo, hi)
         if not 0 <= lo <= hi <= n:
             raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
         per = self._slab_bytes // 8
@@ -455,8 +459,22 @@ def _sign_normalized(t):
 
 
 def write_factorization(path, t):
-    t = _sign_normalized(t)
-    d = t.core.ndim
+    """Write `t` as a TUCK file, its factor columns sign-normalized.
+
+    Checked before the file is opened: the core must be r x ... x r with
+    r >= 1 and one factor per mode, each factor n_i x r with n_i >= 1
+    (``ShapeError``), and every entry real (``ConfigError``).
+    """
+    core, factors = np.asarray(t.core), [np.asarray(q) for q in t.factors]
+    d, r = core.ndim, core.shape[0] if core.ndim else 0
+    if r < 1 or core.shape != (r,) * d or len(factors) != d:
+        raise ShapeError(f"core of shape {core.shape} with {len(factors)} factors is not "
+                         "r x ... x r with one factor per mode")
+    for i, q in enumerate(factors, start=1):
+        if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] != r:
+            raise ShapeError(f"factor {i} has shape {q.shape}, not n x {r}")
+    t = _sign_normalized(TuckerFactorization(
+        _real(core, "core"), [_real(q, f"factor {i}") for i, q in enumerate(factors, start=1)]))
     with open(path, "wb") as raw:
         f = _Crc32(raw)
         f.write(_magic(b"TUCK"))

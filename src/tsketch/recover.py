@@ -49,14 +49,13 @@ matrices, so the cost of recovery does not grow with the tensor.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError, SingularError
-from .sketch import SlabChunk, _KronSums, _require_coverage, _take_slab
+from .sketch import _as_slabs, _int_pair, _KronSums
 from .tensor import multi_mode_product, unfold
 
 __all__ = [
@@ -311,35 +310,21 @@ def _truncate_core(core, r):
     return us
 
 
-def _as_slabs(x):
-    """The last-mode slabs of `x`: an iterator or a list of SlabChunk as given,
-    anything else as one dense tensor, the single slab covering its last mode."""
-    if isinstance(x, Iterator) or (isinstance(x, (list, tuple)) and x and isinstance(x[0], SlabChunk)):
-        return x
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 1:
-        raise ShapeError("tensor must have at least one mode")
-    return [SlabChunk(0, x.shape[-1], x)]
-
-
 def compute_core_twopass(x, qs):
     """Optimal core for the given factors, computed by projecting the data: G = X x_i Q_i^T.
 
     `x` is a dense tensor or an iterable of last-mode slabs (``SlabChunk``)
-    that tile the last mode, each checked as ``SketchAccumulator.update``
-    checks it. The projection is linear, so the core is a sum over slabs,
-    taken by the engine of the core sketch (``sketch._KronSums``) as its one
-    measurement [Q_1^T, ..., Q_d^T]; a dense tensor is the one-slab case.
+    that tile the last mode, as ``sketch`` takes it. The projection is
+    linear, so the core is a sum over slabs, taken by the engine of the core
+    sketch (``sketch._KronSums``) as its one measurement [Q_1^T, ..., Q_d^T]:
+    it checks each slab as ``SketchAccumulator.update`` does, and refuses a
+    gap. A dense tensor is the one-slab case.
     """
-    shape = tuple(q.shape[0] for q in qs)
-    sums, covered = _KronSums(shape, [[q.T for q in qs]]), []
-    for c in _as_slabs(x):
-        payload = _take_slab(covered, shape, c)
-        if c.count:
-            sums.add(payload, c.start, c.start + c.count)
-        del c, payload  # hold one slab: drop it before the next is read
-    _require_coverage(covered, shape[-1])
-    return sums.finish()[0]
+    sums = _KronSums(tuple(q.shape[0] for q in qs), [[q.T for q in qs]])
+    for chunk in _as_slabs(x):
+        sums.update(chunk)
+        del chunk  # hold one slab: drop it before the next is read
+    return sums.finish(whole=True)[0]
 
 
 def one_pass(bundle, r):
@@ -377,10 +362,7 @@ def reconstruct(t, lo=0, hi=None):
     integers 0 <= lo < hi <= n_d (``ShapeError``).
     """
     d, n = len(t.factors), t.factors[-1].shape[0]
-    try:
-        lo, hi = operator.index(lo), operator.index(n if hi is None else hi)
-    except TypeError:
-        raise ShapeError(f"slab range lo={lo!r}, hi={hi!r} is not a pair of integers") from None
+    lo, hi = _int_pair(lo, n if hi is None else hi)
     if not 0 <= lo < hi <= n:
         raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
     mats = [(t.factors[-1][lo:hi], d)] + [(q, i) for i, q in enumerate(t.factors[:-1], start=1)]

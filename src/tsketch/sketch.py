@@ -31,8 +31,9 @@ All measurements are linear, so a tensor arriving in last-mode slabs can be
 sketched additively: each slab contributes through the map columns its index
 range selects. ``SketchAccumulator`` holds the fixed-size measurement arrays
 (never the slabs themselves), supports merging with a disjoint peer, and
-finalizes into a :class:`SketchBundle`. Batch sketching is the special case
-of one slab covering the whole mode, which is how ``sketch`` is implemented.
+finalizes into a :class:`SketchBundle`. ``sketch`` takes a dense tensor or
+its slabs and feeds them to one accumulator; a dense tensor is the one slab
+covering the whole mode.
 
 One engine, ``_KronSums``, sums every measurement of a plan over the slab
 stream: the modewise products (the core, the kronecker B_j, and the
@@ -54,14 +55,16 @@ temporary as large as the measurement.
 
 A streaming step holds the sums, the buffers, the maps and one slab with
 its products. ``finalize`` lends the sums to its bundle as read-only views
-instead of copying them, and the accumulator copies them before it next
-changes them.
+instead of copying them, and the engine copies them before it next changes
+them.
 
 A streamed sketch, the two-pass core and the error of a factorization are
 each a sum over slabs, right only if every slab is real, finite and fits the
 tensor and the slabs tile the last mode once. ``_take_slab`` and
-``_require_coverage`` hold that rule for the accumulator,
-``compute_core_twopass`` and ``score``.
+``_require_coverage`` hold that rule: the engine applies it to every slab it
+sums, for the accumulator and ``compute_core_twopass`` alike, and ``score``
+to every slab it scores. Each of them, and ``sketch``, takes a dense tensor
+or its slabs the same way, by ``_as_slabs``.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ import copy
 import math
 import operator
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,10 +158,7 @@ class SketchPlan:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "shape", tuple(operator.index(n) for n in self.shape))
-        except TypeError:
-            raise ShapeError(f"tensor shape {self.shape!r} is not a tuple of integers") from None
+        object.__setattr__(self, "shape", _as_shape(self.shape))
         for key in ("m", "m_c", "seed"):
             try:
                 object.__setattr__(self, key, operator.index(getattr(self, key)))
@@ -165,8 +166,6 @@ class SketchPlan:
                 raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
         object.__setattr__(self, "loo_families", tuple(self.loo_families))
         object.__setattr__(self, "core_families", tuple(self.core_families))
-        if self.d < 1 or any(n < 1 for n in self.shape):
-            raise ShapeError(f"bad tensor shape {self.shape}")
         if self.loo_kind not in LOO_KINDS:
             raise ConfigError(f"loo_kind must be one of {LOO_KINDS}, got {self.loo_kind!r}")
         if self.m < 1 or self.m_c < 1:
@@ -318,10 +317,7 @@ def expand_families(family, d):
 
 def make_plan(shape, loo_kind, m, m_c, loo_family="gaussian", core_family=None, seed=0):
     """Convenience constructor: accepts one family name, a per-mode list, or 'mix'."""
-    try:
-        shape = tuple(shape)
-    except TypeError:
-        raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
+    shape = _as_shape(shape)
     d = len(shape)
     if core_family is None:
         core_family = loo_family
@@ -378,6 +374,27 @@ def _overlap(covered, start, count):
     return None
 
 
+def _as_shape(shape):
+    """`shape` as a tuple of ints, refused with ``ShapeError`` unless it is a
+    non-empty sequence of positive integers (a numpy integer will do)."""
+    try:
+        shape = tuple(operator.index(n) for n in shape)
+    except TypeError:
+        raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
+    if not shape or any(n < 1 for n in shape):
+        raise ShapeError(f"bad tensor shape {shape}")
+    return shape
+
+
+def _int_pair(lo, hi):
+    """The slab range (lo, hi) as ints, refused with ``ShapeError`` unless both
+    are integers (a numpy integer will do)."""
+    try:
+        return operator.index(lo), operator.index(hi)
+    except TypeError:
+        raise ShapeError(f"slab range lo={lo!r}, hi={hi!r} is not a pair of integers") from None
+
+
 def _slab_range(chunk, n, what="slab"):
     """(lo, hi) of the last-mode slab `chunk` of a mode of length n, refused
     with ``ShapeError`` unless its start and count are integers (a numpy
@@ -392,6 +409,16 @@ def _slab_range(chunk, n, what="slab"):
     return lo, lo + count
 
 
+def _fit(payload, shape, lo, hi, what="slab"):
+    """`payload` as an array, refused with ``ShapeError`` unless it has the
+    shape of the last-mode slices [lo, hi) of a tensor of `shape`."""
+    payload = np.asarray(payload)
+    if payload.shape != shape[:-1] + (hi - lo,):
+        raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
+                         f"the tensor's shape {shape}")
+    return payload
+
+
 def _real(a, what):
     """`a` as float64, refused with ``ConfigError`` unless its entries are real:
     bool, integer or float, never complex, text or objects."""
@@ -400,30 +427,33 @@ def _real(a, what):
     return a.astype(np.float64, copy=False)
 
 
-def _take_slab(covered, shape, chunk, what="slab"):
-    """Check one last-mode slab of a tensor of `shape`, record its range in
-    the sorted `covered` (unless empty), and return its payload as float64.
-
-    In order: the range lies in the last mode (``_slab_range``) and the
-    payload has the tensor's other mode lengths (``ShapeError``); the entries
-    are real (``_real``), every entry is finite, and the range overlaps no
-    slab in `covered` (``ConfigError``).
-    """
-    lo, hi = _slab_range(chunk, shape[-1], what)
-    payload = np.asarray(chunk.payload)
-    if payload.shape != shape[:-1] + (hi - lo,):
-        raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
-                         f"the tensor's shape {shape}")
-    payload = _real(payload, f"{what} [{lo}, {hi})")
+def _slab_entries(payload, shape, lo, hi, what="slab"):
+    """The payload of the last-mode slices [lo, hi) of a tensor of `shape`, as
+    float64: it fits them (``_fit``), and its entries are real (``_real``) and
+    finite (``ConfigError``)."""
+    payload = _real(_fit(payload, shape, lo, hi, what), f"{what} [{lo}, {hi})")
     if not np.isfinite(payload).all():
         raise ConfigError(f"{what} [{lo}, {hi}) has non-finite entries")
+    return payload
+
+
+def _take_slab(covered, shape, chunk):
+    """Check one last-mode slab of a tensor of `shape`, record its range in
+    the sorted `covered` (unless empty), and return (lo, hi, payload as float64).
+
+    In order: the range lies in the last mode (``_slab_range``), the payload
+    fits it and its entries are real and finite (``_slab_entries``), and the
+    range overlaps no slab in `covered` (``ConfigError``).
+    """
+    lo, hi = _slab_range(chunk, shape[-1])
+    payload = _slab_entries(chunk.payload, shape, lo, hi)
     hit = _overlap(covered, lo, hi - lo)
     if hit:
         s, c = hit
-        raise ConfigError(f"{what} [{lo}, {hi}) overlaps [{s}, {s + c})")
+        raise ConfigError(f"slab [{lo}, {hi}) overlaps [{s}, {s + c})")
     if hi > lo:
         bisect.insort(covered, (lo, hi - lo))
-    return payload
+    return lo, hi, payload
 
 
 def _require_coverage(covered, n):
@@ -431,6 +461,19 @@ def _require_coverage(covered, n):
     got = sum(c for _, c in covered)
     if got != n:
         raise ShapeError(f"slabs cover {got} of the {n} indices of the last mode")
+
+
+def _as_slabs(x):
+    """The last-mode slabs of `x`: an iterator, or a list of SlabChunk (an
+    empty one too), as given, anything else as one dense tensor, the single
+    slab covering its last mode. Entries are not converted: the slab rule
+    (``_take_slab``) checks them."""
+    if isinstance(x, Iterator) or (isinstance(x, (list, tuple)) and (not x or isinstance(x[0], SlabChunk))):
+        return x
+    x = np.asarray(x)
+    if x.ndim < 1:
+        raise ShapeError("tensor must have at least one mode")
+    return [SlabChunk(0, x.shape[-1], x)]
 
 
 @dataclass
@@ -566,10 +609,9 @@ class _KronSums:
     A measurement is a list of one map per mode, None keeping that mode at
     full length, for a modewise product (the core, a kronecker B_j, the
     two-pass core), or a ``_Joint`` B_j. The last-mode map is cut to each
-    slab's columns. Slabs are checked by the caller (``_take_slab``). Every
-    measurement that compresses mode 1 first takes its rows of one
-    ``_mode1_product`` per slab, through `stack`: (matrix, rows), as a plan's
-    ``mode1_stack``. Given no stack, the engine takes one modewise
+    slab's columns. Every measurement that compresses mode 1 first takes its
+    rows of one ``_mode1_product`` per slab, through `stack`: (matrix, rows),
+    as a plan's ``mode1_stack``. Given no stack, the engine takes one modewise
     measurement, the two-pass core, whose mode-1 map is its own stack. Of an
     F-ordered slab, whose row blocks hold their modes in reverse, a modewise
     measurement contracts a block's transpose, F-contiguous with mode 1 last,
@@ -583,9 +625,15 @@ class _KronSums:
     matrices with a column per last-mode index (``_columns``), and a flush adds
     the buffer's product with the map to the sum one tile of rows at a time,
     each formed in a temporary of at most ``_TILE_BYTES``.
+
+    The engine owns its stream: ``update`` checks each slab by the slab rule
+    (``_take_slab``) and records its range in `covered`, ``merge`` refuses
+    overlapping streams, and ``finish`` hands out the sums, which the next
+    slab adds to copies of. ``add`` takes a slab unchecked and unrecorded.
     """
 
     def __init__(self, shape, measurements, stack=None):
+        self.shape = shape
         self.maps = list(measurements)
         self.sums = [_zeros_kept_first(shape, m) for m in self.maps]
         if stack is None:
@@ -602,6 +650,8 @@ class _KronSums:
         # (start, count) of the parked slabs, and the buffers: allocated by the
         # first thin slab after construction or `finish`, which releases them.
         self._parked, self._bufs = [], None
+        self.covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
+        self._lent = False  # whether `finish` handed the sums out
 
     def _buffers(self):
         """Per modewise measurement that compresses the last mode, room for
@@ -618,6 +668,17 @@ class _KronSums:
         b = t.swapaxes(0, j - 1).reshape(t.shape[j - 1], -1, order="F")  # unfold(t, j), at less cost
         out = b[lo:hi] if j == x.ndim else b
         out += self.maps[s].contract(x, lo, hi, *first)
+
+    def update(self, chunk):
+        """Check the slab `chunk` (``_take_slab``), record its range and add it.
+        The chunk is not retained."""
+        lo, hi, payload = _take_slab(self.covered, self.shape, chunk)
+        if hi == lo:
+            return
+        if self._lent:  # `finish` handed the sums out: add to copies of them
+            self.sums = [t.copy(order="K") for t in self.sums]
+            self._lent = False
+        self.add(payload, lo, hi)
 
     def add(self, x, lo, hi):
         """Add the slab x, slices lo..hi-1 of the last mode, to every measurement:
@@ -685,19 +746,30 @@ class _KronSums:
 
     def merge(self, other):
         """The sums of two engines over the same measurements and disjoint
-        slabs, with the parked slabs of both applied. Neither changes."""
+        slabs, with the parked slabs of both applied and the ranges joined.
+        Overlapping slabs are refused (``ConfigError``). Neither changes."""
+        for s2, c2 in other.covered:
+            hit = _overlap(self.covered, s2, c2)
+            if hit:
+                s, c = hit
+                raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
         out = copy.copy(self)  # shares the maps
         out.sums = [a + b for a, b in zip(self.sums, other.sums)]
         self._flush_into(out.sums)
         other._flush_into(out.sums)
-        out._parked, out._bufs = [], None
+        out._parked, out._bufs, out._lent = [], None, False
+        out.covered = sorted(self.covered + other.covered)
         return out
 
-    def finish(self):
-        """Apply the parked slabs, release the buffers and return the sums,
-        which later slabs keep adding to."""
+    def finish(self, whole=False):
+        """Apply the parked slabs, release the buffers and hand out the sums;
+        a later slab adds to copies of them. With `whole`, slabs that leave
+        part of the last mode are refused first (``_require_coverage``)."""
+        if whole:
+            _require_coverage(self.covered, self.shape[-1])
         self._flush()
         self._bufs = None
+        self._lent = True
         return self.sums
 
 
@@ -705,12 +777,12 @@ class SketchAccumulator:
     """Single-writer additive state for one measurement campaign.
 
     Holds the plan and one engine, ``_KronSums``, that sums every measurement
-    of the plan; the maps are the plan's own (``SketchPlan.loo_maps``,
-    ``core_maps`` and ``mode1_stack``), so the accumulators of one plan share
-    one copy of them. Chunks are folded in by `update` and never retained
-    (the engine parks thin slabs only after contracting them on every mode
-    but the last); `merge` combines two accumulators built from the same plan
-    over disjoint slab ranges.
+    of the plan over the slab stream and records the slabs it has summed; the
+    maps are the plan's own (``SketchPlan.loo_maps``, ``core_maps`` and
+    ``mode1_stack``), so the accumulators of one plan share one copy of them.
+    Chunks are folded in by `update` and never retained (the engine parks thin
+    slabs only after contracting them on every mode but the last); `merge`
+    combines two accumulators built from the same plan over disjoint slab ranges.
     """
 
     def __init__(self, plan):
@@ -724,22 +796,10 @@ class SketchAccumulator:
             dense = plan.loo_kind == "unstructured"
             loo = [_Joint(j, loo, plan.m, plan.khat_scale(), dense) for j in range(1, plan.d + 1)]
         self._kron = _KronSums(plan.shape, [*loo, plan.core_maps], plan.mode1_stack)
-        self._covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
-        self._lent = False  # whether a bundle shares the sums
-
-    # -- streaming -----------------------------------------------------------
 
     def update(self, chunk):
-        """Fold one slab into the sketches. The chunk is not retained."""
-        payload = _take_slab(self._covered, self.plan.shape, chunk)
-        if chunk.count == 0:
-            return
-        if self._lent:  # a bundle holds the sums: add to copies of them
-            self._kron.sums = [t.copy(order="K") for t in self._kron.sums]
-            self._lent = False
-        self._kron.add(payload, chunk.start, chunk.start + chunk.count)
-
-    # -- merging / finalizing --------------------------------------------------
+        """Fold one slab into the sketches, checked by the slab rule (``_KronSums.update``)."""
+        self._kron.update(chunk)
 
     def merge(self, other):
         """Combine with a peer accumulator over the same plan and disjoint slabs."""
@@ -747,23 +807,13 @@ class SketchAccumulator:
             raise ConfigError("can only merge SketchAccumulators")
         if self.plan != other.plan:
             raise ConfigError("cannot merge accumulators built from different plans")
-        for s2, c2 in other._covered:
-            hit = _overlap(self._covered, s2, c2)
-            if hit:
-                s, c = hit
-                raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
         out = copy.copy(self)
         out._kron = self._kron.merge(other._kron)
-        out._covered = sorted(self._covered + other._covered)
-        out._lent = False
         return out
 
     def coverage_complete(self):
-        try:
-            _require_coverage(self._covered, self.plan.shape[-1])
-        except ShapeError:
-            return False
-        return True
+        """Whether the slabs folded in cover the whole last mode."""
+        return sum(c for _, c in self._kron.covered) == self.plan.shape[-1]
 
     def finalize(self):
         """Produce the bundle. Incomplete coverage is allowed but flagged partial.
@@ -774,7 +824,6 @@ class SketchAccumulator:
         next slab changes them, so the bundle never changes.
         """
         *loo, core = self._kron.finish()
-        self._lent = True
         return SketchBundle(
             plan=self.plan,
             loo=[_read_only(unfold(t, j)) for j, t in enumerate(loo, start=1)],
@@ -784,10 +833,13 @@ class SketchAccumulator:
 
 
 def sketch(x, plan):
-    """Batch sketch: one slab covering the whole last mode, then finalize."""
+    """Sketch `x`, a dense tensor or an iterable of its last-mode slabs
+    (``SlabChunk``), in one pass: every slab goes to one accumulator of
+    `plan` (``SketchAccumulator.update``), which is then finalized, so slabs
+    that leave a gap give a partial bundle. A dense tensor is the one slab
+    covering its last mode."""
     acc = SketchAccumulator(plan)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != plan.shape:
-        raise ShapeError(f"tensor shape {x.shape} does not match plan shape {plan.shape}")
-    acc.update(SlabChunk(0, plan.shape[-1], x))
+    for chunk in _as_slabs(x):
+        acc.update(chunk)
+        del chunk  # hold one slab: drop it before the next is read
     return acc.finalize()

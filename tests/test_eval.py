@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tsketch.errors import ConfigError, ShapeError
+from tsketch.errors import ConfigError, ShapeError, TsketchError
 from tsketch.evaluate import (
     add_noise_snr,
     bound_rhs,
@@ -287,35 +287,42 @@ class TestScore:
 
     def test_one_slab(self, problem) -> None:
         x0, x, t, dense = problem
-        self.close(score(t, [(SlabChunk(0, 11, x), x0)]), dense)
-        self.close(score(t, [(SlabChunk(0, 11, x), None)]), {"relative_error": dense["relative_error"]})
+        self.close(score(t, x, lambda lo, hi: x0[..., lo:hi]), dense)
+        self.close(score(t, x), {"relative_error": dense["relative_error"]})
 
     def test_uneven_out_of_order_slabs(self, problem) -> None:
         x0, x, t, dense = problem
         ranges = [(6, 11), (0, 1), (1, 6)]
-        pairs = [(SlabChunk(lo, hi - lo, x[..., lo:hi]), x0[..., lo:hi]) for lo, hi in ranges]
-        self.close(score(t, pairs), dense)
+        slabs = [SlabChunk(lo, hi - lo, x[..., lo:hi]) for lo, hi in ranges]
+        self.close(score(t, slabs, lambda lo, hi: x0[..., lo:hi]), dense)
 
     def test_slabs_must_cover_the_mode(self, problem) -> None:
         x0, x, t, _ = problem
         with pytest.raises(ShapeError, match="cover 6 of the 11"):
-            score(t, [(SlabChunk(0, 6, x[..., :6]), None)])
+            score(t, [SlabChunk(0, 6, x[..., :6])])
         with pytest.raises(ShapeError):
-            score(t, [(SlabChunk(0, 11, x[:4]), None)])
-
-    @pytest.mark.parametrize("clean_half", [0, 1])
-    def test_clean_slabs_come_with_every_slab_or_none(self, problem, clean_half) -> None:
-        """A clean tensor over half the mode would score that half alone, or be dropped."""
-        x0, x, t, _ = problem
-        pairs = [(SlabChunk(lo, hi - lo, x[..., lo:hi]), None) for lo, hi in [(0, 6), (6, 11)]]
-        c, _ = pairs[clean_half]
-        pairs[clean_half] = (c, x0[..., c.start : c.start + c.count])
-        with pytest.raises(ConfigError, match=r"slab \[6, 11\) has (a|no) clean slab"):
-            score(t, pairs)
+            score(t, [SlabChunk(0, 11, x[:4])])
 
 
 def test_shape_mismatch_errors() -> None:
     with pytest.raises(ShapeError):
         relative_error(np.ones((2, 2)), np.ones((2, 3)))
+    x = np.ones((5, 4, 6))
+    with pytest.raises(ShapeError, match=r"shape mismatch: \(7, 7\) vs \(5, 4, 6\)"):
+        relative_error(x, x, np.ones((7, 7)))  # once normalized by the 7 x 7 tensor's norm
     with pytest.raises(ShapeError):
         snr_db(np.ones((2, 2)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("call,category,message", [
+    (lambda: max_principal_angle(np.eye(5)[:, :2], np.eye(5)[:, :3]), "shape",
+     "subspace bases differ in shape: (5, 2) vs (5, 3)"),
+    (lambda: tail_energy(np.ones((4, 5, 6)), 7, 1), "rank", "rank 7 exceeds min dimension 4 of the mode-1 unfolding"),
+    (lambda: gen_lowrank(4, 3, 5, seed=0), "rank", "rank 5 exceeds mode length 4"),
+    (lambda: gen_superdiag_exp(4, 3, 5), "rank", "rank 5 exceeds mode length 4"),
+    (lambda: gen_superdiag_poly(4, 3, 5), "rank", "rank 5 exceeds mode length 4"),
+], ids=["angle-of-bases-of-two-shapes", "tail-energy", "gen-lowrank", "gen-superdiag-exp", "gen-superdiag-poly"])
+def test_typed_errors(call, category, message) -> None:
+    with pytest.raises(TsketchError) as e:
+        call()
+    assert (e.value.category, str(e.value)) == (category, message)

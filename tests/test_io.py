@@ -1,5 +1,6 @@
 """Binary round trips for the four on-disk formats."""
 
+import re
 import struct
 import time
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from tsketch import formats
 from tsketch.ensembles import FAMILIES
-from tsketch.errors import ConfigError, IOFormatError, ShapeError
-from tsketch.evaluate import gen_lowrank, relative_error, score
+from tsketch.errors import ConfigError, IOFormatError, ShapeError, TsketchError
+from tsketch.evaluate import gen_lowrank, hosvd_truncate, relative_error, score
 from tsketch.formats import (
     TensorFile,
     read_bundle,
@@ -99,6 +100,59 @@ class TestWritersRefuseWithTypedErrors:
         chunks = [SlabChunk(0, 2, tensor[..., :2]), SlabChunk(2, 4, bad[..., 2:])]
         with pytest.raises(ConfigError, match=r"chunk \[2, 6\) has entries of type .*, not real numbers"):
             write_chunks(tmp_path / "x.tskc", tensor.shape, chunks)
+
+    @pytest.mark.parametrize("shape,message", [
+        ((), "bad tensor shape ()"),
+        ((3, 0, 2), "bad tensor shape (3, 0, 2)"),
+        ((5, -4, 6), "bad tensor shape (5, -4, 6)"),
+        ((5, 4, 6.9), "tensor shape (5, 4, 6.9) is not a tuple of integers"),
+    ], ids=["no-mode", "zero-length-mode", "negative-length", "fractional-length"])
+    def test_a_stream_shape_the_readers_refuse(self, tmp_path, tensor, shape, message) -> None:
+        """Refused before the file is opened: `TensorFile` refuses each such
+        file, and (5, 4, 6.9) was once written silently as (5, 4, 6)."""
+        p = tmp_path / "x.tskc"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            write_chunks(p, shape, [SlabChunk(0, 6, tensor)])
+        assert not p.exists()
+
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((3, 0, 2))], ids=["no-mode", "zero-length-mode"])
+    def test_a_tensor_the_readers_refuse(self, tmp_path, x) -> None:
+        p = tmp_path / "x.tnsr"
+        with pytest.raises(ShapeError, match=f"^{re.escape(f'bad tensor shape {x.shape}')}$"):
+            write_tensor(p, x)
+        assert not p.exists()
+
+    def test_a_payload_that_does_not_fit(self, tmp_path, tensor) -> None:
+        """The fit check of the slab rule, so a `ShapeError`, as every reader says."""
+        with pytest.raises(ShapeError, match=r"^chunk \[0, 6\) of shape \(5, 4, 5\) does not fit "
+                                             r"the tensor's shape \(5, 4, 6\)$"):
+            write_chunks(tmp_path / "x.tskc", tensor.shape, [SlabChunk(0, 6, tensor[..., :5])])
+
+    @pytest.mark.parametrize("core,factors,error,message", [
+        (np.ones((2, 2)), [np.eye(4, 2)] * 3, ShapeError,
+         "core of shape (2, 2) with 3 factors is not r x ... x r with one factor per mode"),
+        (np.ones((2, 2, 2)), [np.eye(4, 2)] * 2, ShapeError,
+         "core of shape (2, 2, 2) with 2 factors is not r x ... x r with one factor per mode"),
+        (np.ones((2, 3, 2)), [np.eye(4, 2)] * 3, ShapeError,
+         "core of shape (2, 3, 2) with 3 factors is not r x ... x r with one factor per mode"),
+        (np.ones(()), [], ShapeError, "core of shape () with 0 factors is not r x ... x r with one factor per mode"),
+        (np.ones((2, 2, 2)), [np.eye(4, 2), np.ones((6, 3)), np.eye(4, 2)], ShapeError,
+         "factor 2 has shape (6, 3), not n x 2"),
+        (np.ones((2, 2, 2)), [np.eye(4, 2), np.ones((0, 2)), np.eye(4, 2)], ShapeError,
+         "factor 2 has shape (0, 2), not n x 2"),
+        (np.ones((2, 2, 2)) + 1j, [np.eye(4, 2)] * 3, ConfigError,
+         "core has entries of type complex128, not real numbers"),
+        (np.ones((2, 2, 2)), [np.eye(4, 2), np.eye(4, 2).astype(str), np.eye(4, 2)], ConfigError,
+         "factor 2 has entries of type <U32, not real numbers"),
+    ], ids=["2-mode-core-3-factors", "3-mode-core-2-factors", "core-not-r-cubed", "0-d-core",
+            "factor-not-n-by-r", "factor-of-no-rows", "complex-core", "text-factor"])
+    def test_a_factorization_the_readers_refuse(self, tmp_path, core, factors, error, message) -> None:
+        """Refused before the file is opened: a 3-mode core with 2 factors once
+        left a truncated file, and a complex core lost its imaginary part."""
+        p = tmp_path / "t.tuck"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            write_factorization(p, TuckerFactorization(core, factors))
+        assert not p.exists()
 
     def test_gap_overlap_and_nan_streams_stay_writable(self, tmp_path, tensor) -> None:
         """Readers refuse these; the writer must still make them, so that the
@@ -248,6 +302,15 @@ class TestTensorFile:
                 with pytest.raises(ShapeError):
                     f.read(2, 7)
 
+    @pytest.mark.parametrize("lo,hi", [(1.5, 3), (1, 3.0)])
+    def test_a_range_that_is_not_integral(self, files, lo, hi) -> None:
+        """Checked as `_slab_range` checks a slab's range: it once raised a raw numpy `TypeError`."""
+        for p in files:
+            with TensorFile(p) as f:
+                with pytest.raises(ShapeError, match=f"^slab range lo={lo}, hi={hi} is not a pair of integers$"):
+                    f.read(lo, hi)
+                assert np.array_equal(f.read(np.int64(1), np.int32(3)), f.read(1, 3))
+
     def test_slabs_are_bounded_and_tile_the_mode(self, files, tensor, monkeypatch) -> None:
         monkeypatch.setattr(formats, "_PIECE_BYTES", 2 * 8 * 5 * 4)  # two last-mode slices
         for p in files:
@@ -274,7 +337,7 @@ class TestTensorFile:
             with pytest.raises(ConfigError, match=r"slab \[3, 6\) has non-finite entries"):
                 two_pass(b, f.slabs(), 2)
             with pytest.raises(ConfigError, match=r"slab \[3, 6\) has non-finite entries"):
-                score(t, ((c, None) for c in f.slabs()))
+                score(t, f.slabs())
 
     def test_refuses_other_formats(self, tmp_path, tensor) -> None:
         p = tmp_path / "t.tuck"
@@ -491,6 +554,20 @@ class TestCorruption:
         with pytest.raises(IOFormatError, match="truncated file while reading core"):
             read_factorization(p)
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("name,write,tail,read,message", [
+        ("x.tskc", lambda p, x: write_chunks(p, x.shape, [SlabChunk(0, 6, x)]), b"\0" * 5,
+         TensorFile, "truncated chunk record header"),
+        ("t.tuck", lambda p, x: write_factorization(p, hosvd_truncate(x, 2)), b"\0",
+         read_factorization, "trailing bytes after factorization"),
+    ], ids=["cut-short-record-header", "bytes-after-a-factorization"])
+    def test_typed_errors(self, tmp_path, tensor, name, write, tail, read, message) -> None:
+        p = tmp_path / name
+        write(p, tensor)
+        p.write_bytes(p.read_bytes() + tail)
+        with pytest.raises(TsketchError) as e:
+            read(p)
+        assert (e.value.category, str(e.value)) == ("io", message)
 
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(IOFormatError):

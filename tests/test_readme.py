@@ -6,15 +6,18 @@ import re
 import shlex
 from pathlib import Path
 
-from tsketch import cli
+import numpy as np
+
+from tsketch import SketchAccumulator, cli, formats, make_plan, read_chunks, write_chunks
+from tsketch.sketch import slab_chunks
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
-def fenced_block(heading, lang):
-    """The first ```lang block after the line `heading`."""
+def fenced_block(heading, lang, containing=""):
+    """The first ```lang block after the line `heading` that contains `containing`."""
     section = README.split(f"\n{heading}\n", 1)[1]
-    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+    return next(b for b in re.findall(rf"```{lang}\n(.*?)```", section, re.S) if containing in b)
 
 
 def test_quick_start_recovers_to_roundoff() -> None:
@@ -41,3 +44,21 @@ def test_command_line_walkthrough_exits_zero(tmp_path, monkeypatch, capsys) -> N
             assert cli.main(words[1:]) == 0, (line, capsys.readouterr().err)
             ran.append(words[1])
     assert ran == ["gen", "sketch", "recover", "eval"]
+
+
+def test_streaming_example_sketches_a_file_piece_by_piece(tmp_path, monkeypatch) -> None:
+    """The `read_chunks` example, run on a small TSKC stream written here,
+    gives the bundle of an accumulator fed the file's pieces, bit for bit."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(formats, "_PIECE_BYTES", 2 * 8 * 6 * 5)  # pieces of two slices
+    x = np.random.default_rng(0).standard_normal((6, 5, 7))
+    write_chunks("x.tskc", x.shape, slab_chunks(x, 3))
+    plan = make_plan(x.shape, "kronecker", 3, 4, seed=1)
+    scope = {"plan": plan}
+    exec(fenced_block("### Streaming and merging", "python", "read_chunks("), scope)
+    acc = SketchAccumulator(plan)
+    for chunk in read_chunks("x.tskc"):
+        acc.update(chunk)
+    ref, got = acc.finalize(), scope["bundle"]
+    assert not got.partial
+    assert all(np.array_equal(a, b) for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]))

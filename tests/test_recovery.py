@@ -8,7 +8,7 @@ import scipy.linalg
 
 from tsketch.ensembles import derive_seed, materialize
 from tsketch import formats, recover
-from tsketch.errors import ConfigError, RankError, ShapeError, SingularError
+from tsketch.errors import ConfigError, RankError, ShapeError, SingularError, TsketchError
 from tsketch.evaluate import (
     add_noise_snr,
     gen_lowrank,
@@ -377,6 +377,18 @@ class TestErrorPaths:
             recover_core_onepass(core_sketch, phis, qs)
         assert "mode 1" in str(err.value)
 
+    @pytest.mark.parametrize("solve,maps,factors,message", [
+        (recover_core_onepass, 2, 3, "need 3 core maps and 3 factors, got 2 and 3"),
+        (recover_core_onepass, 3, 4, "need 3 core maps and 3 factors, got 3 and 4"),
+        (recover_core_recycled, 4, 3, "need 3 recycled maps and 3 factors, got 4 and 3"),
+    ], ids=["too-few-core-maps", "too-many-factors", "too-many-recycled-maps"])
+    def test_typed_errors(self, solve, maps, factors, message) -> None:
+        rng = np.random.default_rng(122)
+        with pytest.raises(TsketchError) as e:
+            solve(rng.standard_normal((4, 4, 4)), [rng.standard_normal((4, 6))] * maps,
+                  [np.linalg.qr(rng.standard_normal((6, 2)))[0]] * factors)
+        assert (e.value.category, str(e.value)) == ("shape", message)
+
 
 class TestRangeFinder:
     """The per-mode factors come from a keyed randomized range finder where a
@@ -456,7 +468,7 @@ class TestRangeFinder:
             acc.update(c)
         t = one_pass(acc.finalize(), 5)
         assert routes == ["range"] * 3
-        assert score(t, ((c, None) for c in slabs))["relative_error"] <= 1e-12
+        assert score(t, slabs)["relative_error"] <= 1e-12
 
     def test_equal_bundles_give_bitwise_equal_factors(self, routes, tmp_path) -> None:
         x0, _ = gen_lowrank(128, 3, 5, seed=145)

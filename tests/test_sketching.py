@@ -9,9 +9,9 @@ import pytest
 
 from tsketch import formats
 from tsketch.ensembles import materialize
-from tsketch.errors import ConfigError, ShapeError
+from tsketch.errors import ConfigError, ShapeError, TsketchError
 from tsketch.evaluate import score
-from tsketch.recover import TuckerFactorization, compute_core_twopass
+from tsketch.recover import TuckerFactorization, compute_core_twopass, two_pass
 from tsketch.sketch import (
     SketchAccumulator,
     SketchPlan,
@@ -260,6 +260,28 @@ class TestStreaming:
             assert all(np.array_equal(a, b) for a, b in zip(batch.loo, got.loo))
             assert np.array_equal(batch.core, got.core)
 
+    @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 6), ("unstructured", 6)])
+    @pytest.mark.parametrize(
+        "ranges",
+        [[(0, 10)], [(6, 10), (0, 1), (1, 6)], [(0, 2), (2, 2), (7, 10)], []],
+        ids=["one-slab", "uneven-out-of-order", "gap", "none"],
+    )
+    @pytest.mark.parametrize("as_iter", [False, True], ids=["list", "iterator"])
+    def test_sketch_of_slabs_equals_an_accumulator_fed_them(self, kind, m, ranges, as_iter) -> None:
+        """`sketch` takes slabs as the accumulator does, bit for bit: a stream
+        with a gap gives a partial bundle, as `finalize` does."""
+        x = random_tensor((5, 4, 10), seed=37)
+        plan = make_plan(x.shape, kind, m, 3, seed=38)
+        slabs = [SlabChunk(lo, hi - lo, x[..., lo:hi]) for lo, hi in ranges]
+        acc = SketchAccumulator(plan)
+        for c in slabs:
+            acc.update(c)
+        ref = acc.finalize()
+        got = sketch(iter(slabs) if as_iter else slabs, plan)
+        assert got.partial == ref.partial == (sum(hi - lo for lo, hi in ranges) != 10)
+        for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]):
+            assert np.array_equal(a, b)
+
     def test_out_of_order_and_uneven_slabs(self) -> None:
         x = random_tensor((5, 4, 10), seed=34)
         plan = make_plan(x.shape, "kronecker", 3, 3, seed=35)
@@ -298,7 +320,7 @@ class TestStreaming:
         acc = SketchAccumulator(plan)
         for lo, hi in [(4, 8), (0, 2), (2, 4)]:
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
-        assert acc._covered == [(0, 2), (2, 2), (4, 4)]
+        assert acc._kron.covered == [(0, 2), (2, 2), (4, 4)]
         with pytest.raises(ConfigError, match=r"overlaps \[2, 4\)"):
             acc.update(SlabChunk(3, 1, x[..., 3:4]))
         got, ref = acc.finalize(), sketch(x, plan)
@@ -324,7 +346,7 @@ class TestStreaming:
         slab[1, 2, 0] = bad
         with pytest.raises(ConfigError, match=r"\[3, 6\)"):
             acc.update(SlabChunk(3, 3, slab))
-        assert not acc._covered
+        assert not acc._kron.covered
 
     def test_partial_finalize_sets_flag(self) -> None:
         x = random_tensor((4, 4, 8), seed=42)
@@ -890,6 +912,30 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="a family is a name or a sequence of names"):
             make_plan((4, 4, 4), "kronecker", 2, 3, **{key: family})
 
+    G3 = ("gaussian",) * 3
+
+    @pytest.mark.parametrize("make,category,message", [
+        (lambda g: SketchPlan((4, 0, 4), "kronecker", 2, 2, g, g), "shape", "bad tensor shape (4, 0, 4)"),
+        (lambda g: SketchPlan((4, 4, 4), "kronecker", 0, 2, g, g), "config",
+         "sketch dimensions m and m_c must be >= 1"),
+        (lambda g: SketchPlan((4, 4, 4), "kronecker", 2, 0, g, g), "config",
+         "sketch dimensions m and m_c must be >= 1"),
+        (lambda g: SketchPlan((4, 4, 4), "kronecker", 2, 2, g[:2], g), "config",
+         "need one leave-one-out family and one core family per mode"),
+        (lambda g: SketchPlan((4, 4, 4), "unstructured", 2, 2, ("gaussian", "srtt", "gaussian"), g),
+         "config", "unstructured sketches use a single family for the composite map"),
+        (lambda g: SketchPlan((4, 4, 4), "kronecker", 2, 2, g, ("gaussian", "bogus", "gaussian")),
+         "config", "unknown ensemble family 'bogus'"),
+        (lambda g: SketchAccumulator("plan"), "config", "accumulator needs a SketchPlan"),
+        (lambda g: SketchAccumulator(make_plan((4, 4, 4), "kronecker", 2, 2)).merge("peer"), "config",
+         "can only merge SketchAccumulators"),
+    ], ids=["zero-length-mode", "m-below-1", "m_c-below-1", "family-count", "unstructured-families",
+            "unknown-family", "accumulator-of-no-plan", "merge-with-no-accumulator"])
+    def test_typed_errors(self, make, category, message) -> None:
+        with pytest.raises(TsketchError) as e:
+            make(self.G3)
+        assert (e.value.category, str(e.value)) == (category, message)
+
     def test_khatri_rao_needs_two_modes(self) -> None:
         with pytest.raises(ConfigError):
             make_plan((30,), "khatri_rao", 10, 10)
@@ -937,16 +983,13 @@ class TestSlabRule:
         if consumer == "compute_core_twopass":
             return [compute_core_twopass(iter(chunks), t.factors)]
         if consumer == "score":
-            pairs = ((c, None) for c in chunks)
-        else:
-            # The chunk's payload is given as the clean slab, next to a valid
-            # observed slab over the same range: range faults fail on the
-            # observed slab, payload faults on the clean one.
-            pairs = (
-                (SlabChunk(c.start, c.count, x0[..., max(c.start, 0) : c.start + c.count]), c.payload)
-                for c in chunks
-            )
-        return [np.array(list(score(t, pairs).values()))]
+            return [np.array(list(score(t, chunks).values()))]
+        # The chunk's payload is read as the clean slab over its range, next
+        # to a valid observed slab over the same range: range faults fail on
+        # the observed slab, payload faults on the clean one.
+        observed = (SlabChunk(c.start, c.count, x0[..., max(c.start, 0) : c.start + c.count]) for c in chunks)
+        clean = {(c.start, c.start + c.count): c.payload for c in chunks}
+        return [np.array(list(score(t, observed, lambda lo, hi: clean[lo, hi]).values()))]
 
     @staticmethod
     def stream(x, ranges, bad=None):
@@ -1023,6 +1066,23 @@ class TestSlabRule:
                                       "object": payload.astype(object)}[kind])
         with pytest.raises(ConfigError, match=r"slab \[2, 5\) has entries of type .*, not real numbers"):
             self.consume(consumer, data, chunks)
+
+    @pytest.mark.parametrize("consumer", ["sketch", "two_pass", "compute_core_twopass", "score"])
+    @pytest.mark.parametrize("kind", ["complex", "string"])
+    def test_dense_tensor_that_is_not_real(self, data, consumer, kind) -> None:
+        """A dense tensor is the one-slab stream and takes the slab rule too:
+        a complex one once lost its imaginary part with a warning, and an
+        array of numeral strings was parsed as numbers."""
+        x, _, t, plan = data
+        bad = x + 1j if kind == "complex" else x.astype(str)
+        run = {
+            "sketch": lambda: sketch(bad, plan),
+            "two_pass": lambda: two_pass(sketch(x, plan), bad, 2),
+            "compute_core_twopass": lambda: compute_core_twopass(bad, t.factors),
+            "score": lambda: score(t, bad),
+        }[consumer]
+        with pytest.raises(ConfigError, match=r"^slab \[0, 5\) has entries of type .*, not real numbers"):
+            run()
 
     @pytest.mark.parametrize("consumer", CONSUMERS)
     @pytest.mark.parametrize(

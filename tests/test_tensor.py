@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsketch.errors import ConfigError, ShapeError
+from tsketch.errors import ConfigError, ShapeError, TsketchError
 from tsketch.sketch import _KronSums
 from tsketch.tensor import (
     face_split,
@@ -118,6 +118,15 @@ class TestModeProduct:
         got = mode_product(x, a, j)
         assert got.shape == tuple(shape[: j - 1]) + (rows,) + tuple(shape[j:])
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("a,message", [
+        (np.ones(4), "mode_product needs a 2-d matrix"),
+        (np.ones((2, 5)), "matrix has 5 columns but mode 1 has length 4"),
+    ], ids=["map-not-2-d", "map-columns-off-the-mode"])
+    def test_typed_errors(self, a, message) -> None:
+        with pytest.raises(TsketchError) as e:
+            mode_product(np.ones((4, 5, 6)), a, 1)
+        assert (e.value.category, str(e.value)) == ("shape", message)
 
     def test_multi_mode_equals_sequential(self) -> None:
         rng = np.random.default_rng(4)
