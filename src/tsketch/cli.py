@@ -45,6 +45,7 @@ from .formats import (
     write_chunks,
     write_factorization,
     write_tensor,
+    write_text,
 )
 from .recover import (
     TuckerFactorization,
@@ -402,8 +403,7 @@ def cmd_eval(args, cfg):
     except ValueError:
         raise ConfigError(f"the factorization scores a non-finite error: {report}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        write_text(args.output, text + "\n")
     else:
         print(text)
     return 0
@@ -560,13 +560,15 @@ def run_experiment(cfg):
 
 def write_csv(path, rows):
     import csv  # only the experiment writes CSV
+    import io
 
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
+    f = io.StringIO()
+    f.write(CSV_HEADER_COMMENT + "\n")
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
+    write_text(path, f.getvalue())
 
 
 def cmd_experiment(args, cfg):

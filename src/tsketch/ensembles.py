@@ -102,7 +102,6 @@ def _generator(spec):
 def _dct_rows(sel, n):
     # Selected rows of the n x n orthonormal type-II cosine transform,
     # built directly so we never form the full transform for large n.
-    sel = np.asarray(sel)
     p = sel.astype(np.float64)[:, None]
     k = np.arange(n, dtype=np.float64)[None, :]
     t = np.cos(np.pi * (2.0 * k + 1.0) * p / (2.0 * n))

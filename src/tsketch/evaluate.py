@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
-from .tensor import inner, multi_mode_product, norm, unfold
+from .tensor import _as_tensor, inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -58,9 +58,8 @@ def _decibels(signal, noise):
 
 def relative_error(x_hat, x, x0=None):
     """||x_hat - x|| / ||x0||; x0 defaults to x (the noiseless convention)."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    x0 = x if x0 is None else np.asarray(x0, dtype=np.float64)
+    x, x_hat = _as_tensor(x, "x"), _as_tensor(x_hat, "x_hat")
+    x0 = x if x0 is None else _as_tensor(x0, "x0")
     for y in (x_hat, x0):
         if y.shape != x.shape:
             raise ShapeError(f"shape mismatch: {y.shape} vs {x.shape}")
@@ -69,8 +68,7 @@ def relative_error(x_hat, x, x0=None):
 
 def snr_db(x, x0):
     """Signal-to-noise ratio 10 log10(||x|| / ||x0 - x||) in decibels; +inf when noiseless."""
-    x = np.asarray(x, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
+    x, x0 = _as_tensor(x, "x"), _as_tensor(x0, "x0")
     if x.shape != x0.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {x0.shape}")
     return _decibels(norm(x), norm(x0 - x))
@@ -135,7 +133,7 @@ def add_noise_snr(x0, target_db, seed):
     s N falls toward half an ulp of the entries and rounding, not N, sets the
     noise, until the sum is the clean tensor itself.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _as_tensor(x0)
     rng = keyed_generator(seed, "noise", *x0.shape)
     noise = rng.standard_normal(x0.shape)
     try:
@@ -168,16 +166,13 @@ def max_principal_angle(q, u):
     cosine, the smallest singular value of q^T u. The cosine alone resolves
     nothing below about 1e-6 degrees; the sine keeps small angles accurate.
     """
-    q = np.asarray(q, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    q, u = _as_tensor(q, "q"), _as_tensor(u, "u")
     if q.shape != u.shape:
         raise ShapeError(f"subspace bases differ in shape: {q.shape} vs {u.shape}")
     for name, a in (("first", q), ("second", u)):
         gram = a.T @ a
         if np.linalg.norm(gram - np.eye(a.shape[1])) > 1e-8:
             raise ConfigError(f"{name} basis does not have orthonormal columns")
-    if not q.shape[1]:
-        return 0.0
     c = q.T @ u
     cos = np.linalg.svd(c, compute_uv=False).min()
     sin = np.linalg.norm(u - q @ c, 2)
@@ -203,7 +198,7 @@ def hosvd_truncate(x, r):
     The classical quasi-optimal baseline: its squared error is at most the sum
     of the per-mode tail energies.
     """
-    r, x = _rank(r), np.asarray(x, dtype=np.float64)
+    r, x = _rank(r), _as_tensor(x)
     if r > min(x.shape):
         raise RankError(f"rank {r} exceeds smallest mode length {min(x.shape)}")
     factors = []
@@ -219,9 +214,9 @@ def bound_rhs(eps, deltas):
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must be in (0, 1), got {eps}")
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.size == 0:
+    if not np.size(deltas):
         raise ConfigError("need at least one tail energy")
+    deltas = _as_tensor(deltas, "deltas")
     if np.any(deltas < 0.0):
         raise ConfigError("tail energies must be non-negative")
     return float((1.0 + math.exp(eps)) * math.sqrt((1.0 + eps) / (1.0 - eps) * deltas.sum()))
@@ -272,7 +267,7 @@ def tail_baseline(x, r):
 
     The floor any rank-r approximation of a super-diagonal tensor converges to.
     """
-    r, x = _rank(r), np.asarray(x, dtype=np.float64)
+    r, x = _rank(r), _as_tensor(x)
     n = min(x.shape)
     idx = np.arange(r, n)
     tail = x[tuple(idx for _ in range(x.ndim))]

@@ -32,6 +32,11 @@ file's records, and every file of one tensor gives the same pieces.
 ``TensorFile`` checks the file (headers, lengths, records that tile the last
 mode) and passes the entries through as stored: whether a slab's entries are
 fit to use is decided where slabs are used (``sketch._take_slab``).
+
+Every writer takes its arrays by the library's array rule
+(``tensor._as_tensor``; a stream's chunks by the slab rule's ``_fit`` and
+``_real``) and writes through ``_whole``: a file appears whole or not at
+all, and one it replaces keeps its bytes until then.
 """
 
 from __future__ import annotations
@@ -41,15 +46,15 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
 from .ensembles import FAMILIES, FAMILY_NAMES
 from .errors import ConfigError, IOFormatError, ShapeError
 from .recover import TuckerFactorization
-from .sketch import (
-    LOO_KINDS, SketchBundle, SketchPlan, SlabChunk, _as_shape, _fit, _int_pair, _real, _slab_range,
-)
+from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk, _fit, _int_pair, _slab_range
+from .tensor import _as_shape, _as_tensor, _real
 
 __all__ = [
     "TensorFile",
@@ -62,6 +67,7 @@ __all__ = [
     "read_bundle",
     "write_factorization",
     "read_factorization",
+    "write_text",
 ]
 
 # The one version each magic is read at. Bundles and factorizations are
@@ -82,6 +88,34 @@ def _open(path):
         return open(path, "rb")
     except OSError as e:
         raise IOFormatError(f"cannot open {path}: {e}")
+
+
+@contextmanager
+def _whole(path, mode="wb", **kw):
+    """Open a new file beside `path` for writing; when the block ends it
+    replaces `path`, and on any exception it is removed instead. So `path`
+    appears whole or not at all, and a file already there keeps its bytes
+    until the new one is complete. A symbolic link is followed, so the file
+    it names is replaced and the link kept; a path that names something
+    other than a file, such as a pipe, has no file to replace and is
+    written in place."""
+    real = tmp = os.path.realpath(path)
+    if os.path.isfile(real) or not os.path.exists(real):
+        head, tail = os.path.split(real)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        f = open(tmp, mode, **kw)
+    except OSError as e:
+        raise IOFormatError(f"cannot write {path}: {e}") from None
+    try:
+        with f:
+            yield f
+        if tmp != real:
+            os.replace(tmp, real)
+    except BaseException:
+        if tmp != real:
+            os.unlink(tmp)
+        raise
 
 
 def _need(f, n, what):
@@ -190,10 +224,8 @@ def _tensor_shape(f):
 def write_tensor(path, x):
     """Write `x` as a TNSR file. It must have at least one mode and no mode of
     length 0 (``ShapeError``), and real entries (``ConfigError``)."""
-    x = np.asarray(x)
-    _as_shape(x.shape)
-    x = _real(x, "tensor")
-    with open(path, "wb") as f:
+    x = _as_tensor(x)
+    with _whole(path) as f:
         f.write(_magic(b"TNSR"))
         f.write(struct.pack("<I", x.ndim))
         f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
@@ -222,7 +254,7 @@ def write_chunks(path, shape, chunks):
     leave gaps, overlap or hold non-finite entries, which its readers refuse.
     """
     shape = _as_shape(shape)
-    with open(path, "wb") as f:
+    with _whole(path) as f:
         f.write(_magic(b"TSKC"))
         f.write(struct.pack("<I", len(shape)))
         f.write(struct.pack(f"<{len(shape)}Q", *shape))
@@ -382,13 +414,15 @@ def write_bundle(path, bundle):
     got = [np.shape(a) for a in (*bundle.loo, bundle.core)]
     if got != shapes:
         raise ShapeError(f"bundle arrays have shapes {got}, the plan makes {shapes}")
-    with open(path, "wb") as raw:
+    arrays = [_as_tensor(b, f"mode-{j} sketch") for j, b in enumerate(bundle.loo, start=1)]
+    arrays.append(_as_tensor(bundle.core, "core sketch"))
+    with _whole(path) as raw:
         f = _Crc32(raw)
         f.write(_magic(b"TSKB") + struct.pack(f"<I{d}QBQQ", d, *plan.shape, _KIND_IDS[plan.loo_kind],
                                               plan.m, plan.m_c))
         f.write(bytes(FAMILIES[fam] for fam in plan.loo_families + plan.core_families))
         f.write(struct.pack("<Q", plan.seed))
-        for a in (*bundle.loo, bundle.core):
+        for a in arrays:
             _write_f64(f, a)
         f.write(struct.pack("<B", 1 if bundle.partial else 0))
         f.seal()
@@ -441,10 +475,10 @@ def _sign_normalized(t):
     The core absorbs the sign flips, so reconstruction is bit-for-bit
     unaffected (multiplying by +-1 is exact).
     """
-    core = np.array(t.core, dtype=np.float64, copy=True)
+    core = t.core.copy()
     factors = []
     for i, q in enumerate(t.factors, start=1):
-        q = np.array(q, dtype=np.float64, copy=True)
+        q = q.copy()
         signs = np.ones(q.shape[1])
         for k in range(q.shape[1]):
             lead = np.argmax(np.abs(q[:, k]))
@@ -465,17 +499,17 @@ def write_factorization(path, t):
     r >= 1 and one factor per mode, each factor n_i x r with n_i >= 1
     (``ShapeError``), and every entry real (``ConfigError``).
     """
-    core, factors = np.asarray(t.core), [np.asarray(q) for q in t.factors]
-    d, r = core.ndim, core.shape[0] if core.ndim else 0
-    if r < 1 or core.shape != (r,) * d or len(factors) != d:
-        raise ShapeError(f"core of shape {core.shape} with {len(factors)} factors is not "
+    shape, shapes = np.shape(t.core), [np.shape(q) for q in t.factors]
+    d, r = len(shape), shape[0] if shape else 0
+    if r < 1 or shape != (r,) * d or len(shapes) != d:
+        raise ShapeError(f"core of shape {shape} with {len(shapes)} factors is not "
                          "r x ... x r with one factor per mode")
-    for i, q in enumerate(factors, start=1):
-        if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] != r:
-            raise ShapeError(f"factor {i} has shape {q.shape}, not n x {r}")
-    t = _sign_normalized(TuckerFactorization(
-        _real(core, "core"), [_real(q, f"factor {i}") for i, q in enumerate(factors, start=1)]))
-    with open(path, "wb") as raw:
+    for i, s in enumerate(shapes, start=1):
+        if len(s) != 2 or s[0] < 1 or s[1] != r:
+            raise ShapeError(f"factor {i} has shape {s}, not n x {r}")
+    t = _sign_normalized(TuckerFactorization(_as_tensor(t.core, "core"), [
+        _as_tensor(q, f"factor {i}") for i, q in enumerate(t.factors, start=1)]))
+    with _whole(path) as raw:
         f = _Crc32(raw)
         f.write(_magic(b"TUCK"))
         f.write(struct.pack("<I", d))
@@ -486,6 +520,12 @@ def write_factorization(path, t):
             _write_f64(f, q)
         f.write(struct.pack("<B", 1))  # sign convention applied
         f.seal()
+
+
+def write_text(path, text):
+    """Write the string `text` to `path` as UTF-8, whole or not at all."""
+    with _whole(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 def read_factorization(path):

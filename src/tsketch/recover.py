@@ -56,7 +56,7 @@ import numpy as np
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError, SingularError
 from .sketch import _as_slabs, _int_pair, _KronSums
-from .tensor import multi_mode_product, unfold
+from .tensor import _as_tensor, multi_mode_product, unfold
 
 __all__ = [
     "TuckerFactorization",
@@ -232,7 +232,8 @@ def recover_factors(bundle, r):
                 f"rank {r} exceeds the {min(b.shape)} singular vectors available in mode {i} "
                 f"(sketch is {b.shape[0]}x{b.shape[1]})"
             )
-        f = np.asfortranarray(b)  # the layout a bundle file gives, built or read alike
+        # The layout a bundle file gives, built or read alike.
+        f = np.asfortranarray(_as_tensor(b, f"mode-{i} sketch"))
         qs.append(_left_vectors(f, k, r, (plan.seed, "range", i)))
     if k == r:
         return qs
@@ -246,13 +247,13 @@ def _peel(h, maps, qs, what):
     h is taken in column-major order, the order a bundle file stores, so the
     result does not depend on the layout h arrived in.
     """
-    h = np.asfortranarray(h, dtype=np.float64)
+    h = np.asfortranarray(_as_tensor(h, f"{what} sketch"))
     d = h.ndim
     if len(maps) != d or len(qs) != d:
         raise ShapeError(f"need {d} {what} maps and {d} factors, got {len(maps)} and {len(qs)}")
     pinvs = []
     for i in range(1, d + 1):
-        a = np.asarray(maps[i - 1]) @ np.asarray(qs[i - 1])
+        a = _as_tensor(maps[i - 1], f"{what} map {i}") @ _as_tensor(qs[i - 1], f"factor {i}")
         if a.shape[0] < a.shape[1]:
             raise RankError(
                 f"{what} sketch dimension {a.shape[0]} is below rank {a.shape[1]} in mode {i}"
@@ -320,6 +321,7 @@ def compute_core_twopass(x, qs):
     it checks each slab as ``SketchAccumulator.update`` does, and refuses a
     gap. A dense tensor is the one-slab case.
     """
+    qs = [_as_tensor(q, f"factor {i}") for i, q in enumerate(qs, start=1)]
     sums = _KronSums(tuple(q.shape[0] for q in qs), [[q.T for q in qs]])
     for chunk in _as_slabs(x):
         sums.update(chunk)

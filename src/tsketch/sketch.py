@@ -82,7 +82,7 @@ import numpy as np
 
 from .ensembles import FAMILIES, EnsembleSpec, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import mode_product, unfold
+from .tensor import _as_shape, _as_tensor, _real, mode_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -346,17 +346,15 @@ class SlabChunk:
 
 
 def slab_chunks(x, n_slabs):
-    """Split a tensor into `n_slabs` roughly equal last-mode slabs.
+    """Split a tensor into `n_slabs` roughly equal last-mode slabs, each
+    payload the view ``x[..., a:b]`` of the tensor, not a copy.
 
     ``tsketch gen`` writes a TSKC stream through it when its config sets
     ``slabs``; the tests use it to stream a tensor held in memory.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_tensor(x)
     bounds = np.linspace(0, x.shape[-1], n_slabs + 1).astype(int)
-    return [
-        SlabChunk(int(a), int(b - a), np.ascontiguousarray(x[..., a:b]))
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    return [SlabChunk(int(a), int(b - a), x[..., a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _overlap(covered, start, count):
@@ -372,18 +370,6 @@ def _overlap(covered, start, count):
         if s + c > start:
             return s, c
     return None
-
-
-def _as_shape(shape):
-    """`shape` as a tuple of ints, refused with ``ShapeError`` unless it is a
-    non-empty sequence of positive integers (a numpy integer will do)."""
-    try:
-        shape = tuple(operator.index(n) for n in shape)
-    except TypeError:
-        raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
-    if not shape or any(n < 1 for n in shape):
-        raise ShapeError(f"bad tensor shape {shape}")
-    return shape
 
 
 def _int_pair(lo, hi):
@@ -410,21 +396,12 @@ def _slab_range(chunk, n, what="slab"):
 
 
 def _fit(payload, shape, lo, hi, what="slab"):
-    """`payload` as an array, refused with ``ShapeError`` unless it has the
-    shape of the last-mode slices [lo, hi) of a tensor of `shape`."""
-    payload = np.asarray(payload)
-    if payload.shape != shape[:-1] + (hi - lo,):
-        raise ShapeError(f"{what} [{lo}, {hi}) of shape {payload.shape} does not fit "
+    """`payload`, refused with ``ShapeError`` unless it has the shape of the
+    last-mode slices [lo, hi) of a tensor of `shape`."""
+    if np.shape(payload) != shape[:-1] + (hi - lo,):
+        raise ShapeError(f"{what} [{lo}, {hi}) of shape {np.shape(payload)} does not fit "
                          f"the tensor's shape {shape}")
     return payload
-
-
-def _real(a, what):
-    """`a` as float64, refused with ``ConfigError`` unless its entries are real:
-    bool, integer or float, never complex, text or objects."""
-    if a.dtype.kind not in "biuf":
-        raise ConfigError(f"{what} has entries of type {a.dtype}, not real numbers")
-    return a.astype(np.float64, copy=False)
 
 
 def _slab_entries(payload, shape, lo, hi, what="slab"):
@@ -470,10 +447,7 @@ def _as_slabs(x):
     (``_take_slab``) checks them."""
     if isinstance(x, Iterator) or (isinstance(x, (list, tuple)) and (not x or isinstance(x[0], SlabChunk))):
         return x
-    x = np.asarray(x)
-    if x.ndim < 1:
-        raise ShapeError("tensor must have at least one mode")
-    return [SlabChunk(0, x.shape[-1], x)]
+    return [SlabChunk(0, _as_shape(np.shape(x))[-1], x)]
 
 
 @dataclass

@@ -2,6 +2,12 @@
 
 Conventions, fixed once and used everywhere:
 
+* Every dense array enters the library through ``_as_tensor``, by one rule:
+  it has at least one mode and no mode of length 0 (``ShapeError``, the
+  wording of ``_as_shape``), and its entries are real, that is bool, integer
+  or float, never complex, text or objects (``ConfigError``, from ``_real``).
+  It is then read as float64, without a copy when it already is. Slabs of a
+  stream take the same ``_real`` inside the slab rule (``sketch._take_slab``).
 * Tensors are d-dimensional float64 numpy arrays, d >= 1. The canonical flat
   layout is first-mode-fastest, i.e. ``vec(X) = X.ravel(order="F")``.
 * Modes are 1-based in every public signature: ``unfold(x, 1)`` arranges the
@@ -18,6 +24,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -35,12 +42,39 @@ __all__ = [
 ]
 
 
-def _as_tensor(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 1:
-        raise ShapeError("tensor must have at least one mode")
-    if any(n < 1 for n in x.shape):
-        raise ShapeError(f"every mode length must be >= 1, got shape {x.shape}")
+_F64 = np.dtype(np.float64)
+
+
+def _as_shape(shape):
+    """`shape` as a tuple of ints, refused with ``ShapeError`` unless it is a
+    non-empty sequence of positive integers (a numpy integer will do)."""
+    try:
+        shape = tuple(operator.index(n) for n in shape)
+    except TypeError:
+        raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
+    if not shape or any(n < 1 for n in shape):
+        raise ShapeError(f"bad tensor shape {shape}")
+    return shape
+
+
+def _real(a, what):
+    """`a` as a float64 array, refused with ``ConfigError`` unless its entries
+    are real: bool, integer or float, never complex, text or objects."""
+    a = np.asarray(a)
+    if a.dtype is not _F64:  # a float64 array, the common case, needs neither step
+        if a.dtype.kind not in "biuf":
+            raise ConfigError(f"{what} has entries of type {a.dtype}, not real numbers")
+        a = a.astype(np.float64, copy=False)
+    return a
+
+
+def _as_tensor(x, what="tensor"):
+    """`x` as a float64 array with at least one mode and no mode of length 0
+    (``ShapeError``) and real entries (``ConfigError``, see ``_real``). An
+    array's shape holds integers already, so it is checked without a loop."""
+    x = _real(x, what)
+    if not x.ndim or 0 in x.shape:
+        raise ShapeError(f"bad tensor shape {x.shape}")
     return x
 
 
@@ -68,12 +102,11 @@ def unfold(x, j):
 
 def fold(m, shape, j):
     """Exact inverse of ``unfold``: rebuild the tensor of `shape` from its mode-j unfolding."""
-    m = np.asarray(m, dtype=np.float64)
-    shape = tuple(int(n) for n in shape)
+    m, shape = _as_tensor(m, "matrix"), _as_shape(shape)
     if not 1 <= j <= len(shape):
         raise ConfigError(f"mode index {j} out of range for shape {shape}")
     rest = shape[: j - 1] + shape[j:]
-    if m.ndim != 2 or m.shape[0] != shape[j - 1] or m.shape[1] != int(np.prod(rest, dtype=np.int64)):
+    if m.ndim != 2 or m.shape[0] != shape[j - 1] or m.shape[1] != math.prod(rest):
         raise ShapeError(f"matrix {m.shape} inconsistent with shape {shape} at mode {j}")
     t = m.reshape((shape[j - 1],) + rest, order="F")
     return np.moveaxis(t, 0, j - 1)
@@ -93,7 +126,7 @@ def mode_product(x, a, j):
     """
     x = _as_tensor(x)
     _check_mode(x, j)
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_tensor(a, "matrix")
     if a.ndim != 2:
         raise ShapeError("mode_product needs a 2-d matrix")
     if a.shape[1] != x.shape[j - 1]:
@@ -133,8 +166,7 @@ def multi_mode_product(x, mats):
 
 
 def inner(x, y):
-    x = _as_tensor(x)
-    y = _as_tensor(y)
+    x, y = _as_tensor(x, "x"), _as_tensor(y, "y")
     if x.shape != y.shape:
         raise ShapeError(f"inner product shape mismatch: {x.shape} vs {y.shape}")
     # Pair entries by index: ravel both in one order, which copies neither
@@ -150,8 +182,7 @@ def norm(x):
 
 def face_split(a, b):
     """Row-wise Kronecker product: row k of the result is a[k, :] kron b[k, :]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _as_tensor(a, "a"), _as_tensor(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)

@@ -135,6 +135,20 @@ def test_sketching_a_chunk_stream_matches_the_whole_file(pipeline_files) -> None
         assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
+def test_gen_writes_slab_views_byte_for_byte_as_copies(tmp_path) -> None:
+    """`gen` with `slabs` set writes views of its tensor's slabs, byte for
+    byte what it wrote from a contiguous copy of each."""
+    cfg = {"generator": "lowrank", "n": 9, "d": 3, "r_true": 2, "snr_db": 30.0, "seed": 4}
+    whole, stream, copies = tmp_path / "x.tnsr", tmp_path / "x.tskc", tmp_path / "copies.tskc"
+    assert run("gen", "--config", write_json(tmp_path / "g.json", cfg), "--output", str(whole)) == 0
+    assert run("gen", "--config", write_json(tmp_path / "g3.json", {**cfg, "slabs": 3}),
+               "--output", str(stream)) == 0
+    x = read_tensor(whole)
+    write_chunks(copies, x.shape, [SlabChunk(c.start, c.count, np.ascontiguousarray(c.payload))
+                                   for c in slab_chunks(x, 3)])
+    assert stream.read_bytes() == copies.read_bytes()
+
+
 def test_eval_against_chunk_stream_and_clean(pipeline_files, capsys) -> None:
     tmp, gen_cfg, sketch_cfg, tensor = pipeline_files
     noisy_cfg = {**json.loads((tmp / "gen.json").read_text()), "snr_db": 30.0, "slabs": 4}

@@ -1,7 +1,10 @@
 """Binary round trips for the four on-disk formats."""
 
+import os
 import re
+import stat
 import struct
+import threading
 import time
 import tracemalloc
 import zlib
@@ -69,6 +72,17 @@ def test_chunk_round_trip(tmp_path, tensor, monkeypatch) -> None:
     assert [c.start for c in got] == [0, 2, 4]
     assert np.array_equal(np.concatenate([c.payload for c in got], axis=-1), tensor)
     assert np.array_equal(read_chunks_dense(p), tensor)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_slab_chunks_are_views_of_the_tensor(tensor, order) -> None:
+    """No slab is a copy: `tsketch gen` with `slabs` set once held a second
+    tensor-sized copy in them. A writer copies a slab that is not laid out
+    first-mode-fastest, one slab at a time."""
+    x = np.asarray(tensor, order=order)
+    chunks = slab_chunks(x, 4)
+    assert all(np.shares_memory(c.payload, x) for c in chunks)
+    assert np.array_equal(np.concatenate([c.payload for c in chunks], axis=-1), x)
 
 
 class TestWritersRefuseWithTypedErrors:
@@ -169,6 +183,74 @@ class TestWritersRefuseWithTypedErrors:
             write_chunks(tmp_path / f"{name}.tskc", tensor.shape, chunks)
         assert np.array_equal(read_chunks_dense(tmp_path / "bool.tskc"), (tensor > 0).astype(float))
         assert np.isnan(read_chunks_dense(tmp_path / "nan.tskc")[0, 0, 5])
+
+
+class TestWritersWriteWholeFiles:
+    """A writer writes a new file beside its target and moves it into place
+    once complete, so a file appears whole or not at all."""
+
+    @staticmethod
+    def refused(p, x):
+        """Write a stream whose second chunk is refused, once its first is written."""
+        with pytest.raises(ShapeError, match=r"^chunk \[3, 6\) of shape \(5, 4, 2\) does not fit"):
+            write_chunks(p, x.shape, [SlabChunk(0, 3, x[..., :3]), SlabChunk(3, 3, x[..., :2])])
+
+    def test_a_refused_stream_leaves_no_file(self, tmp_path, tensor) -> None:
+        """It once left a 532-byte stream behind, which `TensorFile` refuses."""
+        self.refused(tmp_path / "x.tskc", tensor)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_refused_stream_keeps_the_file_it_would_replace(self, tmp_path, tensor) -> None:
+        """It once replaced a good stream's 1,028 bytes with those 532."""
+        p = tmp_path / "x.tskc"
+        write_chunks(p, tensor.shape, slab_chunks(tensor, 2))
+        good = p.read_bytes()
+        assert len(good) == 1028
+        self.refused(p, tensor)
+        assert p.read_bytes() == good
+        assert list(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("write,make", [
+        (write_tensor, lambda x: x),
+        (write_bundle, lambda x: sketch(x, make_plan(x.shape, "kronecker", 3, 4))),
+        (write_factorization, lambda x: hosvd_truncate(x, 2)),
+        (formats.write_text, lambda x: "text\n"),
+    ], ids=["tensor", "bundle", "factorization", "text"])
+    def test_every_writer_replaces_its_target_whole(self, tmp_path, tensor, write, make) -> None:
+        new, old = tmp_path / "new", tmp_path / "old"
+        write(new, make(tensor))
+        old.write_bytes(b"old bytes")
+        write(old, make(tensor))
+        assert old.read_bytes() == new.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [new, old]
+
+    def test_a_symbolic_link_is_written_through(self, tmp_path, tensor) -> None:
+        target, link = tmp_path / "x.tnsr", tmp_path / "link.tnsr"
+        write_tensor(target, tensor[..., :2])
+        link.symlink_to(target)
+        write_tensor(link, tensor)
+        assert link.is_symlink()
+        assert np.array_equal(read_tensor(target), tensor)
+
+    def test_a_pipe_is_written_in_place(self, tmp_path) -> None:
+        """Something that is not a file, such as `--output /dev/stdout`, is
+        not replaced by a file."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        formats.write_text(fifo, "text\n")
+        reader.join(timeout=10)
+        assert got == [b"text\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_a_target_that_cannot_be_written(self, tmp_path, tensor) -> None:
+        """A typed error naming the target, not the temporary file beside it."""
+        p = tmp_path / "missing" / "x.tnsr"
+        with pytest.raises(IOFormatError, match=f"^cannot write {re.escape(str(p))}: "):
+            write_tensor(p, tensor)
 
 
 def layouts(x):
