@@ -35,8 +35,8 @@ fit to use is decided where slabs are used (``sketch._take_slab``).
 
 Every writer takes its arrays by the library's array rule
 (``tensor._as_tensor``; a stream's chunks by the slab rule's ``_fit`` and
-``_real``) and writes through ``_whole``: a file appears whole or not at
-all, and one it replaces keeps its bytes until then.
+``_real``) and writes through ``_whole``: a refused or failed write leaves
+no file, and one it would replace keeps its bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import stat
 import struct
 import zlib
 from contextlib import contextmanager
@@ -67,7 +68,6 @@ __all__ = [
     "read_bundle",
     "write_factorization",
     "read_factorization",
-    "write_text",
 ]
 
 # The one version each magic is read at. Bundles and factorizations are
@@ -90,30 +90,57 @@ def _open(path):
         raise IOFormatError(f"cannot open {path}: {e}")
 
 
+def _open_fd(path):
+    """The descriptor of this process that `path` names through its
+    /proc/<pid>/fd directory, as /dev/stdout and /dev/fd/N do, or None."""
+    p = os.path.abspath(path)
+    for _ in range(40):  # the kernel's own limit on links followed
+        if not os.path.islink(p):
+            return None
+        head = os.path.realpath(os.path.dirname(p))
+        if head == f"/proc/{os.getpid()}/fd":
+            return int(os.path.basename(p))
+        p = os.path.join(head, os.readlink(p))
+    return None
+
+
 @contextmanager
 def _whole(path, mode="wb", **kw):
     """Open a new file beside `path` for writing; when the block ends it
-    replaces `path`, and on any exception it is removed instead. So `path`
-    appears whole or not at all, and a file already there keeps its bytes
-    until the new one is complete. A symbolic link is followed, so the file
-    it names is replaced and the link kept; a path that names something
-    other than a file, such as a pipe, has no file to replace and is
-    written in place."""
-    real = tmp = os.path.realpath(path)
-    if os.path.isfile(real) or not os.path.exists(real):
+    replaces `path`, and on any exception it is removed instead. So a write
+    that is refused or fails leaves `path` absent or with its old bytes. The
+    new file is not synced to disk (a sync costs more than a small write),
+    so a crash is not covered. It takes the old file's mode, and a file that
+    may not be written is refused. A symbolic link is followed, so the file
+    it names is replaced and the link kept. A target that is not a file,
+    such as a pipe, is written in place, and one of the process's own
+    descriptors, such as /dev/stdout, through that descriptor at its offset."""
+    real, tmp = os.path.realpath(path), None
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    except OSError as e:
+        raise IOFormatError(f"cannot write {path}: {e}") from None
+    fd = None if st is None else _open_fd(path)
+    if st is None or (fd is None and stat.S_ISREG(st.st_mode)):
+        if st is not None and not os.access(real, os.W_OK):
+            raise IOFormatError(f"cannot write {path}: permission denied")
         head, tail = os.path.split(real)
         tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        f = open(tmp, mode, **kw)
+        f = open(tmp or (path if fd is None else os.dup(fd)), mode, **kw)
     except OSError as e:
         raise IOFormatError(f"cannot write {path}: {e}") from None
     try:
         with f:
             yield f
-        if tmp != real:
+            if tmp and st is not None:
+                os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
+        if tmp:
             os.replace(tmp, real)
     except BaseException:
-        if tmp != real:
+        if tmp:
             os.unlink(tmp)
         raise
 
@@ -523,7 +550,10 @@ def write_factorization(path, t):
 
 
 def write_text(path, text):
-    """Write the string `text` to `path` as UTF-8, whole or not at all."""
+    """Write the string `text` to `path` as UTF-8 through `_whole`: the CLI's
+    reports and tables. Not in ``__all__``, as it writes none of the
+    library's formats; it is how the CLI, which imports no private name,
+    reaches `_whole`."""
     with _whole(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
 

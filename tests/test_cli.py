@@ -42,11 +42,12 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_python(*argv):
+def run_python(*argv, stdout=subprocess.PIPE):
     """`python argv...` in a child process that imports this tsketch, installed or not."""
     paths = [str(Path(tsketch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
 
 
 def write_json(path, obj):
@@ -247,6 +248,51 @@ def test_eval_report_is_strict_json(pipeline_files, capsys) -> None:
 
     report = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert report["snr_db"] is None
+
+
+class TestOutputToStdout:
+    """`--output /dev/stdout` writes through the process's own standard
+    output, as printing the report does: to a pipe, and to a file after what
+    the file already holds."""
+
+    @pytest.fixture
+    def eval_argv(self, pipeline_files):
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle, tuck = tmp / "b.tskb", tmp / "t.tuck"
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
+        run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
+        return ("-m", "tsketch.cli", "eval", "--input", str(tuck), "--chunks", str(tensor),
+                "--output", "/dev/stdout")
+
+    def test_a_pipe(self, eval_argv) -> None:
+        """It once failed: the temporary file went beside /proc/<pid>/fd/pipe:[N]."""
+        res = run_python(*eval_argv)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["relative_error"] < 1e-8
+
+    def test_a_file_opened_to_append(self, eval_argv, tmp_path) -> None:
+        """`>> log`: the file's earlier bytes are kept, not replaced."""
+        log = tmp_path / "log"
+        log.write_bytes(b"hdr\n")
+        with open(log, "ab") as f:
+            assert run_python(*eval_argv, stdout=f).returncode == 0
+        head, report = log.read_bytes().split(b"\n", 1)
+        assert head == b"hdr"
+        assert json.loads(report)["relative_error"] < 1e-8
+        assert list(tmp_path.glob(".*")) == []  # no temporary file made beside it
+
+    def test_a_file_shared_with_other_writers(self, eval_argv, tmp_path) -> None:
+        """`{ echo hdr; tsketch eval ...; echo tail; } > log`: the report lands
+        at the descriptor's offset, between what is written before and after."""
+        log = tmp_path / "log"
+        with open(log, "wb") as f:
+            f.write(b"hdr\n")
+            f.flush()
+            assert run_python(*eval_argv, stdout=f).returncode == 0
+            f.write(b"tail\n")
+        text = log.read_text()
+        assert text.startswith("hdr\n{") and text.endswith("}\ntail\n")
+        assert json.loads(text[4:-5])["relative_error"] < 1e-8
 
 
 class TestStreamingMemory:

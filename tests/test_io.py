@@ -246,6 +246,27 @@ class TestWritersWriteWholeFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
 
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path, tensor) -> None:
+        p = tmp_path / "x.tnsr"
+        p.write_bytes(b"old bytes")
+        p.chmod(0o640)
+        write_tensor(p, tensor)
+        assert stat.S_IMODE(os.stat(p).st_mode) == 0o640
+        assert np.array_equal(read_tensor(p), tensor)
+
+    def test_a_read_only_file_is_refused(self, tmp_path, tensor, monkeypatch) -> None:
+        """A 0444 target is refused and keeps its bytes, as `open(path, "wb")`
+        refuses it. Root may write any file, so the test asks `os.access` as a
+        user other than root would."""
+        p = tmp_path / "x.tnsr"
+        p.write_bytes(b"old bytes")
+        p.chmod(0o444)
+        monkeypatch.setattr(os, "access", lambda path, how: not how & os.W_OK)
+        with pytest.raises(IOFormatError, match=f"^cannot write {re.escape(str(p))}: permission denied$"):
+            write_tensor(p, tensor)
+        assert p.read_bytes() == b"old bytes"
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_a_target_that_cannot_be_written(self, tmp_path, tensor) -> None:
         """A typed error naming the target, not the temporary file beside it."""
         p = tmp_path / "missing" / "x.tnsr"
