@@ -15,7 +15,10 @@ Four families:
 Every draw comes from a counter-based generator keyed by SHA-256 over
 (seed, family, rows, cols), so materialization is a pure function of the spec:
 the same spec gives the same matrix bit for bit no matter when, where, or in
-what order matrices are built.
+what order matrices are built. Every integer a key hashes is a seed in
+[0, 2^64), the range a bundle stores, and anything else is refused
+(``ConfigError``) rather than wrapped or truncated: seed 1.5 is not seed 1,
+nor -1 seed 2^64 - 1, so one seed names one draw.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .tensor import _as_int
 
 __all__ = [
     "FAMILIES",
@@ -40,19 +44,23 @@ __all__ = [
 FAMILIES = {"identity": 0, "gaussian": 1, "sparse_sign": 2, "srtt": 3}
 FAMILY_NAMES = {v: k for k, v in FAMILIES.items()}
 
-_U64 = 0xFFFFFFFFFFFFFFFF
+
+def _seed(value, what="seed"):
+    """A seed: an integer in [0, 2^64), as ``_as_int`` takes it (``ConfigError``)."""
+    return _as_int(value, what, ConfigError, 0, 2**64)
 
 
-def _hash_bytes(*parts):
-    """SHA-256 over a canonical little-endian encoding of ints and string tags."""
-    h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, str):
-            raw = p.encode("utf-8")
-            h.update(struct.pack("<I", len(raw)))
-            h.update(raw)
-        else:
-            h.update(struct.pack("<Q", int(p) & _U64))
+def _hash_bytes(seed, tag, *indices):
+    """SHA-256 over a canonical little-endian encoding of a seed, a string tag
+    and integer indices, each integer a seed (``_seed``)."""
+    h = hashlib.sha256(struct.pack("<Q", _seed(seed)))
+    if not isinstance(tag, str):
+        raise ConfigError(f"tag must be a string, got {tag!r}")
+    raw = tag.encode("utf-8")
+    h.update(struct.pack("<I", len(raw)))
+    h.update(raw)
+    for i in indices:
+        h.update(struct.pack("<Q", _seed(i, "index")))
     return h.digest()
 
 
@@ -68,7 +76,8 @@ def derive_seed(master, tag, *indices):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Complete recipe for one measurement matrix."""
+    """Complete recipe for one measurement matrix: `rows` and `cols` are
+    integers of at least 1 and `seed` a seed in [0, 2^64) (``ConfigError``)."""
 
     family: str
     rows: int
@@ -78,8 +87,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown ensemble family {self.family!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"matrix dimensions must be >= 1, got {self.rows}x{self.cols}")
+        object.__setattr__(self, "rows", _as_int(self.rows, "rows"))
+        object.__setattr__(self, "cols", _as_int(self.cols, "cols"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.family == "identity" and self.rows != self.cols:
             raise ConfigError("identity ensemble must be square")
         if self.family == "srtt" and self.rows > self.cols:
@@ -89,9 +99,10 @@ class EnsembleSpec:
             )
 
 
-def keyed_generator(*parts):
-    """Counter-based generator keyed by ints and string tags; order-independent by construction."""
-    key = np.frombuffer(_hash_bytes(*parts)[:16], dtype="<u8")
+def keyed_generator(seed, tag, *indices):
+    """Counter-based generator keyed by a seed, a string tag and integer indices,
+    as ``derive_seed`` takes them; order-independent by construction."""
+    key = np.frombuffer(_hash_bytes(seed, tag, *indices)[:16], dtype="<u8")
     return np.random.Generator(np.random.Philox(key=key))
 
 

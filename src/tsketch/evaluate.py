@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
-from .tensor import _as_tensor, inner, multi_mode_product, norm, unfold
+from .tensor import _as_int, _as_shape, _as_tensor, inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -150,7 +150,9 @@ def add_noise_snr(x0, target_db, seed):
     s = (xn + math.sqrt(disc)) / a
     if not 0.0 < s < math.inf:  # NaN once the ratio overflows
         raise ConfigError(f"no positive finite noise scale reaches {target_db} dB")
-    x = x0 + s * noise
+    # x0 + s * noise, formed in the draw's memory: the same bits, one tensor fewer.
+    x = np.multiply(noise, s, out=noise)
+    x += x0
     measured = snr_db(x, x0)
     if not abs(measured - float(target_db)) <= _SNR_TOL_DB:
         raise ConfigError(f"snr target {target_db} dB is past float64 resolution: "
@@ -222,13 +224,23 @@ def bound_rhs(eps, deltas):
     return float((1.0 + math.exp(eps)) * math.sqrt((1.0 + eps) / (1.0 - eps) * deltas.sum()))
 
 
+def _cube(n, d, r):
+    """(n, d, r) of a generated tensor as ints: d >= 1 modes of length n >= 1
+    (``ShapeError``, the shape read by ``_as_shape``) and a rank of at most n
+    (``RankError``)."""
+    shape = _as_shape((n,) * _as_int(d, "mode count", ShapeError))
+    n, d, r = shape[0], len(shape), _rank(r)
+    if r > n:
+        raise RankError(f"rank {r} exceeds mode length {n}")
+    return n, d, r
+
+
 def gen_lowrank(n, d, r, seed):
     """Random exactly-rank-r tensor: uniform [0,1] core, orthonormalized gaussian factors.
 
-    Returns (tensor, factors). Deterministic in `seed`.
+    Returns (tensor, factors). Deterministic in `seed`, a seed in [0, 2^64).
     """
-    if _rank(r) > n:
-        raise RankError(f"rank {r} exceeds mode length {n}")
+    n, d, r = _cube(n, d, r)
     core = keyed_generator(seed, "lowrank-core").random((r,) * d)
     factors = []
     for i in range(1, d + 1):
@@ -239,8 +251,7 @@ def gen_lowrank(n, d, r, seed):
 
 
 def _superdiag(n, d, r, tail):
-    if _rank(r) > n:
-        raise RankError(f"rank {r} exceeds mode length {n}")
+    n, d, r = _cube(n, d, r)
     if r + 1 >= n:
         warnings.warn(f"super-diagonal tensor with n={n}, r={r} has no decaying tail", stacklevel=3)
     x = np.zeros((n,) * d)

@@ -505,17 +505,10 @@ def _sign_normalized(t):
     core = t.core.copy()
     factors = []
     for i, q in enumerate(t.factors, start=1):
-        q = q.copy()
-        signs = np.ones(q.shape[1])
-        for k in range(q.shape[1]):
-            lead = np.argmax(np.abs(q[:, k]))
-            if q[lead, k] < 0.0:
-                signs[k] = -1.0
-        q *= signs[None, :]
-        shape_one = [1] * core.ndim
-        shape_one[i - 1] = len(signs)
-        core *= signs.reshape(shape_one)
-        factors.append(q)
+        lead = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
+        signs = np.where(lead < 0.0, -1.0, 1.0)
+        factors.append(q * signs)
+        core *= signs.reshape((-1,) + (1,) * (core.ndim - i))
     return TuckerFactorization(core=core, factors=factors)
 
 

@@ -48,7 +48,6 @@ matrices, so the cost of recovery does not grow with the tensor.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ import numpy as np
 from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError, SingularError
 from .sketch import _as_slabs, _int_pair, _KronSums
-from .tensor import _as_tensor, multi_mode_product, unfold
+from .tensor import _as_int, _as_tensor, multi_mode_product, unfold
 
 __all__ = [
     "TuckerFactorization",
@@ -113,13 +112,7 @@ class TuckerFactorization:
 
 def _rank(r):
     """A rank argument, an integer (a numpy integer will do) of at least 1, as an int."""
-    try:
-        r = operator.index(r)
-    except TypeError:
-        raise RankError(f"rank must be an integer, got {r!r}") from None
-    if r < 1:
-        raise RankError(f"rank must be >= 1, got {r}")
-    return r
+    return _as_int(r, "rank", RankError)
 
 
 def _pinv(a, mode):
@@ -361,11 +354,14 @@ def reconstruct(t, lo=0, hi=None):
     With a last-mode range [lo, hi), only those slices are built, from rows
     lo..hi-1 of Q_d. The last mode is expanded first, so building the tensor
     slab by slab costs about what building it whole does. The range must be
-    integers 0 <= lo < hi <= n_d (``ShapeError``).
+    integers 0 <= lo < hi <= n_d (``ShapeError``). The core and the factors
+    enter by the array rule, named "core" and "factor i".
     """
-    d, n = len(t.factors), t.factors[-1].shape[0]
+    core = _as_tensor(t.core, "core")
+    qs = [_as_tensor(q, f"factor {i}") for i, q in enumerate(t.factors, start=1)]
+    d, n = len(qs), qs[-1].shape[0]
     lo, hi = _int_pair(lo, n if hi is None else hi)
     if not 0 <= lo < hi <= n:
         raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
-    mats = [(t.factors[-1][lo:hi], d)] + [(q, i) for i, q in enumerate(t.factors[:-1], start=1)]
-    return multi_mode_product(t.core, mats)
+    mats = [(qs[-1][lo:hi], d)] + [(q, i) for i, q in enumerate(qs[:-1], start=1)]
+    return multi_mode_product(core, mats)

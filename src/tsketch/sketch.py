@@ -80,9 +80,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import FAMILIES, EnsembleSpec, derive_seed, materialize
+from .ensembles import FAMILIES, EnsembleSpec, _seed, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import _as_shape, _as_tensor, _real, mode_product, unfold
+from .tensor import _as_int, _as_shape, _as_tensor, _real, mode_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -159,19 +159,15 @@ class SketchPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", _as_shape(self.shape))
-        for key in ("m", "m_c", "seed"):
-            try:
-                object.__setattr__(self, key, operator.index(getattr(self, key)))
-            except TypeError:
-                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
+        for key in ("m", "m_c"):  # their bound is checked below, in the plan's own words
+            object.__setattr__(self, key, _as_int(getattr(self, key), key, low=None))
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "loo_families", tuple(self.loo_families))
         object.__setattr__(self, "core_families", tuple(self.core_families))
         if self.loo_kind not in LOO_KINDS:
             raise ConfigError(f"loo_kind must be one of {LOO_KINDS}, got {self.loo_kind!r}")
         if self.m < 1 or self.m_c < 1:
             raise ConfigError("sketch dimensions m and m_c must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2^64), as a bundle stores it, got {self.seed}")
         if len(self.loo_families) != self.d or len(self.core_families) != self.d:
             raise ConfigError("need one leave-one-out family and one core family per mode")
         if self.loo_kind == "khatri_rao" and self.d < 2:
@@ -182,16 +178,12 @@ class SketchPlan:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown ensemble family {fam!r}")
         # Fail fast on infeasible maps (e.g. srtt with more rows than columns):
-        # constructing an EnsembleSpec validates it, whatever its seed, so each
-        # (family, rows, cols) the plan draws is checked once, with no seed derived.
-        if self.loo_kind == "unstructured":
-            size = math.prod(self.shape)
-            loo = [(self.loo_families[0], self.m, size // n) for n in self.shape]
-        else:  # one map per mode, applied by every sketch but the i-th
-            loo = list(zip(self.loo_families, [self.m] * self.d, self.shape)) if self.d > 1 else []
-        core = zip(self.core_families, [self.m_c] * self.d, self.shape)
-        for family, rows, cols in dict.fromkeys([*loo, *core]):
-            EnsembleSpec(family, rows, cols, 0)
+        # building each spec validates it. A kronecker plan of one mode maps nothing.
+        if self.loo_kind != "kronecker" or self.d > 1:
+            for i in range(1, self.d + 1):
+                self.loo_spec(i)
+        for i in range(1, self.d + 1):
+            self.core_spec(i)
 
     @property
     def d(self):
@@ -347,12 +339,14 @@ class SlabChunk:
 
 def slab_chunks(x, n_slabs):
     """Split a tensor into `n_slabs` roughly equal last-mode slabs, each
-    payload the view ``x[..., a:b]`` of the tensor, not a copy.
+    payload the view ``x[..., a:b]`` of the tensor, not a copy. `n_slabs` is
+    an integer of at least 1 (``ConfigError``); past the last mode's length,
+    some slabs are empty.
 
     ``tsketch gen`` writes a TSKC stream through it when its config sets
     ``slabs``; the tests use it to stream a tensor held in memory.
     """
-    x = _as_tensor(x)
+    x, n_slabs = _as_tensor(x), _as_int(n_slabs, "slab count")
     bounds = np.linspace(0, x.shape[-1], n_slabs + 1).astype(int)
     return [SlabChunk(int(a), int(b - a), x[..., a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -8,6 +8,10 @@ Conventions, fixed once and used everywhere:
   or float, never complex, text or objects (``ConfigError``, from ``_real``).
   It is then read as float64, without a copy when it already is. Slabs of a
   stream take the same ``_real`` inside the slab rule (``sketch._take_slab``).
+* Every scalar integer argument (a size, a mode index, a count, a rank or a
+  seed) enters by one integer rule, ``_as_int``: an integer (a numpy integer
+  will do; a float, text or ``None`` is refused) inside its range, else the
+  caller's typed error.
 * Tensors are d-dimensional float64 numpy arrays, d >= 1. The canonical flat
   layout is first-mode-fastest, i.e. ``vec(X) = X.ravel(order="F")``.
 * Modes are 1-based in every public signature: ``unfold(x, 1)`` arranges the
@@ -45,6 +49,22 @@ __all__ = [
 _F64 = np.dtype(np.float64)
 
 
+def _as_int(value, what, error=ConfigError, low=1, high=None):
+    """`value` as an int in [low, high), refused with `error` unless it is an
+    integer (a numpy integer will do) in that range. `low` None sets no lower
+    bound; `high` None sets no upper one."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if (low is not None and n < low) or (high is not None and n >= high):
+        if high is None:
+            raise error(f"{what} must be >= {low}, got {n}")
+        top = "2^64" if high == 2**64 else high  # a seed's bound, written as the README writes it
+        raise error(f"{what} must be in [{low}, {top}), got {n}")
+    return n
+
+
 def _as_shape(shape):
     """`shape` as a tuple of ints, refused with ``ShapeError`` unless it is a
     non-empty sequence of positive integers (a numpy integer will do)."""
@@ -78,9 +98,9 @@ def _as_tensor(x, what="tensor"):
     return x
 
 
-def _check_mode(x, j):
-    if not 1 <= j <= x.ndim:
-        raise ConfigError(f"mode index {j} out of range for a {x.ndim}-mode tensor")
+def _check_mode(d, j):
+    """The 1-based mode index `j` of a d-mode tensor, checked by ``_as_int``."""
+    return _as_int(j, "mode index", ConfigError, 1, d + 1)
 
 
 def vec(x):
@@ -96,15 +116,14 @@ def unfold(x, j):
     first remaining mode fastest). j is 1-based.
     """
     x = _as_tensor(x)
-    _check_mode(x, j)
+    j = _check_mode(x.ndim, j)
     return np.moveaxis(x, j - 1, 0).reshape((x.shape[j - 1], -1), order="F")
 
 
 def fold(m, shape, j):
     """Exact inverse of ``unfold``: rebuild the tensor of `shape` from its mode-j unfolding."""
     m, shape = _as_tensor(m, "matrix"), _as_shape(shape)
-    if not 1 <= j <= len(shape):
-        raise ConfigError(f"mode index {j} out of range for shape {shape}")
+    j = _check_mode(len(shape), j)
     rest = shape[: j - 1] + shape[j:]
     if m.ndim != 2 or m.shape[0] != shape[j - 1] or m.shape[1] != math.prod(rest):
         raise ShapeError(f"matrix {m.shape} inconsistent with shape {shape} at mode {j}")
@@ -125,7 +144,7 @@ def mode_product(x, a, j):
     against einsum), not bitwise.
     """
     x = _as_tensor(x)
-    _check_mode(x, j)
+    j = _check_mode(x.ndim, j)
     a = _as_tensor(a, "matrix")
     if a.ndim != 2:
         raise ShapeError("mode_product needs a 2-d matrix")
@@ -156,7 +175,7 @@ def multi_mode_product(x, mats):
     floating-point roundoff.
     """
     x = _as_tensor(x)
-    modes = [j for _, j in mats]
+    modes = [_check_mode(x.ndim, j) for _, j in mats]
     if len(set(modes)) != len(modes):
         raise ConfigError(f"repeated mode in multi_mode_product: {modes}")
     out = x

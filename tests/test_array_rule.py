@@ -89,9 +89,9 @@ CASES = {
     "recover_factors": ("mode-1 sketch", BUNDLE.loo[0],
                         lambda a: recover_factors(replace(BUNDLE, loo=_swap(BUNDLE.loo, 0, a)), 2), False),
     "compute_core_twopass": ("factor 2", QS[1], lambda a: compute_core_twopass(X, _swap(QS, 1, a)), True),
-    "reconstruct-core": ("tensor", np.ones((2, 2, 2)),
+    "reconstruct-core": ("core", np.ones((2, 2, 2)),
                          lambda a: reconstruct(TuckerFactorization(a, QS)), True),
-    "reconstruct-factor": ("matrix", QS[0],
+    "reconstruct-factor": ("factor 1", QS[0],
                            lambda a: reconstruct(TuckerFactorization(np.ones((2, 2, 2)), _swap(QS, 0, a))), True),
     "slab_chunks": ("tensor", X, lambda a: slab_chunks(a, 2), True),
     # The arrays' shapes are checked against the plan first.

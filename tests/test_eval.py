@@ -1,6 +1,7 @@
 """Metrics, noise injection, synthetic generators, and the error bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestSnr:
     def test_zero_signal_rejected(self) -> None:
         with pytest.raises(ConfigError):
             add_noise_snr(np.zeros((4, 4)), 30.0, seed=0)
+
+    def test_noisy_tensor_is_built_in_the_draws_memory(self) -> None:
+        """x0 + s N is formed in the memory of the draw N, so the draw and the
+        difference snr_db takes are the only tensors made: two, where x0 + s N
+        written out made three."""
+        x0 = np.random.default_rng(5).standard_normal((64, 64, 64))
+        tracemalloc.start()
+        try:
+            add_noise_snr(x0, 30.0, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x0.nbytes, (peak, x0.nbytes)
 
 
 class TestPrincipalAngle:

@@ -480,6 +480,34 @@ def test_factorization_round_trip_preserves_reconstruction(tmp_path, tensor) -> 
             assert q[lead, k] > 0
 
 
+def _sign_normalized_by_columns(t):
+    """The column-by-column reference of ``formats._sign_normalized``."""
+    core, factors = t.core.copy(), []
+    for i, q in enumerate(t.factors, start=1):
+        q = q.copy()
+        for k in range(q.shape[1]):
+            if q[np.argmax(np.abs(q[:, k])), k] < 0.0:
+                q[:, k] *= -1.0
+                core[(slice(None),) * (i - 1) + (k,)] *= -1.0
+        factors.append(q)
+    return TuckerFactorization(core, factors)
+
+
+def test_sign_normalization_matches_the_column_loop() -> None:
+    """One vectorized flip per factor gives the loop's bits, ties (the first
+    largest magnitude leads) and signed zeros included."""
+    rng = np.random.default_rng(31)
+    for trial in range(50):
+        d, r = 1 + trial % 4, 1 + trial % 3
+        qs = [rng.standard_normal((int(n), r)) for n in rng.integers(r, 6, size=d)]
+        if trial % 2:  # entries from {-1, -0.0, 0, 1}: tied magnitudes in most columns
+            qs = [rng.choice([-1.0, -0.0, 0.0, 1.0], size=q.shape) for q in qs]
+        t = TuckerFactorization(rng.standard_normal((r,) * d), qs)
+        got, want = formats._sign_normalized(t), _sign_normalized_by_columns(t)
+        for a, b in zip([got.core, *got.factors], [want.core, *want.factors]):
+            assert np.asfortranarray(a).tobytes() == np.asfortranarray(b).tobytes()
+
+
 def test_factorization_round_trip_exact_recovery(tmp_path) -> None:
     x, _ = gen_lowrank(10, 3, 3, seed=3)
     plan = make_plan(x.shape, "kronecker", 5, 6, seed=4)
