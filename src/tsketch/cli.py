@@ -9,7 +9,8 @@ take it through --chunks. Each reads it in bounded pieces at fixed last-mode
 positions (``TensorFile.slabs``), never whole and whatever its records. A
 stream whose records overlap or leave a gap is refused before any of it is used.
 Failures, command-line mistakes included, exit nonzero with one JSON line on
-stderr: {"error": {"category": ..., "message": ...}}.
+stderr: {"error": {"category": ..., "message": ...}}. A failed allocation is
+a config error, and a failed LAPACK routine a singular one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 import sys
 import time
 from contextlib import ExitStack
+
+import numpy as np
 
 from .ensembles import derive_seed
 from .errors import EXIT_CODES, ConfigError, IOFormatError, ShapeError, TsketchError
@@ -598,10 +601,11 @@ def main(argv=None):
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return 0
         return _COMMANDS[args.command](args, cfg)
-    except TsketchError as e:
-        line = json.dumps({"error": {"category": e.category, "message": str(e)}})
+    except (TsketchError, MemoryError, np.linalg.LinAlgError) as e:
+        category = getattr(e, "category", "config" if isinstance(e, MemoryError) else "singular")
+        line = json.dumps({"error": {"category": category, "message": str(e) or "out of memory"}})
         sys.stderr.write(line + "\n")
-        return EXIT_CODES[e.category]
+        return EXIT_CODES[category]
 
 
 if __name__ == "__main__":

@@ -45,6 +45,9 @@ __all__ = [
 # add_noise_snr refuses a target that the float64 result misses by more than this.
 _SNR_TOL_DB = 0.1
 
+# Bytes of each slice of a difference that ``_distance`` forms.
+_SLICE_BYTES = 2**20
+
 
 def _ratio(err, ref):
     if ref == 0.0:
@@ -56,6 +59,15 @@ def _decibels(signal, noise):
     return math.inf if noise == 0.0 else 10.0 * math.log10(signal / noise)
 
 
+def _distance(a, b):
+    """||a - b|| over slices of the difference along the axis `a` holds
+    slowest, so that no difference as large as the tensors is formed."""
+    axis = a.ndim - 1 if a.flags.f_contiguous and not a.flags.c_contiguous else 0
+    a, b = np.moveaxis(a, axis, 0), np.moveaxis(b, axis, 0)
+    step = max(1, _SLICE_BYTES * a.shape[0] // (8 * a.size))
+    return math.hypot(*(norm(a[lo : lo + step] - b[lo : lo + step]) for lo in range(0, a.shape[0], step)))
+
+
 def relative_error(x_hat, x, x0=None):
     """||x_hat - x|| / ||x0||; x0 defaults to x (the noiseless convention)."""
     x, x_hat = _as_tensor(x, "x"), _as_tensor(x_hat, "x_hat")
@@ -63,7 +75,7 @@ def relative_error(x_hat, x, x0=None):
     for y in (x_hat, x0):
         if y.shape != x.shape:
             raise ShapeError(f"shape mismatch: {y.shape} vs {x.shape}")
-    return _ratio(norm(x_hat - x), norm(x0))
+    return _ratio(_distance(x_hat, x), norm(x0))
 
 
 def snr_db(x, x0):
@@ -71,7 +83,7 @@ def snr_db(x, x0):
     x, x0 = _as_tensor(x, "x"), _as_tensor(x0, "x0")
     if x.shape != x0.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {x0.shape}")
-    return _decibels(norm(x), norm(x0 - x))
+    return _decibels(norm(x), _distance(x0, x))
 
 
 def _slab_squares(t, lo, hi, x, x0):

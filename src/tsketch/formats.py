@@ -8,8 +8,9 @@ Four magics, each followed by a version u32:
   {start u64, count u64, payload f64...} covering last-mode slabs, until EOF.
 * ``TSKB`` v2 - a sketch bundle: the plan (d u32, shape d x u64, kind u8,
   m u64, m_c u64, leave-one-out then core families 2d x u8, seed u64), B_1..B_d
-  and the core column-major in the shapes the plan makes, a partial flag u8.
-  Nothing the plan derives is stored; the header alone sizes the payload.
+  and the core column-major in the shapes the plan makes, a flag u8 of 0 (a
+  set flag marked a bundle of part of a tensor, now refused). Nothing the
+  plan derives is stored; the header alone sizes the payload.
   Recovery rebuilds the core maps from the seed but never a leave-one-out
   map, so how those are drawn (one per mode, shared by the sketches) is not
   part of the format: a bundle recovers the same whichever draw made it.
@@ -451,7 +452,7 @@ def write_bundle(path, bundle):
         f.write(struct.pack("<Q", plan.seed))
         for a in arrays:
             _write_f64(f, a)
-        f.write(struct.pack("<B", 1 if bundle.partial else 0))
+        f.write(b"\0")  # the flag: a bundle sketches the whole tensor
         f.seal()
 
 
@@ -488,9 +489,11 @@ def read_bundle(path):
         loo = [_read_f64(f, n * cols, f"mode-{j} sketch").reshape((n, cols), order="F")
                for j, n in enumerate(shape, start=1)]
         core = _read_f64(f, m_c**d, "core sketch").reshape((m_c,) * d, order="F")
-        (partial,) = struct.unpack("<B", _read_exact(f, 1, "partial flag"))
+        flag = _read_exact(f, 1, "flag")
         f.check("bundle")
-    return SketchBundle(plan=plan, loo=loo, core=core, partial=bool(partial))
+    if flag != b"\0":
+        raise IOFormatError(f"bundle flag is {flag[0]}, not 0: a bundle of part of a tensor is not read")
+    return SketchBundle(plan=plan, loo=loo, core=core)
 
 
 # -- factorizations ----------------------------------------------------------

@@ -53,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import keyed_generator
-from .errors import ConfigError, RankError, ShapeError, SingularError
+from .errors import RankError, ShapeError, SingularError
 from .sketch import _as_slabs, _int_pair, _KronSums
-from .tensor import _as_int, _as_tensor, multi_mode_product, unfold
+from .tensor import _as_int, _as_tensor, _finite, multi_mode_product, unfold
 
 __all__ = [
     "TuckerFactorization",
@@ -208,17 +208,15 @@ def recover_factors(bundle, r):
     the smaller side of every sketch. The k^d core solved from the core sketch
     is truncated by HOOI and each factor Q_i is rotated into Q_i U_i. When the
     cap leaves no room, or there is a single mode with no other mode to agree
-    with, each mode keeps its own r leading vectors. A partial bundle is a
-    ConfigError.
+    with, each mode keeps its own r leading vectors. A sketch that is not
+    finite (``tensor._finite``) is a ``ConfigError``, refused before any
+    sketch is factored.
     """
     plan = bundle.plan
-    if bundle.partial:
-        raise ConfigError("bundle is partial (stream did not cover the last mode); "
-                          "recovery needs a complete sketch")
     r = _rank(r)
     cap = min(plan.m_c // 2, *(min(b.shape) for b in bundle.loo))
     k = max(r, min(r + _OVERSAMPLE, cap)) if plan.d > 1 else r
-    qs = []
+    fs = []
     for i, b in enumerate(bundle.loo, start=1):
         if r > min(b.shape):
             raise RankError(
@@ -226,8 +224,9 @@ def recover_factors(bundle, r):
                 f"(sketch is {b.shape[0]}x{b.shape[1]})"
             )
         # The layout a bundle file gives, built or read alike.
-        f = np.asfortranarray(_as_tensor(b, f"mode-{i} sketch"))
-        qs.append(_left_vectors(f, k, r, (plan.seed, "range", i)))
+        fs.append(np.asfortranarray(_finite(b, f"mode-{i} sketch")))
+    _finite(bundle.core, "core sketch")
+    qs = [_left_vectors(f, k, r, (plan.seed, "range", i)) for i, f in enumerate(fs, start=1)]
     if k == r:
         return qs
     us = _truncate_core(recover_core_onepass(bundle.core, plan.core_maps, qs), r)
@@ -240,7 +239,7 @@ def _peel(h, maps, qs, what):
     h is taken in column-major order, the order a bundle file stores, so the
     result does not depend on the layout h arrived in.
     """
-    h = np.asfortranarray(_as_tensor(h, f"{what} sketch"))
+    h = np.asfortranarray(_finite(h, f"{what} sketch"))
     d = h.ndim
     if len(maps) != d or len(qs) != d:
         raise ShapeError(f"need {d} {what} maps and {d} factors, got {len(maps)} and {len(qs)}")
@@ -319,7 +318,7 @@ def compute_core_twopass(x, qs):
     for chunk in _as_slabs(x):
         sums.update(chunk)
         del chunk  # hold one slab: drop it before the next is read
-    return sums.finish(whole=True)[0]
+    return sums.finish()[0]
 
 
 def one_pass(bundle, r):

@@ -33,7 +33,8 @@ range selects. ``SketchAccumulator`` holds the fixed-size measurement arrays
 (never the slabs themselves), supports merging with a disjoint peer, and
 finalizes into a :class:`SketchBundle`. ``sketch`` takes a dense tensor or
 its slabs and feeds them to one accumulator; a dense tensor is the one slab
-covering the whole mode.
+covering the whole mode. A bundle always sketches the whole tensor:
+``finalize``, and so ``sketch``, refuses slabs that leave a gap.
 
 One engine, ``_KronSums``, sums every measurement of a plan over the slab
 stream: the modewise products (the core, the kronecker B_j, and the
@@ -55,16 +56,17 @@ temporary as large as the measurement.
 
 A streaming step holds the sums, the buffers, the maps and one slab with
 its products. ``finalize`` lends the sums to its bundle as read-only views
-instead of copying them, and the engine copies them before it next changes
-them.
+instead of copying them: once the slabs cover the last mode, every further
+non-empty slab is an overlap, so nothing changes the sums again.
 
 A streamed sketch, the two-pass core and the error of a factorization are
 each a sum over slabs, right only if every slab is real, finite and fits the
 tensor and the slabs tile the last mode once. ``_take_slab`` and
 ``_require_coverage`` hold that rule: the engine applies it to every slab it
-sums, for the accumulator and ``compute_core_twopass`` alike, and ``score``
-to every slab it scores. Each of them, and ``sketch``, takes a dense tensor
-or its slabs the same way, by ``_as_slabs``.
+sums and to the stream it finishes, for the accumulator and
+``compute_core_twopass`` alike, and ``score`` likewise; the engine refuses
+sums that overflowed too (``_finite``). Each of them, and ``sketch``, takes
+a dense tensor or its slabs the same way, by ``_as_slabs``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ import numpy as np
 
 from .ensembles import FAMILIES, EnsembleSpec, _seed, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import _as_int, _as_shape, _as_tensor, _real, mode_product, unfold
+from .tensor import _as_int, _as_shape, _as_tensor, _finite, _not_bool, _real, mode_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -368,9 +370,9 @@ def _overlap(covered, start, count):
 
 def _int_pair(lo, hi):
     """The slab range (lo, hi) as ints, refused with ``ShapeError`` unless both
-    are integers (a numpy integer will do)."""
+    are integers (a numpy integer will do; a bool will not)."""
     try:
-        return operator.index(lo), operator.index(hi)
+        return operator.index(_not_bool(lo)), operator.index(_not_bool(hi))
     except TypeError:
         raise ShapeError(f"slab range lo={lo!r}, hi={hi!r} is not a pair of integers") from None
 
@@ -378,9 +380,9 @@ def _int_pair(lo, hi):
 def _slab_range(chunk, n, what="slab"):
     """(lo, hi) of the last-mode slab `chunk` of a mode of length n, refused
     with ``ShapeError`` unless its start and count are integers (a numpy
-    integer will do) and [lo, hi) lies in the mode."""
+    integer will do; a bool will not) and [lo, hi) lies in the mode."""
     try:
-        lo, count = operator.index(chunk.start), operator.index(chunk.count)
+        lo, count = operator.index(_not_bool(chunk.start)), operator.index(_not_bool(chunk.count))
     except TypeError:
         raise ShapeError(f"{what} range start={chunk.start!r}, count={chunk.count!r} "
                          "is not a pair of integers") from None
@@ -449,14 +451,13 @@ class SketchBundle:
     """The complete output of a measurement campaign.
 
     `loo[j-1]` is B_j: n_j x m^(d-1) for kronecker plans, n_j x m otherwise.
-    `core` is the all-modes-compressed tensor with every side m_c. `partial`
-    marks a bundle finalized before the stream covered the whole last mode.
+    `core` is the all-modes-compressed tensor with every side m_c. A bundle
+    sketches the whole tensor: the accumulator makes none of a stream with a gap.
     """
 
     plan: SketchPlan
     loo: list
     core: np.ndarray
-    partial: bool = False
 
     def loo_entry_count(self):
         return sum(b.size for b in self.loo)
@@ -576,10 +577,11 @@ class _KronSums:
 
     A measurement is a list of one map per mode, None keeping that mode at
     full length, for a modewise product (the core, a kronecker B_j, the
-    two-pass core), or a ``_Joint`` B_j. The last-mode map is cut to each
-    slab's columns. Every measurement that compresses mode 1 first takes its
-    rows of one ``_mode1_product`` per slab, through `stack`: (matrix, rows),
-    as a plan's ``mode1_stack``. Given no stack, the engine takes one modewise
+    two-pass core), or a ``_Joint`` B_j; they come as B_1, ..., B_d, then
+    the core. The last-mode map is cut to each slab's columns. Every
+    measurement that compresses mode 1 first takes its rows of one
+    ``_mode1_product`` per slab, through `stack`: (matrix, rows), as a plan's
+    ``mode1_stack``. Given no stack, the engine takes one modewise
     measurement, the two-pass core, whose mode-1 map is its own stack. Of an
     F-ordered slab, whose row blocks hold their modes in reverse, a modewise
     measurement contracts a block's transpose, F-contiguous with mode 1 last,
@@ -596,8 +598,9 @@ class _KronSums:
 
     The engine owns its stream: ``update`` checks each slab by the slab rule
     (``_take_slab``) and records its range in `covered`, ``merge`` refuses
-    overlapping streams, and ``finish`` hands out the sums, which the next
-    slab adds to copies of. ``add`` takes a slab unchecked and unrecorded.
+    overlapping streams, and ``finish`` hands out the sums of a stream that
+    covers the last mode, after which every non-empty slab is an overlap, so
+    they never change. ``add`` takes a slab unchecked and unrecorded.
     """
 
     def __init__(self, shape, measurements, stack=None):
@@ -616,10 +619,9 @@ class _KronSums:
         self._parks = [s for s, m in enumerate(self.maps) if s not in joint and m[-1] is not None]
         self._width = min(_BUFFER_SLICES, shape[-1], *(self.maps[s][-1].shape[0] for s in self._parks))
         # (start, count) of the parked slabs, and the buffers: allocated by the
-        # first thin slab after construction or `finish`, which releases them.
+        # first thin slab; `finish` releases them.
         self._parked, self._bufs = [], None
         self.covered = []  # sorted, disjoint, non-empty (start, count) slabs seen so far
-        self._lent = False  # whether `finish` handed the sums out
 
     def _buffers(self):
         """Per modewise measurement that compresses the last mode, room for
@@ -641,12 +643,9 @@ class _KronSums:
         """Check the slab `chunk` (``_take_slab``), record its range and add it.
         The chunk is not retained."""
         lo, hi, payload = _take_slab(self.covered, self.shape, chunk)
-        if hi == lo:
-            return
-        if self._lent:  # `finish` handed the sums out: add to copies of them
-            self.sums = [t.copy(order="K") for t in self.sums]
-            self._lent = False
-        self.add(payload, lo, hi)
+        if hi > lo:
+            with np.errstate(over="ignore", invalid="ignore"):  # `finish` refuses sums that overflowed
+                self.add(payload, lo, hi)
 
     def add(self, x, lo, hi):
         """Add the slab x, slices lo..hi-1 of the last mode, to every measurement:
@@ -722,22 +721,23 @@ class _KronSums:
                 s, c = hit
                 raise ConfigError(f"merge overlap: [{s}, {s + c}) and [{s2}, {s2 + c2})")
         out = copy.copy(self)  # shares the maps
-        out.sums = [a + b for a, b in zip(self.sums, other.sums)]
-        self._flush_into(out.sums)
-        other._flush_into(out.sums)
-        out._parked, out._bufs, out._lent = [], None, False
+        with np.errstate(over="ignore", invalid="ignore"):  # `finish` refuses sums that overflowed
+            out.sums = [a + b for a, b in zip(self.sums, other.sums)]
+            self._flush_into(out.sums)
+            other._flush_into(out.sums)
+        out._parked, out._bufs = [], None
         out.covered = sorted(self.covered + other.covered)
         return out
 
-    def finish(self, whole=False):
-        """Apply the parked slabs, release the buffers and hand out the sums;
-        a later slab adds to copies of them. With `whole`, slabs that leave
-        part of the last mode are refused first (``_require_coverage``)."""
-        if whole:
-            _require_coverage(self.covered, self.shape[-1])
-        self._flush()
+    def finish(self):
+        """Refuse a gap (``_require_coverage``), apply the parked slabs, release
+        the buffers, refuse sums that overflowed (``_finite``) and hand them out."""
+        _require_coverage(self.covered, self.shape[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            self._flush()
         self._bufs = None
-        self._lent = True
+        for j, t in enumerate(self.sums, start=1):
+            _finite(t, "core sketch" if j == len(self.sums) else f"mode-{j} sketch")
         return self.sums
 
 
@@ -784,19 +784,19 @@ class SketchAccumulator:
         return sum(c for _, c in self._kron.covered) == self.plan.shape[-1]
 
     def finalize(self):
-        """Produce the bundle. Incomplete coverage is allowed but flagged partial.
+        """Produce the bundle of the whole tensor: a gap is a ``ShapeError``,
+        after which the missing slabs are still taken, and sums that
+        overflowed a ``ConfigError`` (``_KronSums.finish``).
 
-        Parked slabs are applied first. The bundle's arrays are read-only,
-        column-major views of the accumulator's sums, not copies: the
-        accumulator takes more slabs after, and copies its sums before the
-        next slab changes them, so the bundle never changes.
+        The bundle's arrays are read-only, column-major views of the
+        accumulator's sums, not copies: a finished accumulator refuses every
+        further non-empty slab as an overlap, so the bundle never changes.
         """
         *loo, core = self._kron.finish()
         return SketchBundle(
             plan=self.plan,
             loo=[_read_only(unfold(t, j)) for j, t in enumerate(loo, start=1)],
             core=_read_only(core),
-            partial=not self.coverage_complete(),
         )
 
 
@@ -804,8 +804,8 @@ def sketch(x, plan):
     """Sketch `x`, a dense tensor or an iterable of its last-mode slabs
     (``SlabChunk``), in one pass: every slab goes to one accumulator of
     `plan` (``SketchAccumulator.update``), which is then finalized, so slabs
-    that leave a gap give a partial bundle. A dense tensor is the one slab
-    covering its last mode."""
+    that leave a gap, or no slabs at all, are a ``ShapeError``. A dense
+    tensor is the one slab covering its last mode."""
     acc = SketchAccumulator(plan)
     for chunk in _as_slabs(x):
         acc.update(chunk)

@@ -8,10 +8,12 @@ Conventions, fixed once and used everywhere:
   or float, never complex, text or objects (``ConfigError``, from ``_real``).
   It is then read as float64, without a copy when it already is. Slabs of a
   stream take the same ``_real`` inside the slab rule (``sketch._take_slab``).
+* A sketch must also be finite (``_finite``): its entries and the sum of
+  their squares, the scale of recovery's Gram matrices.
 * Every scalar integer argument (a size, a mode index, a count, a rank or a
   seed) enters by one integer rule, ``_as_int``: an integer (a numpy integer
-  will do; a float, text or ``None`` is refused) inside its range, else the
-  caller's typed error.
+  will do; a float, text, ``None`` or a bool is refused) inside its range,
+  else the caller's typed error.
 * Tensors are d-dimensional float64 numpy arrays, d >= 1. The canonical flat
   layout is first-mode-fastest, i.e. ``vec(X) = X.ravel(order="F")``.
 * Modes are 1-based in every public signature: ``unfold(x, 1)`` arranges the
@@ -49,12 +51,19 @@ __all__ = [
 _F64 = np.dtype(np.float64)
 
 
+def _not_bool(value):
+    """`value`, unless a bool (``TypeError``): True is not 1 here, as np.True_ is not."""
+    if isinstance(value, bool):
+        raise TypeError
+    return value
+
+
 def _as_int(value, what, error=ConfigError, low=1, high=None):
     """`value` as an int in [low, high), refused with `error` unless it is an
-    integer (a numpy integer will do) in that range. `low` None sets no lower
-    bound; `high` None sets no upper one."""
+    integer (a numpy integer will do; a bool will not) in that range. `low`
+    None sets no lower bound; `high` None sets no upper one."""
     try:
-        n = operator.index(value)
+        n = operator.index(_not_bool(value))
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
     if (low is not None and n < low) or (high is not None and n >= high):
@@ -67,9 +76,10 @@ def _as_int(value, what, error=ConfigError, low=1, high=None):
 
 def _as_shape(shape):
     """`shape` as a tuple of ints, refused with ``ShapeError`` unless it is a
-    non-empty sequence of positive integers (a numpy integer will do)."""
+    non-empty sequence of positive integers (a numpy integer will do; a bool
+    will not)."""
     try:
-        shape = tuple(operator.index(n) for n in shape)
+        shape = tuple(operator.index(_not_bool(n)) for n in shape)
     except TypeError:
         raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
     if not shape or any(n < 1 for n in shape):
@@ -95,6 +105,18 @@ def _as_tensor(x, what="tensor"):
     x = _real(x, what)
     if not x.ndim or 0 in x.shape:
         raise ShapeError(f"bad tensor shape {x.shape}")
+    return x
+
+
+def _finite(x, what):
+    """`x` by the array rule, refused with ``ConfigError`` unless its entries
+    and the sum of their squares (a Gram matrix's scale) are finite."""
+    x = _as_tensor(x, what)
+    v = x.ravel(order="K")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(np.dot(v, v)):
+            raise ConfigError(f"{what} is not finite in float64: it holds a NaN or an infinity, "
+                              "or its squared norm overflows")
     return x
 
 

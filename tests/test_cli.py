@@ -34,7 +34,7 @@ from tsketch.formats import (
     write_tensor,
 )
 from tsketch.recover import one_pass, reconstruct, two_pass
-from tsketch.sketch import LOO_KINDS, SketchAccumulator, SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.sketch import LOO_KINDS, SlabChunk, make_plan, sketch, slab_chunks
 from tsketch.tensor import norm
 
 
@@ -777,19 +777,75 @@ class TestErrorReporting:
         )
 
     @pytest.mark.parametrize("two_pass", [False, True])
-    def test_partial_bundle_is_config(self, pipeline_files, capsys, two_pass) -> None:
-        tmp, _, _, tensor = pipeline_files
-        x = read_tensor(tensor)
-        acc = SketchAccumulator(make_plan(x.shape, "kronecker", 6, 8, seed=21))
-        acc.update(SlabChunk(0, 7, x[..., :7]))
-        bundle = tmp / "partial.tskb"
-        write_bundle(bundle, acc.finalize())
+    def test_bundle_with_the_flag_set_is_io(self, pipeline_files, capsys, two_pass) -> None:
+        """A bundle always sketches the whole tensor: one whose flag byte is
+        set, which once marked a bundle of part of it, is refused as a file
+        error even when its CRC-32 holds."""
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle = tmp / "b.tskb"
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
+        data = bytearray(bundle.read_bytes())
+        data[-5] = 1
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        bundle.write_bytes(bytes(data))
+        second = ["--two-pass", "--chunks", str(tensor)] if two_pass else []
+        msg = self.check(
+            "io", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
+            "--rank", "3", *second, capsys=capsys,
+        )
+        assert msg.startswith("bundle flag is 1, not 0")
+        assert not (tmp / "t.tuck").exists()
+
+    def test_stream_whose_sketch_overflows_is_config(self, tmp_path, capsys) -> None:
+        """A 12^3 tensor times 1e307 has finite entries, so the slab rule
+        takes it, but its sketch's squares overflow float64: `sketch` refuses
+        it, where it once wrote a bundle that `recover` died on with an
+        untyped LAPACK error."""
+        x = gen_lowrank(12, 3, 3, seed=0)[0] * 1e307
+        stream, bundle = tmp_path / "x.tskc", tmp_path / "b.tskb"
+        write_chunks(stream, x.shape, slab_chunks(x, 3))
+        msg = self.check("config", "sketch", "--chunks", str(stream), "--output", str(bundle), capsys=capsys)
+        assert msg.startswith("mode-1 sketch is not finite in float64")
+        assert not bundle.exists()
+
+    @pytest.mark.parametrize("two_pass", [False, True])
+    def test_bundle_that_is_not_finite_is_config(self, pipeline_files, capsys, two_pass) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle = tmp / "b.tskb"
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
+        b = read_bundle(bundle)
+        b.loo[2][4, 1] = np.inf
+        write_bundle(bundle, b)
         second = ["--two-pass", "--chunks", str(tensor)] if two_pass else []
         msg = self.check(
             "config", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
             "--rank", "3", *second, capsys=capsys,
         )
-        assert "partial" in msg
+        assert msg.startswith("mode-3 sketch is not finite in float64")
+
+    def test_allocation_failure_is_config(self, tmp_path, capsys, monkeypatch) -> None:
+        """A size too large for memory ("Unable to allocate 17.2 GiB") once
+        ended in a traceback; a stand-in generator raises it here."""
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+        monkeypatch.setattr(tsketch.cli, "gen_lowrank", too_large)
+        msg = self.check("config", "gen", "--output", str(tmp_path / "x.tnsr"), capsys=capsys)
+        assert msg == "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def test_lapack_failure_is_singular(self, pipeline_files, capsys, monkeypatch) -> None:
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        bundle = tmp / "b.tskb"
+        run("sketch", "--config", sketch_cfg, "--chunks", str(tensor), "--output", str(bundle))
+
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(tsketch.cli, "one_pass", diverges)
+        msg = self.check("singular", "recover", "--input", str(bundle), "--output", str(tmp / "t.tuck"),
+                         "--rank", "3", capsys=capsys)
+        assert msg == "Eigenvalues did not converge"
 
     def test_mismatched_second_pass_tensor_is_shape(self, pipeline_files, capsys) -> None:
         tmp, _, sketch_cfg, tensor = pipeline_files

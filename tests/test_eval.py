@@ -133,6 +133,47 @@ class TestSnr:
             tracemalloc.stop()
         assert peak < 2.5 * x0.nbytes, (peak, x0.nbytes)
 
+    def test_noisy_tensor_is_the_one_tensor_made(self) -> None:
+        """The closing check's snr_db sums ||x0 - x|| over bounded slices, so
+        the draw, which becomes the noisy tensor, is the one tensor made:
+        forming x0 - x whole made two."""
+        x0 = np.random.default_rng(5).standard_normal((64, 64, 64))
+        tracemalloc.start()
+        try:
+            add_noise_snr(x0, 30.0, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * x0.nbytes, (peak, x0.nbytes)
+
+    @pytest.mark.parametrize("measure", ["snr_db", "relative_error"])
+    @pytest.mark.parametrize("layouts", ["CC", "FF", "CF", "strided"])
+    def test_distances_form_no_tensor_sized_difference(self, measure, layouts) -> None:
+        """||a - b|| is summed over slices of at most 1 MiB of the difference
+        along the axis `a` holds slowest, and agrees with the norm of the whole
+        difference to roundoff in any layout. (A strided tensor's own norm is
+        read from a copy, so only the value is checked there.)"""
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, 64, 64, 64))
+        if layouts == "strided":
+            a, b = rng.standard_normal((2, 64, 64, 128))[..., ::2]
+        else:
+            a = np.asfortranarray(a) if layouts[0] == "F" else a
+            b = np.asfortranarray(b) if layouts[1] == "F" else b
+        call = {"snr_db": lambda: snr_db(a, b), "relative_error": lambda: relative_error(a, b)}[measure]
+        tracemalloc.start()
+        try:
+            got = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if layouts != "strided":
+            assert peak < 0.75 * a.nbytes, (peak, a.nbytes)
+        dist = np.linalg.norm((a - b).ravel())
+        want = {"snr_db": 10 * np.log10(np.linalg.norm(a.ravel()) / dist),
+                "relative_error": dist / np.linalg.norm(b.ravel())}[measure]
+        assert got == pytest.approx(want, rel=1e-13)
+
 
 class TestPrincipalAngle:
     def test_same_subspace_is_zero(self) -> None:

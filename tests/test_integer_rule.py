@@ -8,6 +8,8 @@ slab count of 2.5 reached numpy as a raw ``TypeError``, a float row count was
 accepted by ``EnsembleSpec`` until its matrix was built, and a slab count of
 0 split a tensor into no slabs. Ranks and a plan's ``m``, ``m_c`` and
 ``seed`` take the same rule; their cases live with their callers' tests.
+Python's ``True`` and ``False`` index as 1 and 0 and were taken so, where
+numpy's bools, which have no index, were refused: now no bool is an integer.
 """
 
 import ast
@@ -18,10 +20,11 @@ import pytest
 
 import tsketch
 from tsketch.ensembles import EnsembleSpec, derive_seed, keyed_generator, materialize
-from tsketch.errors import ConfigError, ShapeError
+from tsketch.errors import ConfigError, RankError, ShapeError
 from tsketch.evaluate import add_noise_snr, gen_lowrank, gen_superdiag_exp, gen_superdiag_poly, tail_energy
-from tsketch.sketch import slab_chunks
-from tsketch.tensor import fold, mode_product, multi_mode_product, unfold
+from tsketch.recover import TuckerFactorization, one_pass, reconstruct
+from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch, slab_chunks
+from tsketch.tensor import _as_shape, fold, mode_product, multi_mode_product, unfold
 
 _rng = np.random.default_rng(5)
 X = _rng.standard_normal((5, 4, 6))
@@ -65,10 +68,10 @@ CASES = {
 
 
 def _refusals():
-    """(case, value) for every case: 1.5, None, "2", the value below its
-    smallest, and 2^64 where a seed is meant."""
+    """(case, value) for every case: 1.5, None, "2", True, False, the value
+    below its smallest, and 2^64 where a seed is meant."""
     for case, (*_, low, seed) in sorted(CASES.items()):
-        bad = {"1.5": 1.5, "None": None, "str": "2", "below": low - 1}
+        bad = {"1.5": 1.5, "None": None, "str": "2", "True": True, "False": False, "below": low - 1}
         if seed:
             bad["2^64"] = SEED_END
         for name, value in bad.items():
@@ -88,6 +91,41 @@ def test_a_numpy_integer_gives_what_the_int_gives(case) -> None:
     pairs = [(good, np.int64(good))] + ([(SEED_END - 1, np.uint64(SEED_END - 1))] if seed else [])
     for v, numpy_v in pairs:
         assert np.array_equal(call(numpy_v), call(v))
+
+
+PLAN_SHAPE = (4, 5, 6)
+
+# id: (the error, its message with "{v}" for the bool, the call with the bool `v`)
+BOOL_CASES = {
+    "make_plan-m": (ConfigError, "m must be an integer, got {v}",
+                    lambda v: make_plan(PLAN_SHAPE, "kronecker", v, 2)),
+    "make_plan-m_c": (ConfigError, "m_c must be an integer, got {v}",
+                      lambda v: make_plan(PLAN_SHAPE, "kronecker", 2, v)),
+    "make_plan-seed": (ConfigError, "seed must be an integer, got {v}",
+                       lambda v: make_plan(PLAN_SHAPE, "kronecker", 2, 2, seed=v)),
+    "_as_shape": (ShapeError, r"tensor shape \({v}, 3\) is not a tuple of integers", lambda v: _as_shape((v, 3))),
+    "SlabChunk-start": (ShapeError, "slab range start={v}, count=2 is not a pair of integers",
+                        lambda v: SketchAccumulator(make_plan(PLAN_SHAPE, "kronecker", 2, 2)).update(
+                            SlabChunk(v, 2, np.zeros((4, 5, 2))))),
+    "SlabChunk-count": (ShapeError, "slab range start=0, count={v} is not a pair of integers",
+                        lambda v: SketchAccumulator(make_plan(PLAN_SHAPE, "kronecker", 2, 2)).update(
+                            SlabChunk(0, v, np.zeros((4, 5, int(v)))))),
+    "one_pass-rank": (RankError, "rank must be an integer, got {v}",
+                      lambda v: one_pass(sketch(X, make_plan(X.shape, "kronecker", 3, 4)), v)),
+    "reconstruct-range": (ShapeError, r"slab range lo={v}, hi=2 is not a pair of integers",
+                          lambda v: reconstruct(TuckerFactorization(np.ones((1, 1, 1)), [np.ones((4, 1))] * 3), v, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("case", sorted(BOOL_CASES))
+def test_a_bool_is_not_an_integer(case, value) -> None:
+    """Python's True is not the integer 1 to any reader of integers: a plan
+    of m = True once had m = 1 and seed True the draws of seed 1, a slab
+    starting at True was recorded at 1, and one_pass fitted rank True as 1."""
+    error, message, call = BOOL_CASES[case]
+    with pytest.raises(error, match="^" + message.format(v=value) + "$"):
+        call(value)
 
 
 def test_a_seed_names_one_draw() -> None:

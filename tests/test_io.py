@@ -460,7 +460,6 @@ def test_bundle_round_trip(tmp_path, tensor, kind, m, family) -> None:
     write_bundle(p, b)
     got = read_bundle(p)
     assert got.plan == plan
-    assert not got.partial
     for a, c in zip(b.loo, got.loo):
         assert np.array_equal(a, c)
     assert np.array_equal(b.core, got.core)
@@ -584,12 +583,12 @@ class TestCorruption:
         with pytest.raises(IOFormatError, match="corrupt bundle: stored CRC-32"):
             read_bundle(p)
 
-    @pytest.mark.parametrize("where", ["B_1", "core", "partial flag", "CRC"])
+    @pytest.mark.parametrize("where", ["B_1", "core", "flag", "CRC"])
     def test_bundle_with_a_flipped_bit_is_refused(self, tmp_path, tensor, where) -> None:
         """One flipped bit anywhere in the payload or in the stored CRC-32 is
         a format error, not a sketch that reads back changed."""
         p, data = self.bundle_bytes(tmp_path, tensor)
-        at = {"B_1": self.B1_AT, "core": len(data) - 5 - 8, "partial flag": len(data) - 5,
+        at = {"B_1": self.B1_AT, "core": len(data) - 5 - 8, "flag": len(data) - 5,
               "CRC": len(data) - 1}[where]
         data[at] ^= 0x10
         p.write_bytes(bytes(data))
@@ -732,17 +731,19 @@ def test_write_bundle_refuses_arrays_the_plan_does_not_shape(tmp_path, tensor, b
     assert not p.exists()
 
 
-def test_partial_bundle_round_trips_the_flag(tmp_path, tensor) -> None:
-    from tsketch.sketch import SketchAccumulator, SlabChunk
-
-    plan = make_plan(tensor.shape, "kronecker", 2, 3, seed=6)
-    acc = SketchAccumulator(plan)
-    acc.update(SlabChunk(0, 2, tensor[..., :2]))
-    b = acc.finalize()
-    assert b.partial
-    p = tmp_path / "partial.tskb"
-    write_bundle(p, b)
-    assert read_bundle(p).partial
+def test_bundle_flag_is_written_clear_and_refused_when_set(tmp_path, tensor) -> None:
+    """TSKB v2 keeps its flag byte, which once marked a bundle of part of a
+    tensor: every bundle is written with it 0, and one with it set is refused
+    even when its CRC-32 holds."""
+    p = tmp_path / "b.tskb"
+    write_bundle(p, sketch(tensor, make_plan(tensor.shape, "kronecker", 2, 3, seed=6)))
+    data = bytearray(p.read_bytes())
+    assert data[-5] == 0
+    data[-5] = 1
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+    p.write_bytes(bytes(data))
+    with pytest.raises(IOFormatError, match=r"^bundle flag is 1, not 0"):
+        read_bundle(p)
 
 
 @pytest.fixture(scope="module")

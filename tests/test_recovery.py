@@ -31,7 +31,7 @@ from tsketch.recover import (
     recover_factors,
     two_pass,
 )
-from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch
+from tsketch.sketch import SketchAccumulator, SketchBundle, SlabChunk, make_plan, sketch
 from tsketch.formats import TensorFile, write_chunks, write_tensor
 from tsketch.tensor import fold, multi_mode_product, norm, unfold, vec
 
@@ -289,26 +289,41 @@ class TestRecycledCore:
         assert np.median(errs_rec) <= 2.0 * np.median(errs_one)
 
 
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("a sketch that is not finite reached LAPACK")
+
+
 class TestErrorPaths:
-    def test_one_pass_refuses_partial_bundles(self) -> None:
+    @pytest.mark.parametrize("solve,what", [(recover_core_onepass, "core"), (recover_core_recycled, "recycled")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "squares-overflow"])
+    def test_one_pass_refuses_a_core_sketch_that_is_not_finite(self, solve, what, bad, monkeypatch) -> None:
+        """The mode-peeling solve refuses a sketch that holds a NaN or an
+        infinity, or whose squared norm overflows, before any SVD."""
         x = np.random.default_rng(115).standard_normal((4, 4, 6))
         plan = make_plan(x.shape, "kronecker", 2, 4, seed=116)
-        acc = SketchAccumulator(plan)
-        acc.update(SlabChunk(0, 3, x[..., :3]))
-        b = acc.finalize()
-        with pytest.raises(ConfigError):
-            one_pass(b, 2)
+        b = sketch(x, plan)
+        qs = recover_factors(b, 2)
+        h = np.array(b.core)
+        h[1, 2, 3] = bad
+        monkeypatch.setattr(np.linalg, "svd", _no_lapack)
+        with pytest.raises(ConfigError, match=f"^{what} sketch is not finite in float64"):
+            solve(h, plan.core_maps, qs)
 
     @pytest.mark.parametrize("two_passes", [False, True])
-    def test_factors_refuse_partial_bundles(self, two_passes) -> None:
-        """Factors from half the stream would fit only that half: two-pass
-        scored 0.82 there against 3e-15 on the whole bundle."""
+    @pytest.mark.parametrize("where", ["mode-2", "core"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "squares-overflow"])
+    def test_factors_refuse_a_sketch_that_is_not_finite(self, two_passes, where, bad, monkeypatch) -> None:
+        """Every sketch of the bundle is checked before the first is factored:
+        a bundle whose sums overflowed once reached LAPACK, which died with an
+        untyped "Eigenvalues did not converge"."""
         x, _ = gen_lowrank(20, 3, 3, seed=1)
-        acc = SketchAccumulator(make_plan(x.shape, "kronecker", 8, 12, seed=2))
-        acc.update(SlabChunk(0, 10, x[..., :10]))
-        b = acc.finalize()
-        with pytest.raises(ConfigError, match="partial"):
-            two_pass(b, x, 3) if two_passes else recover_factors(b, 3)
+        b = sketch(x, make_plan(x.shape, "kronecker", 8, 12, seed=2))
+        loo, core = [np.array(a) for a in b.loo], np.array(b.core)
+        (loo[1] if where == "mode-2" else core).flat[7] = bad
+        monkeypatch.setattr(recover, "_left_vectors", _no_lapack)
+        bundle = SketchBundle(b.plan, loo, core)
+        with pytest.raises(ConfigError, match=f"^{where} sketch is not finite in float64"):
+            two_pass(bundle, x, 3) if two_passes else recover_factors(bundle, 3)
 
     def test_rank_bounds(self) -> None:
         x = np.random.default_rng(117).standard_normal((6, 6, 6))

@@ -206,7 +206,6 @@ def test_leave_one_out_shapes_at_full_scale() -> None:
             acc.update(SlabChunk(start, width, payload))
         start += width
     b_kron, b_khat = (acc.finalize() for acc in accs)
-    assert not b_kron.partial and not b_khat.partial
     assert [b.shape for b in b_kron.loo] == [(300, 625)] * 3
     assert [b.shape for b in b_khat.loo] == [(300, 225)] * 3
     assert b_kron.core.shape == (10, 10, 10)
@@ -268,17 +267,22 @@ class TestStreaming:
     )
     @pytest.mark.parametrize("as_iter", [False, True], ids=["list", "iterator"])
     def test_sketch_of_slabs_equals_an_accumulator_fed_them(self, kind, m, ranges, as_iter) -> None:
-        """`sketch` takes slabs as the accumulator does, bit for bit: a stream
-        with a gap gives a partial bundle, as `finalize` does."""
+        """`sketch` takes slabs as the accumulator does, bit for bit, and
+        refuses a stream with a gap, or no slabs at all, as `finalize` does."""
         x = random_tensor((5, 4, 10), seed=37)
         plan = make_plan(x.shape, kind, m, 3, seed=38)
         slabs = [SlabChunk(lo, hi - lo, x[..., lo:hi]) for lo, hi in ranges]
         acc = SketchAccumulator(plan)
         for c in slabs:
             acc.update(c)
+        covered = sum(hi - lo for lo, hi in ranges)
+        if covered != 10:
+            for finish in (acc.finalize, lambda: sketch(iter(slabs) if as_iter else slabs, plan)):
+                with pytest.raises(ShapeError, match=f"^slabs cover {covered} of the 10 indices of the last mode$"):
+                    finish()
+            return
         ref = acc.finalize()
         got = sketch(iter(slabs) if as_iter else slabs, plan)
-        assert got.partial == ref.partial == (sum(hi - lo for lo, hi in ranges) != 10)
         for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]):
             assert np.array_equal(a, b)
 
@@ -300,7 +304,6 @@ class TestStreaming:
         acc.update(SlabChunk(2, 0, x[..., 2:2]))
         acc.update(SlabChunk(0, 6, x))
         b = acc.finalize()
-        assert not b.partial
         ref = sketch(x, plan)
         assert np.allclose(b.loo[0], ref.loo[0], rtol=1e-12, atol=1e-14)
 
@@ -324,7 +327,6 @@ class TestStreaming:
         with pytest.raises(ConfigError, match=r"overlaps \[2, 4\)"):
             acc.update(SlabChunk(3, 1, x[..., 3:4]))
         got, ref = acc.finalize(), sketch(x, plan)
-        assert not got.partial
         for a, b in zip(ref.loo + [ref.core], got.loo + [got.core]):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
@@ -348,34 +350,64 @@ class TestStreaming:
             acc.update(SlabChunk(3, 3, slab))
         assert not acc._kron.covered
 
-    def test_partial_finalize_sets_flag(self) -> None:
+    def test_finalize_refuses_a_gap(self) -> None:
+        """A bundle sketches the whole tensor: slabs that leave a gap are a
+        `ShapeError`, and the accumulator still takes the missing slabs."""
         x = random_tensor((4, 4, 8), seed=42)
         plan = make_plan(x.shape, "kronecker", 2, 2, seed=43)
         acc = SketchAccumulator(plan)
         acc.update(SlabChunk(0, 3, x[..., :3]))
         assert not acc.coverage_complete()
-        assert acc.finalize().partial
+        with pytest.raises(ShapeError, match=r"^slabs cover 3 of the 8 indices of the last mode$"):
+            acc.finalize()
+        acc.update(SlabChunk(3, 5, x[..., 3:]))
+        assert acc.coverage_complete()
+        assert rel_gap(sketch(x, plan), acc.finalize()) <= 1e-12
+
+    @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
+    @pytest.mark.parametrize("scale", [1e307, 1.7e308], ids=["squares-overflow", "sums-overflow"])
+    def test_sums_that_overflow_are_refused(self, kind, m, scale) -> None:
+        """Entries near the top of float64 pass the slab rule, being finite,
+        but the sketch's sums, or its squared norm, overflow: `finalize`
+        refuses it, after a merge too, naming the sketch, without a warning;
+        and the two-pass core likewise. Such a bundle once reached LAPACK."""
+        x = scale * np.sign(random_tensor((5, 4, 6), seed=83))
+        plan = make_plan(x.shape, kind, m, 3, seed=84)
+        shards = [SketchAccumulator(plan), SketchAccumulator(plan)]
+        for lo in range(6):
+            shards[lo >= 2].update(SlabChunk(lo, 1, x[..., lo : lo + 1]))
+        for finish in (lambda: sketch(x, plan), lambda: shards[0].merge(shards[1]).finalize()):
+            with pytest.raises(ConfigError, match=r"^mode-1 sketch is not finite in float64"):
+                finish()
+        qs = [np.linalg.qr(random_tensor((n, 2), seed=n))[0] for n in x.shape]
+        with pytest.raises(ConfigError, match=r"^core sketch is not finite in float64"):
+            compute_core_twopass(x, qs)
 
     @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
     def test_finalized_bundle_is_not_changed_by_later_slabs(self, kind, m) -> None:
+        """A finalized stream covers the last mode, so every later non-empty
+        slab is refused as an overlap, and an empty one changes nothing."""
         x = random_tensor((5, 6), seed=58)
         plan = make_plan(x.shape, kind, m, 3, seed=59)
         acc = SketchAccumulator(plan)
-        acc.update(SlabChunk(0, 3, x[:, :3]))
+        acc.update(SlabChunk(0, 6, x))
         b = acc.finalize()
         frozen = [a.copy() for a in b.loo + [b.core]]
-        acc.update(SlabChunk(3, 3, x[:, 3:]))
+        with pytest.raises(ConfigError, match=r"^slab \[3, 6\) overlaps \[0, 6\)$"):
+            acc.update(SlabChunk(3, 3, x[:, 3:]))
+        acc.update(SlabChunk(6, 0, x[:, 6:]))
         assert all(np.array_equal(a, f) for a, f in zip(b.loo + [b.core], frozen))
 
     @pytest.mark.parametrize("kind,m", [("kronecker", 5), ("khatri_rao", 7), ("unstructured", 7)])
     def test_finalize_lends_the_sums(self, kind, m) -> None:
-        """The bundle's arrays are read-only views of the accumulator's sums.
-        Later slabs go into copies, so the bundle keeps its values, and the
-        lent accumulator still streams, merges and finalizes as batch does."""
+        """The bundle's arrays are read-only, column-major views of the
+        accumulator's sums. The finished accumulator refuses every later
+        non-empty slab, and merges with a shard that saw none, so every
+        bundle it lends keeps its values."""
         x = random_tensor((6, 5, 30), seed=81)
         plan = make_plan(x.shape, kind, m, 6, seed=82)
         acc = SketchAccumulator(plan)
-        for lo, hi in [(0, 2), (2, 3), (10, 12)]:  # thin: the core parks them
+        for lo, hi in [(0, 2), (2, 3), (10, 12), (3, 10), (12, 30)]:  # thin ones park in the core's buffer
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
         lent, again = acc.finalize(), acc.finalize()
         sums = acc._kron.sums
@@ -383,25 +415,12 @@ class TestStreaming:
             assert not a.flags.writeable and a.flags.f_contiguous
             assert any(np.shares_memory(a, t) for t in sums)
         frozen = [a.copy() for a in lent.loo + [lent.core]]
-        seen = np.zeros_like(x)
-        for lo, hi in [(0, 3), (10, 12)]:
-            seen[..., lo:hi] = x[..., lo:hi]
-        assert rel_gap(sketch(seen, plan), lent) <= 1e-12
-        for lo, hi in [(3, 5), (12, 20), (5, 6)]:
-            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
-        peer = SketchAccumulator(plan)
-        for lo, hi in [(20, 30), (6, 10)]:
-            peer.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
-        merged = acc.merge(peer).finalize()
-        for lo, hi in [(6, 10), (20, 30)]:
-            acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
-        streamed = acc.finalize()
-        for bundle in (lent, again):
-            assert all(np.array_equal(a, f) for a, f in zip(bundle.loo + [bundle.core], frozen))
-        ref = sketch(x, plan)
-        for got in (merged, streamed, acc.finalize()):
-            assert not got.partial and rel_gap(ref, got) <= 1e-12
-            assert all(a.flags.f_contiguous for a in got.loo + [got.core])
+        assert rel_gap(sketch(x, plan), lent) <= 1e-12
+        with pytest.raises(ConfigError, match="overlaps"):
+            acc.update(SlabChunk(5, 2, x[..., 5:7]))
+        merged = acc.merge(SketchAccumulator(plan)).finalize()
+        for bundle in (lent, again, merged, acc.finalize()):
+            assert all(a.flags.f_contiguous and np.array_equal(a, f) for a, f in zip(bundle.loo + [bundle.core], frozen))
 
     @pytest.mark.parametrize("kind,m", [("kronecker", 3), ("khatri_rao", 4), ("unstructured", 4)])
     def test_sketches_come_out_column_major(self, kind, m) -> None:
@@ -484,27 +503,32 @@ class TestCoalescing:
         self.feed(merged, x, left[-1:])
         assert merged._kron._parked
         got = merged.finalize()
-        assert not got.partial
         assert rel_gap(sketch(x, plan), got) <= 1e-12
-        for parent, ref in [(a, a_ref), (b, b_ref)]:
+        # Each parent, given the rest of the stream, finalizes as its twin that never merged.
+        for parent, ref, rest in [(a, a_ref, left[-1:] + right), (b, b_ref, left)]:
+            self.feed(parent, x, rest)
+            self.feed(ref, x, rest)
             u, v = parent.finalize(), ref.finalize()
             assert all(np.array_equal(p, q) for p, q in zip(u.loo + [u.core], v.loo + [v.core]))
 
-    def test_partial_finalize_flushes_the_buffers(self) -> None:
+    def test_finalize_flushes_the_buffers(self) -> None:
+        """A refused `finalize` leaves the parked slabs parked; one over the
+        whole mode applies them and releases the buffers."""
         x = random_tensor((6, 5, 40), seed=66)
         plan = make_plan(x.shape, "kronecker", 5, 6, seed=67)
         ranges = thin_slabs(40, seed=68)
         acc = SketchAccumulator(plan)
         self.feed(acc, x, ranges[:5])
-        assert acc._kron._parked
-        part = acc.finalize()
-        assert part.partial and not acc._kron._parked
-        seen = np.zeros_like(x)
-        for lo, hi in ranges[:5]:
-            seen[..., lo:hi] = x[..., lo:hi]
-        assert rel_gap(sketch(seen, plan), part) <= 1e-12
+        parked = list(acc._kron._parked)
+        assert parked
+        with pytest.raises(ShapeError, match="slabs cover"):
+            acc.finalize()
+        assert acc._kron._parked == parked
         self.feed(acc, x, ranges[5:])
-        assert rel_gap(sketch(x, plan), acc.finalize()) <= 1e-12
+        assert acc._kron._parked
+        got = acc.finalize()
+        assert not acc._kron._parked and acc._kron._bufs is None
+        assert rel_gap(sketch(x, plan), got) <= 1e-12
 
     def test_a_slab_a_buffer_wide_skips_the_buffer(self, monkeypatch) -> None:
         """`sketch` at the runtime check's plan, and any slab at least the
@@ -531,7 +555,8 @@ class TestCoalescing:
         core_bytes = eng.sums[0].nbytes
         assert core_bytes > formats._PIECE_BYTES
         for lo in range(eng._width):
-            eng.add(x[..., lo : lo + 1], lo, lo + 1)
+            eng.update(SlabChunk(lo, 1, x[..., lo : lo + 1]))
+        eng.update(SlabChunk(8, 32, x[..., 8:]))  # at least a buffer wide: added at once
         assert sum(c for _, c in eng._parked) == eng._width == 8
         tracemalloc.start()
         try:
@@ -540,9 +565,7 @@ class TestCoalescing:
         finally:
             tracemalloc.stop()
         assert peak < core_bytes / 4, (peak, core_bytes)
-        seen = np.zeros_like(x)
-        seen[..., :8] = x[..., :8]
-        want = sketch(seen, plan).core
+        want = sketch(x, plan).core
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", ["khatri_rao", "unstructured"])
@@ -558,7 +581,6 @@ class TestCoalescing:
         self.feed(b, x, [r for r in ranges if r[0] >= 20])
         assert a._kron._parked and b._kron._parked
         got = a.merge(b).finalize()
-        assert not got.partial
         assert rel_gap(sketch(x, plan), got) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["kronecker", "khatri_rao", "unstructured"])
@@ -607,7 +629,6 @@ class TestMerge:
         a, b, c = self.make_parts(plan, x, [3, 6])
         merged = a.merge(b).merge(c)
         got = merged.finalize()
-        assert not got.partial
         for u, v in zip(batch.loo + [batch.core], got.loo + [got.core]):
             assert np.allclose(u, v, rtol=1e-10, atol=1e-12)
 
@@ -660,7 +681,6 @@ class TestMerge:
         merged = [a.merge(empty).finalize(), empty.merge(a).finalize()]
         want = a.finalize()
         for got in merged:
-            assert not got.partial
             assert all(np.array_equal(u, v) for u, v in zip(got.loo + [got.core], want.loo + [want.core]))
 
     def test_merge_rejects_different_plans(self) -> None:
@@ -823,7 +843,7 @@ class TestPlanMaps:
         qs = [np.linalg.qr(random_tensor((n, 2), seed=n))[0] for n in x.shape]
         eng = _KronSums(x.shape, [[q.T for q in qs]])
         assert eng._stack.base is qs[0]
-        eng.add(x, 0, 9)
+        eng.update(SlabChunk(0, 9, x))
         (got,) = eng.finish()
         assert np.allclose(got, compute_core_twopass(x, qs), rtol=1e-13, atol=1e-13)
 
@@ -978,7 +998,6 @@ class TestSlabRule:
             for c in chunks:
                 acc.update(c)
             b = acc.finalize()
-            assert not b.partial
             return [*b.loo, b.core]
         if consumer == "compute_core_twopass":
             return [compute_core_twopass(iter(chunks), t.factors)]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsketch.errors import ConfigError, ShapeError, TsketchError
-from tsketch.sketch import _KronSums
+from tsketch.sketch import SlabChunk, _KronSums
 from tsketch.tensor import (
     face_split,
     fold,
@@ -147,7 +147,7 @@ class TestModeProduct:
         expect = multi_mode_product(x, [(a, i) for i, a in enumerate(mats, 1) if a is not None])
         sums = _KronSums(x.shape, [mats])
         for lo, hi in [(4, 7), (0, 1), (1, 4)]:
-            sums.add(x[..., lo:hi], lo, hi)
+            sums.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
         (got,) = sums.finish()
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
 
