@@ -401,10 +401,7 @@ def cmd_eval(args, cfg):
         report = {"shape": list(x.shape), "rank": t.rank, **score(t, x.slabs(), clean)}
     if math.isinf(report.get("snr_db", 0.0)):
         report["snr_db"] = None  # noiseless: the clean tensor equals the observed one
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise ConfigError(f"the factorization scores a non-finite error: {report}")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.output:
         write_text(args.output, text + "\n")
     else:

@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
-from .tensor import _as_int, _as_shape, _as_tensor, inner, multi_mode_product, norm, unfold
+from .tensor import _as_int, _as_shape, _as_tensor, _slices, inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -45,14 +45,14 @@ __all__ = [
 # add_noise_snr refuses a target that the float64 result misses by more than this.
 _SNR_TOL_DB = 0.1
 
-# Bytes of each slice of a difference that ``_distance`` forms.
-_SLICE_BYTES = 2**20
-
 
 def _ratio(err, ref):
     if ref == 0.0:
         raise ConfigError("relative error is undefined against a zero reference tensor")
-    return err / ref
+    ratio = err / ref
+    if not math.isfinite(ratio):
+        raise ConfigError(f"relative error {err!r} / {ref!r} is not finite in float64")
+    return ratio
 
 
 def _decibels(signal, noise):
@@ -60,12 +60,8 @@ def _decibels(signal, noise):
 
 
 def _distance(a, b):
-    """||a - b|| over slices of the difference along the axis `a` holds
-    slowest, so that no difference as large as the tensors is formed."""
-    axis = a.ndim - 1 if a.flags.f_contiguous and not a.flags.c_contiguous else 0
-    a, b = np.moveaxis(a, axis, 0), np.moveaxis(b, axis, 0)
-    step = max(1, _SLICE_BYTES * a.shape[0] // (8 * a.size))
-    return math.hypot(*(norm(a[lo : lo + step] - b[lo : lo + step]) for lo in range(0, a.shape[0], step)))
+    """||a - b|| summed over ``_slices``: no tensor-sized difference is formed."""
+    return math.hypot(*(norm(p - q) for p, q in _slices(a, b)))
 
 
 def relative_error(x_hat, x, x0=None):
@@ -116,14 +112,18 @@ def score(t, x, clean=None):
     so nothing tensor-sized is held. Returns ``relative_error``
     ||x_hat - x|| / ||x|| and, given `clean`, ``relative_error_clean``
     ||x_hat - x0|| / ||x0|| and ``snr_db`` as ``snr_db(x, x0)`` computes it.
+    Squared norms that overflow float64 are a ``ConfigError``, as are ratios.
     """
     sums, covered = np.zeros(5), []
-    for chunk in _as_slabs(x):
-        lo, hi, slab = _take_slab(covered, t.shape, chunk)
-        if hi > lo:
-            x0 = None if clean is None else _slab_entries(clean(lo, hi), t.shape, lo, hi, "clean slab")
-            sums += _slab_squares(t, lo, hi, slab, x0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for chunk in _as_slabs(x):
+            lo, hi, slab = _take_slab(covered, t.shape, chunk)
+            if hi > lo:
+                x0 = None if clean is None else _slab_entries(clean(lo, hi), t.shape, lo, hi, "clean slab")
+                sums += _slab_squares(t, lo, hi, slab, x0)
     _require_coverage(covered, t.shape[-1])
+    if not np.isfinite(sums).all():
+        raise ConfigError("the factorization's error is not finite in float64: a squared norm overflows")
     res, xx, res0, x0x0, noise = np.sqrt(sums)
     out = {"relative_error": _ratio(float(res), float(xx))}
     if clean is not None:
@@ -210,7 +210,7 @@ def hosvd_truncate(x, r):
     """Plain truncated higher-order SVD: per-mode leading singular vectors, then project.
 
     The classical quasi-optimal baseline: its squared error is at most the sum
-    of the per-mode tail energies.
+    of the per-mode tail energies. A one-mode tensor has no core (``ShapeError``).
     """
     r, x = _rank(r), _as_tensor(x)
     if r > min(x.shape):

@@ -207,15 +207,14 @@ def recover_factors(bundle, r):
     capped by m_c // 2 (so the k^d core solve stays well overdetermined) and by
     the smaller side of every sketch. The k^d core solved from the core sketch
     is truncated by HOOI and each factor Q_i is rotated into Q_i U_i. When the
-    cap leaves no room, or there is a single mode with no other mode to agree
-    with, each mode keeps its own r leading vectors. A sketch that is not
-    finite (``tensor._finite``) is a ``ConfigError``, refused before any
-    sketch is factored.
+    cap leaves no room, each mode keeps its own r leading vectors. A sketch
+    that is not finite (``tensor._finite``) is a ``ConfigError``, refused
+    before any sketch is factored.
     """
     plan = bundle.plan
     r = _rank(r)
     cap = min(plan.m_c // 2, *(min(b.shape) for b in bundle.loo))
-    k = max(r, min(r + _OVERSAMPLE, cap)) if plan.d > 1 else r
+    k = max(r, min(r + _OVERSAMPLE, cap))
     fs = []
     for i, b in enumerate(bundle.loo, start=1):
         if r > min(b.shape):
@@ -311,9 +310,11 @@ def compute_core_twopass(x, qs):
     linear, so the core is a sum over slabs, taken by the engine of the core
     sketch (``sketch._KronSums``) as its one measurement [Q_1^T, ..., Q_d^T]:
     it checks each slab as ``SketchAccumulator.update`` does, and refuses a
-    gap. A dense tensor is the one-slab case.
+    gap. A dense tensor is the one-slab case. Like a plan, it needs two modes.
     """
     qs = [_as_tensor(q, f"factor {i}") for i, q in enumerate(qs, start=1)]
+    if len(qs) < 2:
+        raise ShapeError(f"a two-pass core needs at least two modes, got {len(qs)} factors")
     sums = _KronSums(tuple(q.shape[0] for q in qs), [[q.T for q in qs]])
     for chunk in _as_slabs(x):
         sums.update(chunk)

@@ -82,7 +82,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import FAMILIES, EnsembleSpec, _seed, derive_seed, materialize
+from .ensembles import EnsembleSpec, _seed, derive_seed, materialize
 from .errors import ConfigError, ShapeError
 from .tensor import _as_int, _as_shape, _as_tensor, _finite, _not_bool, _real, mode_product, unfold
 
@@ -170,21 +170,16 @@ class SketchPlan:
             raise ConfigError(f"loo_kind must be one of {LOO_KINDS}, got {self.loo_kind!r}")
         if self.m < 1 or self.m_c < 1:
             raise ConfigError("sketch dimensions m and m_c must be >= 1")
+        if self.d < 2:  # B_1 of one mode would be the vector itself
+            raise ConfigError(f"sketches need at least two modes to compress, got shape {self.shape}")
         if len(self.loo_families) != self.d or len(self.core_families) != self.d:
             raise ConfigError("need one leave-one-out family and one core family per mode")
-        if self.loo_kind == "khatri_rao" and self.d < 2:
-            raise ConfigError("khatri_rao sketches need at least two modes to compress")
         if self.loo_kind == "unstructured" and len(set(self.loo_families)) != 1:
             raise ConfigError("unstructured sketches use a single family for the composite map")
-        for fam in (*self.loo_families, *self.core_families):
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown ensemble family {fam!r}")
-        # Fail fast on infeasible maps (e.g. srtt with more rows than columns):
-        # building each spec validates it. A kronecker plan of one mode maps nothing.
-        if self.loo_kind != "kronecker" or self.d > 1:
-            for i in range(1, self.d + 1):
-                self.loo_spec(i)
+        # Fail fast on an unknown family or an infeasible map (e.g. srtt with
+        # more rows than columns): building each spec validates it.
         for i in range(1, self.d + 1):
+            self.loo_spec(i)
             self.core_spec(i)
 
     @property
@@ -224,12 +219,9 @@ class SketchPlan:
         (at d = 3 and a cubic shape, B_2 and B_3). The B_j among them share
         A_1, which fills the first m rows, and ``loo_maps`` holds it as a view
         of them: the stack is [A_1; Phi_1], of m + m_c rows. With no such B_j
-        the stack is ``core_maps[0]`` itself; at d = 1 there is none, because
-        mode 1 is the last mode, which each slab cuts to its own columns.
+        the stack is ``core_maps[0]`` itself.
         """
         d, n, m = self.d, self.shape, self.m
-        if d == 1:
-            return None, [None, None]
         starts = [j for j in range(2, d + 1) if self.loo_kind == "kronecker" or (
             self.loo_kind == "khatri_rao"
             and n[0] >= max((n[i - 1] for i in range(2, d + 1) if i != j), default=0))]
@@ -246,14 +238,12 @@ class SketchPlan:
         """The d leave-one-out maps, ``loo_maps[i - 1]`` built from
         ``loo_spec(i)`` on first use and read-only, so that every accumulator
         of this plan (every shard of a stream) shares one copy. A_1 is a view
-        of ``mode1_stack``'s rows if any B_j reads it there. A kronecker plan
-        of one mode maps nothing: (None,).
+        of ``mode1_stack``'s rows if any B_j reads it there.
 
         An unstructured plan's composites are refused with ``ConfigError``
         before any is built if one needs more than ``TSKETCH_MEM_CAP_MB``.
         """
-        d = self.d
-        specs = [self.loo_spec(i) for i in range(1, d + 1)]
+        specs = [self.loo_spec(i) for i in range(1, self.d + 1)]
         if self.loo_kind == "unstructured":
             cap_mb = _mem_cap_mb()
             for j, spec in enumerate(specs, start=1):
@@ -263,8 +253,6 @@ class SketchPlan:
                         f"unstructured map for sketch {j} needs {need_mb:.1f} MiB, over the "
                         f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
                     )
-        elif d == 1:
-            return (None,)
         stack, rows = self.mode1_stack
         stacked = any(r is not None for r in rows[:-1])
         return tuple(stack[: self.m] if i == 1 and stacked else _read_only(materialize(spec))
@@ -533,7 +521,7 @@ def _zeros_kept_first(shape, meas, last=None):
     sum of either kind, and a sum that keeps no mode is column-major.
     """
     if isinstance(meas, _Joint):
-        dims = [1] * max(len(shape), 2)
+        dims = [1] * len(shape)
         dims[meas.j - 1], dims[1 if meas.j == 1 else 0] = shape[meas.j - 1], meas.m
     else:
         dims = [n if a is None else a.shape[0] for n, a in zip(shape, meas)]
@@ -608,10 +596,7 @@ class _KronSums:
         self.maps = list(measurements)
         self.sums = [_zeros_kept_first(shape, m) for m in self.maps]
         if stack is None:
-            # With one mode, the mode-1 map is the last-mode map, which each
-            # slab cuts to its own columns: it is not stacked.
-            ((first, *_),) = self.maps
-            stack = (None, [None]) if len(shape) == 1 else (first, [slice(None)])
+            stack = (self.maps[0][0], [slice(None)])
         self._stack, self._rows = stack
         joint = [s for s, m in enumerate(self.maps) if isinstance(m, _Joint)]
         self._own = [s for s in joint if self._rows[s] is None]
@@ -661,7 +646,7 @@ class _KronSums:
             self._flush()
             at = 0
         bufs = None if direct else self._buffers()
-        product = None if self._stack is None else _mode1_product(x, self._stack)
+        product = _mode1_product(x, self._stack)
         for s, (maps, rows, t) in enumerate(zip(self.maps, self._rows, self.sums)):
             if isinstance(maps, _Joint):
                 continue

@@ -23,7 +23,7 @@ from tsketch import formats
 from tsketch.ensembles import FAMILIES
 from tsketch.cli import CSV_COLUMNS, main
 from tsketch.errors import EXIT_CODES, RankError
-from tsketch.evaluate import add_noise_snr, gen_lowrank, gen_superdiag_poly, relative_error, snr_db
+from tsketch.evaluate import add_noise_snr, gen_lowrank, gen_superdiag_poly, hosvd_truncate, relative_error, snr_db
 from tsketch.formats import (
     read_bundle,
     read_factorization,
@@ -750,14 +750,27 @@ class TestErrorReporting:
                          capsys=capsys)
         assert "more entries than any file holds" in msg
 
-    def test_one_mode_khatri_rao_is_config(self, tmp_path, capsys) -> None:
+    @pytest.mark.parametrize("kind", LOO_KINDS)
+    def test_one_mode_plan_is_config(self, tmp_path, capsys, kind) -> None:
         tensor = tmp_path / "x.tnsr"
         write_tensor(str(tensor), np.arange(30.0))
-        cfg = write_json(tmp_path / "s.json", {"loo_kind": "khatri_rao", "m": 10, "m_c": 10})
-        self.check(
+        cfg = write_json(tmp_path / "s.json", {"loo_kind": kind, "m": 10, "m_c": 10})
+        msg = self.check(
             "config", "sketch", "--config", cfg, "--chunks", str(tensor),
             "--output", str(tmp_path / "b.tskb"), capsys=capsys,
         )
+        assert msg.startswith("sketches need at least two modes to compress")
+
+    def test_one_mode_bundle_is_io(self, tmp_path, capsys) -> None:
+        """A TSKB of one mode, whole and with its CRC-32, names a plan that
+        cannot be built, so `recover` refuses it as a format error."""
+        bundle = tmp_path / "b.tskb"
+        body = (b"TSKB" + struct.pack("<II1QBQQ", 2, 1, 40, LOO_KINDS.index("kronecker"), 5, 6)
+                + bytes([FAMILIES["gaussian"]]) * 2 + struct.pack("<Q", 0) + bytes(8 * 46) + b"\0")
+        bundle.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        msg = self.check("io", "recover", "--input", str(bundle), "--output", str(tmp_path / "t.tuck"),
+                         "--rank", "1", capsys=capsys)
+        assert "sketches need at least two modes" in msg
 
     def test_wrong_magic_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, _, tensor = pipeline_files
@@ -807,6 +820,19 @@ class TestErrorReporting:
         msg = self.check("config", "sketch", "--chunks", str(stream), "--output", str(bundle), capsys=capsys)
         assert msg.startswith("mode-1 sketch is not finite in float64")
         assert not bundle.exists()
+
+    def test_stream_whose_error_overflows_is_one_config_line(self, tmp_path) -> None:
+        """`eval` of the same stream against a valid factorization: the squared
+        norms it sums overflow, and the process writes the one JSON line, with
+        no numpy warning ahead of it."""
+        x = gen_lowrank(12, 3, 3, seed=0)[0]
+        stream, tuck = tmp_path / "x.tskc", tmp_path / "t.tuck"
+        write_chunks(stream, x.shape, slab_chunks(x * 1e307, 3))
+        write_factorization(tuck, hosvd_truncate(x, 3))
+        res = run_python("-m", "tsketch.cli", "eval", "--input", str(tuck), "--chunks", str(stream))
+        assert res.returncode == EXIT_CODES["config"]
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line)["error"]["category"] == "config"
 
     @pytest.mark.parametrize("two_pass", [False, True])
     def test_bundle_that_is_not_finite_is_config(self, pipeline_files, capsys, two_pass) -> None:

@@ -21,8 +21,8 @@ from tsketch.evaluate import (
     tail_baseline,
     tail_energy,
 )
-from tsketch.recover import reconstruct
-from tsketch.sketch import SlabChunk
+from tsketch.recover import TuckerFactorization, reconstruct
+from tsketch.sketch import SlabChunk, slab_chunks
 from tsketch.tensor import inner, norm
 
 
@@ -151,8 +151,8 @@ class TestSnr:
     def test_distances_form_no_tensor_sized_difference(self, measure, layouts) -> None:
         """||a - b|| is summed over slices of at most 1 MiB of the difference
         along the axis `a` holds slowest, and agrees with the norm of the whole
-        difference to roundoff in any layout. (A strided tensor's own norm is
-        read from a copy, so only the value is checked there.)"""
+        difference to roundoff in any layout. A strided tensor's own norm is
+        summed over slices of it too."""
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal((2, 64, 64, 64))
         if layouts == "strided":
@@ -167,8 +167,7 @@ class TestSnr:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        if layouts != "strided":
-            assert peak < 0.75 * a.nbytes, (peak, a.nbytes)
+        assert peak < 0.75 * a.nbytes, (peak, a.nbytes)
         dist = np.linalg.norm((a - b).ravel())
         want = {"snr_db": 10 * np.log10(np.linalg.norm(a.ravel()) / dist),
                 "relative_error": dist / np.linalg.norm(b.ravel())}[measure]
@@ -317,6 +316,11 @@ class TestHosvd:
         with pytest.raises(RankError):
             hosvd_truncate(x, 6)
 
+    def test_one_mode_is_a_shape_error(self) -> None:
+        """Its core is the two-pass core, which needs two modes."""
+        with pytest.raises(ShapeError, match="needs at least two modes"):
+            hosvd_truncate(np.arange(1.0, 41.0), 1)
+
 
 class TestScore:
     """Error measures summed over last-mode slabs equal the dense metrics."""
@@ -357,6 +361,20 @@ class TestScore:
             score(t, [SlabChunk(0, 6, x[..., :6])])
         with pytest.raises(ShapeError):
             score(t, [SlabChunk(0, 11, x[:4])])
+
+    def test_squares_that_overflow_are_config(self, problem) -> None:
+        """Finite entries whose squares overflow float64 are refused, with no
+        numpy warning on the way."""
+        _, x, t, _ = problem
+        with pytest.raises(ConfigError, match="a squared norm overflows"):
+            score(t, slab_chunks(x * 1e307, 3))
+
+    def test_a_ratio_that_overflows_is_config(self, problem) -> None:
+        """Finite squared norms can still give a relative error past float64."""
+        _, x, t, _ = problem
+        t = TuckerFactorization(t.core * 1e150, t.factors)
+        with pytest.raises(ConfigError, match="relative error .* is not finite"):
+            score(t, x * 1e-160)
 
 
 def test_shape_mismatch_errors() -> None:

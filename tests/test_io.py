@@ -653,6 +653,19 @@ class TestCorruption:
             read_bundle(p)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("kind", LOO_KINDS)
+    def test_one_mode_bundle_is_refused(self, tmp_path, kind) -> None:
+        """A whole one-mode TSKB, CRC-32 and all, names a plan that cannot be
+        built: a plan needs two modes to compress."""
+        cols = 1 if kind == "kronecker" else 5  # m^(d-1), or m
+        body = (b"TSKB" + struct.pack("<II1QBQQ", 2, 1, 40, LOO_KINDS.index(kind), 5, 6)
+                + bytes([FAMILIES["gaussian"]]) * 2 + struct.pack("<Q", 0)
+                + bytes(8 * (40 * cols + 6)) + b"\0")
+        p = tmp_path / "b.tskb"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(IOFormatError, match="invalid plan: sketches need at least two modes"):
+            read_bundle(p)
+
     @pytest.mark.parametrize("n", [2**40, 2**58, 2**63])
     def test_hostile_tensor_shape(self, tmp_path, tensor, n) -> None:
         """A mode length far beyond the file is a format error, not a

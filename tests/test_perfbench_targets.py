@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from tsketch.formats import read_bundle, read_factorization, write_chunks
-from tsketch.sketch import make_plan, slab_chunks
+from tsketch.sketch import make_plan, sketch, slab_chunks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,12 +72,15 @@ def test_child_setup_runs_the_kronecker_plan() -> None:
 
 
 def test_child_setup_and_libjob_run(tmp_path) -> None:
-    """W2's two child modes at a tiny size: a 24^3 stream, khatri_rao `mix`,
-    m = 8, m_c = 6, rank 2. Each exits 0; the library job prints its stage
-    times and writes a bundle holding every entry the plan makes."""
-    x = np.random.default_rng(0).standard_normal((24, 24, 24))
+    """W2's two child modes at a small size: a 24 x 24 x 600 stream, khatri_rao
+    `mix`, m = 8, m_c = 6, rank 2. Its 1 MiB pieces are [0, 227), [227, 454)
+    and [454, 600), so each of the library job's two shards takes at least
+    one and the merge joins two non-empty sums. Each mode exits 0; the
+    library job prints its stage times and writes the bundle an in-process
+    ``sketch`` of the tensor makes, to roundoff."""
+    x = np.random.default_rng(0).standard_normal((24, 24, 600))
     write_chunks(tmp_path / "x.tskc", x.shape, slab_chunks(x, 4))
-    plan_kwargs = {"shape": [24, 24, 24], "loo_kind": "khatri_rao", "m": 8, "m_c": 6,
+    plan_kwargs = {"shape": [24, 24, 600], "loo_kind": "khatri_rao", "m": 8, "m_c": 6,
                    "loo_family": "mix", "seed": 3}
     res = _child("setup", {"plan": plan_kwargs, "accumulators": 2})
     assert res.returncode == 0, res.stderr
@@ -90,4 +93,7 @@ def test_child_setup_and_libjob_run(tmp_path) -> None:
     plan, bundle = make_plan(**plan_kwargs), read_bundle(spec["bundle"])
     assert bundle.plan == plan
     assert bundle.loo_entry_count() + bundle.core_entry_count() == plan.loo_entry_count() + plan.core_entry_count()
+    batch = sketch(x, plan)
+    for got, want in zip([*bundle.loo, bundle.core], [*batch.loo, batch.core]):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert read_factorization(spec["factorization"]).rank == 2

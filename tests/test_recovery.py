@@ -197,6 +197,11 @@ class TestStreamedTwoPass:
         with pytest.raises(ShapeError):
             two_pass(b, x[..., :7], 4)
 
+    def test_one_factor_is_a_shape_error(self) -> None:
+        """A core needs two modes, as a plan does."""
+        with pytest.raises(ShapeError, match="needs at least two modes, got 1 factors"):
+            compute_core_twopass(np.arange(1.0, 41.0), [np.ones((40, 1)) / np.sqrt(40)])
+
 
 def test_reconstruct_slab_is_the_slice_of_the_whole() -> None:
     rng = np.random.default_rng(116)

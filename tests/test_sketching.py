@@ -13,6 +13,7 @@ from tsketch.errors import ConfigError, ShapeError, TsketchError
 from tsketch.evaluate import score
 from tsketch.recover import TuckerFactorization, compute_core_twopass, two_pass
 from tsketch.sketch import (
+    LOO_KINDS,
     SketchAccumulator,
     SketchPlan,
     SlabChunk,
@@ -473,7 +474,7 @@ class TestCoalescing:
         for lo, hi in ranges:
             acc.update(SlabChunk(lo, hi - lo, x[..., lo:hi]))
 
-    @pytest.mark.parametrize("shape", [(40,), (7, 40), (6, 5, 40), (4, 3, 5, 30)])
+    @pytest.mark.parametrize("shape", [(7, 40), (6, 5, 40), (4, 3, 5, 30)])
     def test_shuffled_thin_slabs_match_batch(self, shape, monkeypatch) -> None:
         x = random_tensor(shape, seed=60)
         plan = make_plan(shape, "kronecker", 5, 6, seed=61)
@@ -484,7 +485,7 @@ class TestCoalescing:
         monkeypatch.setattr(eng, "_flush_into", lambda sums: flushed.append(len(eng._parked)) or flush(sums))
         self.feed(acc, x, thin_slabs(shape[-1], seed=62))
         # the buffer holds as many slices as the smallest last-mode map has rows
-        assert eng._width == (6 if len(shape) == 1 else 5)
+        assert eng._width == 5
         assert flushed and max(flushed) > 1
         assert rel_gap(sketch(x, plan), acc.finalize()) <= 1e-12
 
@@ -798,28 +799,22 @@ class TestPlanMaps:
         assert rel_gap(sketch(x, plan), got) <= 1e-12
 
     @pytest.mark.parametrize("kind,shape", [
-        ("kronecker", (7,)), ("unstructured", (7,)),
         ("kronecker", (5, 7)), ("khatri_rao", (5, 7)), ("unstructured", (5, 7)),
     ], ids=lambda v: v if isinstance(v, str) else f"d{len(v)}")
     def test_low_order_plans_hold_d_maps(self, kind, shape) -> None:
-        """``loo_maps[i - 1]`` is ``loo_spec(i)`` materialized, except at d = 1
-        for kronecker, which maps nothing. The stack is [A_1; Phi_1] when a
-        B_j starts on mode 1, the core's map itself when none does, and absent
-        at d = 1. The batch sketch and two merged shards match the composite."""
+        """``loo_maps[i - 1]`` is ``loo_spec(i)`` materialized. The stack is
+        [A_1; Phi_1] when a B_j starts on mode 1, and the core's map itself
+        when none does. The batch sketch and two merged shards match the
+        composite."""
         x = random_tensor(shape, seed=95 + len(shape))
         plan = make_plan(shape, kind, 3, 2, seed=96)
         d = plan.d
-        if kind == "kronecker" and d == 1:
-            assert plan.loo_maps == (None,)
-        else:
-            assert len(plan.loo_maps) == d
-            for i, a in enumerate(plan.loo_maps, start=1):
-                assert np.array_equal(a, materialize(plan.loo_spec(i)))
-                assert not a.flags.writeable
+        assert len(plan.loo_maps) == d
+        for i, a in enumerate(plan.loo_maps, start=1):
+            assert np.array_equal(a, materialize(plan.loo_spec(i)))
+            assert not a.flags.writeable
         stack, rows = plan.mode1_stack
-        if d == 1:
-            assert stack is None and rows == [None, None]
-        elif kind == "unstructured":
+        if kind == "unstructured":
             assert stack is plan.core_maps[0] and rows == [None, None, slice(0, 2)]
         else:
             assert rows == [None, slice(0, 3), slice(3, 5)]
@@ -956,9 +951,11 @@ class TestPlanValidation:
             make(self.G3)
         assert (e.value.category, str(e.value)) == (category, message)
 
-    def test_khatri_rao_needs_two_modes(self) -> None:
-        with pytest.raises(ConfigError):
-            make_plan((30,), "khatri_rao", 10, 10)
+    @pytest.mark.parametrize("kind", LOO_KINDS)
+    def test_every_kind_needs_two_modes(self, kind) -> None:
+        """A one-mode plan has nothing to compress: its B_1 would store the vector."""
+        with pytest.raises(ConfigError, match=r"^sketches need at least two modes to compress, got shape \(40,\)$"):
+            make_plan((40,), kind, 5, 6)
 
     def test_shape_mismatch_at_sketch_time(self) -> None:
         plan = make_plan((4, 4, 4), "kronecker", 2, 2)
