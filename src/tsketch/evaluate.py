@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
-from .tensor import _as_int, _as_shape, _as_tensor, _slices, inner, multi_mode_product, norm, unfold
+from .tensor import _as_int, _as_shape, _as_tensor, inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -45,6 +45,9 @@ __all__ = [
 # add_noise_snr refuses a target that the float64 result misses by more than this.
 _SNR_TOL_DB = 0.1
 
+# Bytes of each slice of a difference that ``_distance`` forms.
+_SLICE_BYTES = 2**20
+
 
 def _ratio(err, ref):
     if ref == 0.0:
@@ -60,8 +63,13 @@ def _decibels(signal, noise):
 
 
 def _distance(a, b):
-    """||a - b|| summed over ``_slices``: no tensor-sized difference is formed."""
-    return math.hypot(*(norm(p - q) for p, q in _slices(a, b)))
+    """||a - b|| over slices of the difference along axis 0 (the last axis if
+    `a` is F-ordered), each of at most 1 MiB or one index of that axis, so that
+    no difference as large as the tensors is formed."""
+    axis = a.ndim - 1 if a.flags.f_contiguous and not a.flags.c_contiguous else 0
+    a, b = np.moveaxis(a, axis, 0), np.moveaxis(b, axis, 0)
+    step = max(1, _SLICE_BYTES * a.shape[0] // (8 * a.size))
+    return math.hypot(*(norm(a[lo : lo + step] - b[lo : lo + step]) for lo in range(0, a.shape[0], step)))
 
 
 def relative_error(x_hat, x, x0=None):
@@ -237,10 +245,10 @@ def bound_rhs(eps, deltas):
 
 
 def _cube(n, d, r):
-    """(n, d, r) of a generated tensor as ints: d >= 1 modes of length n >= 1
-    (``ShapeError``, the shape read by ``_as_shape``) and a rank of at most n
-    (``RankError``)."""
-    shape = _as_shape((n,) * _as_int(d, "mode count", ShapeError))
+    """(n, d, r) of a generated tensor as ints: d >= 2 modes, as every plan
+    needs, of length n >= 1 (``ShapeError``, the shape read by ``_as_shape``)
+    and a rank of at most n (``RankError``)."""
+    shape = _as_shape((n,) * _as_int(d, "mode count", ShapeError, low=2))
     n, d, r = shape[0], len(shape), _rank(r)
     if r > n:
         raise RankError(f"rank {r} exceeds mode length {n}")

@@ -50,9 +50,6 @@ __all__ = [
 
 _F64 = np.dtype(np.float64)
 
-# Bytes of each slice ``_slices`` cuts.
-_SLICE_BYTES = 2**20
-
 
 def _not_bool(value):
     """`value`, unless a bool (``TypeError``): True is not 1 here, as np.True_ is not."""
@@ -121,17 +118,6 @@ def _finite(x, what):
         raise ConfigError(f"{what} is not finite in float64: it holds a NaN or an infinity, "
                           "or its squared norm overflows")
     return x
-
-
-def _slices(*arrays):
-    """Matching slices of equally shaped arrays, of at most ``_SLICE_BYTES`` of
-    the first and along the axis it holds slowest: no temporary is tensor-sized."""
-    a = arrays[0]
-    axis = a.ndim - 1 if a.flags.f_contiguous and not a.flags.c_contiguous else 0
-    step = max(1, _SLICE_BYTES * a.shape[axis] // (8 * a.size))
-    arrays = [np.moveaxis(b, axis, 0) for b in arrays]
-    for lo in range(0, a.shape[axis], step):
-        yield [b[lo : lo + step] for b in arrays]
 
 
 def _check_mode(d, j):
@@ -231,11 +217,8 @@ def inner(x, y):
 
 
 def norm(x):
-    """Frobenius norm (entrywise 2-norm) of a tensor of any order, read in memory
-    order: whole if C- or F-contiguous, else by ``_slices``, never copied whole."""
-    x = _as_tensor(x)
-    parts = [[x]] if x.flags.c_contiguous or x.flags.f_contiguous else _slices(x)
-    return math.hypot(*(float(np.linalg.norm(p.ravel(order="K"))) for (p,) in parts))
+    """Frobenius norm (entrywise 2-norm) of a tensor of any order, read in memory order."""
+    return float(np.linalg.norm(_as_tensor(x).ravel(order="K")))
 
 
 def face_split(a, b):

@@ -761,6 +761,17 @@ class TestErrorReporting:
         )
         assert msg.startswith("sketches need at least two modes to compress")
 
+    @pytest.mark.parametrize("command", ["gen", "experiment"])
+    def test_one_mode_generator_is_shape(self, tmp_path, capsys, command) -> None:
+        """A generated tensor has the two modes every plan needs: `gen` and
+        `experiment` refuse d = 1 before they write anything."""
+        out = tmp_path / "out"
+        extra = {"r_fit": 1, "m": 4, "m_c": 6} if command == "experiment" else {}
+        cfg = write_json(tmp_path / "c.json", {"n": 40, "d": 1, "r_true": 1, **extra})
+        msg = self.check("shape", command, "--config", cfg, "--output", str(out), capsys=capsys)
+        assert msg == "mode count must be >= 2, got 1"
+        assert not out.exists()
+
     def test_one_mode_bundle_is_io(self, tmp_path, capsys) -> None:
         """A TSKB of one mode, whole and with its CRC-32, names a plan that
         cannot be built, so `recover` refuses it as a format error."""

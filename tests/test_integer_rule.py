@@ -58,11 +58,11 @@ CASES = {
     "gen_lowrank-seed": (ConfigError, "seed must be", lambda v: gen_lowrank(4, 3, 2, v)[0], 7, 0, True),
     "add_noise_snr-seed": (ConfigError, "seed must be", lambda v: add_noise_snr(X, 20.0, v), 7, 0, True),
     "gen_lowrank-n": (ShapeError, _SHAPE, lambda v: gen_lowrank(v, 3, 2, 0)[0], 4, 1, False),
-    "gen_lowrank-d": (ShapeError, "mode count must be", lambda v: gen_lowrank(4, v, 2, 0)[0], 3, 1, False),
+    "gen_lowrank-d": (ShapeError, "mode count must be", lambda v: gen_lowrank(4, v, 2, 0)[0], 3, 2, False),
     "gen_superdiag_exp-n": (ShapeError, _SHAPE, lambda v: gen_superdiag_exp(v, 3, 1), 4, 1, False),
-    "gen_superdiag_exp-d": (ShapeError, "mode count must be", lambda v: gen_superdiag_exp(4, v, 1), 3, 1, False),
+    "gen_superdiag_exp-d": (ShapeError, "mode count must be", lambda v: gen_superdiag_exp(4, v, 1), 3, 2, False),
     "gen_superdiag_poly-n": (ShapeError, _SHAPE, lambda v: gen_superdiag_poly(v, 3, 1), 4, 1, False),
-    "gen_superdiag_poly-d": (ShapeError, "mode count must be", lambda v: gen_superdiag_poly(4, v, 1), 3, 1,
+    "gen_superdiag_poly-d": (ShapeError, "mode count must be", lambda v: gen_superdiag_poly(4, v, 1), 3, 2,
                              False),
 }
 

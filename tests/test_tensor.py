@@ -5,7 +5,6 @@ every other module leans on, so these tests pin it down with hand-computed
 values and index-arithmetic oracles before anything statistical runs.
 """
 
-import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -201,20 +200,6 @@ class TestNormsAndInner:
         f = norm(x)
         for j in range(1, len(shape) + 1):
             assert np.isclose(f, np.linalg.norm(unfold(x, j)), rtol=1e-12)
-
-    def test_norm_of_a_strided_view_forms_no_whole_copy(self) -> None:
-        """A 4 MiB view that is neither C- nor F-contiguous is read in slices
-        of at most 1 MiB, to the copy's norm within roundoff."""
-        x = np.random.default_rng(11).standard_normal((64, 64, 256))[..., ::2]
-        want = np.linalg.norm(x.ravel())
-        tracemalloc.start()
-        try:
-            got = norm(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20, peak
-        assert got == pytest.approx(want, rel=1e-15)
 
     def test_inner_matches_vec_dot(self) -> None:
         rng = np.random.default_rng(10)
