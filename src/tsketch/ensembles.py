@@ -85,7 +85,7 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ConfigError(f"unknown ensemble family {self.family!r}")
         object.__setattr__(self, "rows", _as_int(self.rows, "rows"))
         object.__setattr__(self, "cols", _as_int(self.cols, "cols"))

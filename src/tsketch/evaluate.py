@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
-from .tensor import _as_int, _as_shape, _as_tensor, inner, multi_mode_product, norm, unfold
+from .tensor import _as_float, _as_int, _as_shape, _as_tensor, inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -153,11 +153,11 @@ def add_noise_snr(x0, target_db, seed):
     s N falls toward half an ulp of the entries and rounding, not N, sets the
     noise, until the sum is the clean tensor itself.
     """
-    x0 = _as_tensor(x0)
+    x0, target_db = _as_tensor(x0), _as_float(target_db, "snr target")
     rng = keyed_generator(seed, "noise", *x0.shape)
     noise = rng.standard_normal(x0.shape)
     try:
-        rho = 10.0 ** (float(target_db) / 10.0)
+        rho = 10.0 ** (target_db / 10.0)
     except OverflowError:
         rho = math.inf
     nn = norm(noise) ** 2
@@ -174,7 +174,7 @@ def add_noise_snr(x0, target_db, seed):
     x = np.multiply(noise, s, out=noise)
     x += x0
     measured = snr_db(x, x0)
-    if not abs(measured - float(target_db)) <= _SNR_TOL_DB:
+    if not abs(measured - target_db) <= _SNR_TOL_DB:
         raise ConfigError(f"snr target {target_db} dB is past float64 resolution: "
                           f"the noisy tensor measures {measured:.1f} dB")
     return x
@@ -233,7 +233,7 @@ def hosvd_truncate(x, r):
 
 def bound_rhs(eps, deltas):
     """One-pass error bound value: (1 + e^eps) * sqrt((1+eps)/(1-eps) * sum(deltas))."""
-    eps = float(eps)
+    eps = _as_float(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must be in (0, 1), got {eps}")
     if not np.size(deltas):

@@ -19,7 +19,7 @@ tensor it defines:
     widest other mode by a matmul, then row-wise on the remaining other modes
     by batched matmuls over the composite's row index.
   - ``unstructured``: a single dense m x prod(n_k, k != j) map per sketch,
-    memory-guarded because nothing about it is compressible.
+    capped at 256 MiB when the plan is made: nothing about it is compressible.
 
   Either way the plan draws d leave-one-out maps, the i-th named by
   ``SketchPlan.loo_spec(i)`` and held in ``loo_maps[i - 1]``: A_i, or
@@ -75,7 +75,6 @@ import bisect
 import copy
 import math
 import operator
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,7 +98,7 @@ __all__ = [
 
 LOO_KINDS = ("kronecker", "khatri_rao", "unstructured")
 
-DEFAULT_MEM_CAP_MB = 256.0
+_MAP_CAP_MB = 256  # per dense composite of an unstructured plan
 
 # Last-mode slices a modewise measurement of ``_KronSums`` gathers before
 # applying its last-mode map, capped by the rows of that map, so that no buffer
@@ -115,19 +114,6 @@ _BUFFER_SLICES = 8
 # and its last-mode map to a sum, one tile of the sum's rows at a time, so that
 # no flush forms a temporary as large as the measurement it adds to.
 _TILE_BYTES = 64 * 2**10
-
-
-def _mem_cap_mb():
-    raw = os.environ.get("TSKETCH_MEM_CAP_MB")
-    if raw is None:
-        return DEFAULT_MEM_CAP_MB
-    try:
-        cap = float(raw)
-    except ValueError:
-        cap = 0.0
-    if not cap > 0:  # nan too: no need would exceed a nan cap
-        raise ConfigError(f"TSKETCH_MEM_CAP_MB must be a positive number of MiB, got {raw!r}")
-    return cap
 
 
 def _read_only(a):
@@ -149,6 +135,8 @@ class SketchPlan:
     likewise for the core map on mode i. The plan owns its materialized maps
     (``core_maps``, ``loo_maps`` and their stacked ``mode1_stack``): built on
     first use, read-only, and shared by every accumulator and recovery of the plan.
+    Every check runs when the plan is made, before any map is drawn: an
+    unstructured composite over 256 MiB is a ``ConfigError`` then.
     """
 
     shape: tuple
@@ -176,11 +164,15 @@ class SketchPlan:
             raise ConfigError("need one leave-one-out family and one core family per mode")
         if self.loo_kind == "unstructured" and len(set(self.loo_families)) != 1:
             raise ConfigError("unstructured sketches use a single family for the composite map")
-        # Fail fast on an unknown family or an infeasible map (e.g. srtt with
-        # more rows than columns): building each spec validates it.
+        # Fail fast, before any map is drawn: building each spec refuses an
+        # unknown family or an infeasible map (e.g. srtt with more rows than columns).
         for i in range(1, self.d + 1):
-            self.loo_spec(i)
+            spec = self.loo_spec(i)
             self.core_spec(i)
+            need_mb = spec.rows * spec.cols * 8 / 2**20
+            if self.loo_kind == "unstructured" and need_mb > _MAP_CAP_MB:
+                raise ConfigError(f"unstructured map for sketch {i} needs {need_mb:.1f} MiB, "
+                                  f"over the {_MAP_CAP_MB} MiB cap")
 
     @property
     def d(self):
@@ -239,24 +231,11 @@ class SketchPlan:
         ``loo_spec(i)`` on first use and read-only, so that every accumulator
         of this plan (every shard of a stream) shares one copy. A_1 is a view
         of ``mode1_stack``'s rows if any B_j reads it there.
-
-        An unstructured plan's composites are refused with ``ConfigError``
-        before any is built if one needs more than ``TSKETCH_MEM_CAP_MB``.
         """
-        specs = [self.loo_spec(i) for i in range(1, self.d + 1)]
-        if self.loo_kind == "unstructured":
-            cap_mb = _mem_cap_mb()
-            for j, spec in enumerate(specs, start=1):
-                need_mb = spec.rows * spec.cols * 8.0 / 2**20
-                if need_mb > cap_mb:
-                    raise ConfigError(
-                        f"unstructured map for sketch {j} needs {need_mb:.1f} MiB, over the "
-                        f"{cap_mb:.0f} MiB cap (set TSKETCH_MEM_CAP_MB to raise it)"
-                    )
         stack, rows = self.mode1_stack
         stacked = any(r is not None for r in rows[:-1])
-        return tuple(stack[: self.m] if i == 1 and stacked else _read_only(materialize(spec))
-                     for i, spec in enumerate(specs, start=1))
+        return tuple(stack[: self.m] if i == 1 and stacked else _read_only(materialize(self.loo_spec(i)))
+                     for i in range(1, self.d + 1))
 
     def khat_scale(self):
         """Rescale applied to the raw row-wise Kronecker composite.
@@ -732,7 +711,8 @@ class SketchAccumulator:
     Holds the plan and one engine, ``_KronSums``, that sums every measurement
     of the plan over the slab stream and records the slabs it has summed; the
     maps are the plan's own (``SketchPlan.loo_maps``, ``core_maps`` and
-    ``mode1_stack``), so the accumulators of one plan share one copy of them.
+    ``mode1_stack``), so the accumulators of one plan share one copy of them,
+    built by the first and checked against the cap when the plan was made.
     Chunks are folded in by `update` and never retained (the engine parks thin
     slabs only after contracting them on every mode but the last); `merge`
     combines two accumulators built from the same plan over disjoint slab ranges.
@@ -742,7 +722,7 @@ class SketchAccumulator:
         if not isinstance(plan, SketchPlan):
             raise ConfigError("accumulator needs a SketchPlan")
         self.plan = plan
-        loo = plan.loo_maps  # first, so that the memory cap refuses before any map is built
+        loo = plan.loo_maps
         if plan.loo_kind == "kronecker":  # B_j keeps mode j
             loo = [[None if i == j else a for i, a in enumerate(loo)] for j in range(plan.d)]
         else:

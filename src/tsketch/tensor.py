@@ -13,7 +13,9 @@ Conventions, fixed once and used everywhere:
 * Every scalar integer argument (a size, a mode index, a count, a rank or a
   seed) enters by one integer rule, ``_as_int``: an integer (a numpy integer
   will do; a float, text, ``None`` or a bool is refused) inside its range,
-  else the caller's typed error.
+  else the caller's typed error. A real-number argument (an SNR target, a
+  bound's eps) enters likewise by ``_as_float``: a finite int or float (numpy's
+  will do; text, a complex number or a bool is refused), else ``ConfigError``.
 * Tensors are d-dimensional float64 numpy arrays, d >= 1. The canonical flat
   layout is first-mode-fastest, i.e. ``vec(X) = X.ravel(order="F")``.
 * Modes are 1-based in every public signature: ``unfold(x, 1)`` arranges the
@@ -72,6 +74,19 @@ def _as_int(value, what, error=ConfigError, low=1, high=None):
         top = "2^64" if high == 2**64 else high  # a seed's bound, written as the README writes it
         raise error(f"{what} must be in [{low}, {top}), got {n}")
     return n
+
+
+def _as_float(value, what):
+    """`value` as a float, refused with ``ConfigError`` unless it is a finite
+    int or float (numpy's will do; a bool will not)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past float64, maybe past the digits Python prints
+        raise ConfigError(f"{what} must be a finite number, got an integer of {value.bit_length()} bits") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return x
 
 
 def _as_shape(shape):

@@ -783,6 +783,30 @@ class TestErrorReporting:
                          "--rank", "1", capsys=capsys)
         assert "sketches need at least two modes" in msg
 
+    def test_over_cap_unstructured_sketch_is_config(self, pipeline_files, capsys) -> None:
+        """Each composite of a 14^3 tensor at m = 200000 would take 299.1 MiB:
+        the plan is refused when it is made, before a map or a file is written."""
+        tmp, _, _, tensor = pipeline_files
+        cfg = write_json(tmp / "u.json", {"loo_kind": "unstructured", "m": 200_000, "m_c": 2})
+        out = tmp / "b.tskb"
+        msg = self.check("config", "sketch", "--config", cfg, "--chunks", str(tensor), "--output", str(out),
+                         capsys=capsys)
+        assert msg == "unstructured map for sketch 1 needs 299.1 MiB, over the 256 MiB cap"
+        assert not out.exists()
+
+    def test_over_cap_unstructured_bundle_is_io(self, tmp_path, capsys) -> None:
+        """A whole TSKB of a (4096, 4096, 4096) unstructured plan at m = 3 is
+        295 KB, but its composites would take 384 MiB each."""
+        body = (b"TSKB" + struct.pack("<II3QBQQ", 2, 3, 4096, 4096, 4096, LOO_KINDS.index("unstructured"), 3, 1)
+                + bytes([FAMILIES["gaussian"]]) * 6 + struct.pack("<Q", 0) + bytes(8 * (3 * 4096 * 3 + 1)) + b"\0")
+        bundle = tmp_path / "b.tskb"
+        bundle.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        out = tmp_path / "t.tuck"
+        msg = self.check("io", "recover", "--input", str(bundle), "--output", str(out), "--rank", "1",
+                         capsys=capsys)
+        assert msg.startswith("bundle holds an invalid plan: unstructured map for sketch 1 needs 384.0 MiB")
+        assert not out.exists()
+
     def test_wrong_magic_is_io(self, pipeline_files, capsys) -> None:
         tmp, _, _, tensor = pipeline_files
         # a tensor file is not a bundle

@@ -1,6 +1,7 @@
 """Metrics, noise injection, synthetic generators, and the error bound."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,45 @@ class TestBoundRhs:
             bound_rhs(0.5, [])
         with pytest.raises(ConfigError):
             bound_rhs(0.5, [-1.0])
+
+
+_X = np.random.default_rng(6).standard_normal((5, 4, 6))
+
+# id: (the argument's name in the message, the call with the number `v` in its
+# place, valid values equal to one float). Each once read its number by
+# float(): "30" gave a 30 dB tensor, True a 1 dB one and eps True "eps must be
+# in (0, 1), got 1.0".
+REAL_CASES = {
+    "add_noise_snr": ("snr target", lambda v: add_noise_snr(_X, v, seed=0),
+                      (30.0, 30, np.int64(30), np.float64(30), np.float32(30))),
+    "bound_rhs": ("eps", lambda v: bound_rhs(v, [1.0]), (0.5, np.float64(0.5), np.float32(0.5))),
+}
+
+
+@pytest.mark.parametrize("value", ["30", "0.5", "loud", None, True, False, np.True_, 30 + 0j,
+                                   np.array([30.0]), math.nan, math.inf],
+                         ids=["str", "str-eps", "text", "None", "True", "False", "np.True_", "complex",
+                              "array", "nan", "inf"])
+@pytest.mark.parametrize("case", sorted(REAL_CASES))
+def test_real_numbers_outside_the_rule_are_refused(case, value) -> None:
+    what, call, _ = REAL_CASES[case]
+    with pytest.raises(ConfigError, match=f"^{what} must be a finite number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("case", sorted(REAL_CASES))
+def test_an_integer_past_float64_is_refused_by_its_size(case) -> None:
+    """10^5000 has more digits than Python prints (4300), so the message gives its bits."""
+    what, call, _ = REAL_CASES[case]
+    with pytest.raises(ConfigError, match=f"^{what} must be a finite number, got an integer of 16610 bits$"):
+        call(10**5000)
+
+
+@pytest.mark.parametrize("case", sorted(REAL_CASES))
+def test_numpy_numbers_give_what_the_float_gives(case) -> None:
+    _, call, (value, *same) = REAL_CASES[case]
+    for v in same:
+        assert np.array_equal(call(v), call(value))
 
 
 class TestGenerators:

@@ -166,3 +166,18 @@ def test_integers_are_read_in_four_places_only() -> None:
             assert not any(isinstance(node, ast.BitAnd) for node in ast.walk(hash_bytes))
     assert sorted(readers) == ["_as_int", "_as_shape", "_int_pair", "_slab_range"]
     assert bare == []
+
+
+def test_the_library_reads_no_environment_variable() -> None:
+    """Every setting is an argument or a constant: a setting read from the
+    environment could differ between the process that made a plan and the
+    one that builds its maps, and no name, attribute or import may reach
+    ``os.environ`` or ``os.getenv``."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(tsketch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if name and getattr(node, name) in banned:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

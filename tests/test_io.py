@@ -666,6 +666,17 @@ class TestCorruption:
         with pytest.raises(IOFormatError, match="invalid plan: sketches need at least two modes"):
             read_bundle(p)
 
+    def test_over_cap_unstructured_bundle_is_refused(self, tmp_path) -> None:
+        """A whole 295 KB TSKB of a (4096, 4096, 4096) unstructured plan at
+        m = 3 names composites of 384 MiB each, a plan that cannot be made."""
+        body = (b"TSKB" + struct.pack("<II3QBQQ", 2, 3, 4096, 4096, 4096, LOO_KINDS.index("unstructured"), 3, 1)
+                + bytes([FAMILIES["gaussian"]]) * 6 + struct.pack("<Q", 0) + bytes(8 * (3 * 4096 * 3 + 1)) + b"\0")
+        p = tmp_path / "b.tskb"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(IOFormatError, match=r"^bundle holds an invalid plan: unstructured map for sketch 1 "
+                                                r"needs 384\.0 MiB, over the 256 MiB cap$"):
+            read_bundle(p)
+
     @pytest.mark.parametrize("n", [2**40, 2**58, 2**63])
     def test_hostile_tensor_shape(self, tmp_path, tensor, n) -> None:
         """A mode length far beyond the file is a format error, not a

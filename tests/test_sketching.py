@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tsketch import formats
-from tsketch.ensembles import materialize
+from tsketch.ensembles import EnsembleSpec, materialize
 from tsketch.errors import ConfigError, ShapeError, TsketchError
 from tsketch.evaluate import score
 from tsketch.recover import TuckerFactorization, compute_core_twopass, two_pass
@@ -843,19 +843,16 @@ class TestPlanMaps:
         assert np.allclose(got, compute_core_twopass(x, qs), rtol=1e-13, atol=1e-13)
 
     def test_memory_cap_refuses_before_any_map_is_built(self, monkeypatch) -> None:
-        plan = make_plan((30, 30, 30), "unstructured", 20, 2, seed=0)
+        """An unstructured plan of 100^3 and m = 4000 would draw three
+        4000 x 10^4 composites of 305.2 MiB each: it is refused when it is
+        made, and making a plan, refused or not, draws no map."""
         calls = []
         module = importlib.import_module("tsketch.sketch")
         monkeypatch.setattr(module, "materialize", lambda spec: calls.append(spec) or materialize(spec))
-        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "0.001")
-        with pytest.raises(ConfigError, match="over the 0 MiB cap"):
-            SketchAccumulator(plan)
-        with pytest.raises(ConfigError, match="over the 0 MiB cap"):
-            plan.loo_maps
+        with pytest.raises(ConfigError, match=r"^unstructured map for sketch 1 needs 305\.2 MiB"):
+            make_plan((100, 100, 100), "unstructured", 4000, 2)
+        make_plan((100, 100, 100), "unstructured", 3000, 2)
         assert calls == []
-        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "64")
-        SketchAccumulator(plan)
-        assert len(calls) == 2 * plan.d  # the three composites and the three core maps
 
 
 class TestPlanValidation:
@@ -875,20 +872,24 @@ class TestPlanValidation:
         assert len(set(fams[:3])) == 3
         assert fams[3] == fams[0]
 
-    def test_unstructured_memory_cap(self, monkeypatch) -> None:
-        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "0.001")
-        plan = make_plan((30, 30, 30), "unstructured", 20, 2, seed=0)
-        with pytest.raises(ConfigError):
-            SketchAccumulator(plan)
-        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", "64")
-        SketchAccumulator(plan)  # fits comfortably now
-
-    @pytest.mark.parametrize("cap", ["nan", "0", "-1"])
-    def test_memory_cap_must_be_positive(self, monkeypatch, cap) -> None:
-        """A nan cap would let every need pass, since no comparison with nan holds."""
-        monkeypatch.setenv("TSKETCH_MEM_CAP_MB", cap)
-        with pytest.raises(ConfigError, match="TSKETCH_MEM_CAP_MB"):
-            SketchAccumulator(make_plan((4, 4, 4), "unstructured", 2, 2, seed=0))
+    def test_unstructured_memory_cap(self) -> None:
+        """Each composite is m x prod(n_k, k != j) float64s, at most 256 MiB,
+        checked when the plan is made, by make_plan or SketchPlan alike."""
+        for shape, m, need in [
+            ((100, 100, 100), 3000, None),  # 228.9 MiB
+            ((100, 100, 100), 4000, "sketch 1 needs 305.2 MiB"),
+            ((64, 64, 64), 8192, None),  # 256 MiB exactly
+            ((64, 64, 64), 8193, "sketch 1 needs 256.0 MiB"),
+            ((1000, 1, 1000), 40, "sketch 2 needs 305.2 MiB"),  # the composite that skips mode 2 is the widest
+        ]:
+            fams = ("gaussian",) * len(shape)
+            for make in (lambda: make_plan(shape, "unstructured", m, 2),
+                         lambda: SketchPlan(shape, "unstructured", m, 2, fams, fams)):
+                if need is None:
+                    assert make().m == m
+                else:
+                    with pytest.raises(ConfigError, match=f"^unstructured map for {need}, over the 256 MiB cap$"):
+                        make()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_must_fit_a_u64(self, seed) -> None:
@@ -941,11 +942,14 @@ class TestPlanValidation:
          "config", "unstructured sketches use a single family for the composite map"),
         (lambda g: SketchPlan((4, 4, 4), "kronecker", 2, 2, g, ("gaussian", "bogus", "gaussian")),
          "config", "unknown ensemble family 'bogus'"),
+        (lambda g: SketchPlan((4, 4, 4), "kronecker", 2, 2, (["gaussian"],) * 3, g), "config",
+         "unknown ensemble family ['gaussian']"),
+        (lambda g: EnsembleSpec(["gaussian"], 3, 4, 0), "config", "unknown ensemble family ['gaussian']"),
         (lambda g: SketchAccumulator("plan"), "config", "accumulator needs a SketchPlan"),
         (lambda g: SketchAccumulator(make_plan((4, 4, 4), "kronecker", 2, 2)).merge("peer"), "config",
          "can only merge SketchAccumulators"),
     ], ids=["zero-length-mode", "m-below-1", "m_c-below-1", "family-count", "unstructured-families",
-            "unknown-family", "accumulator-of-no-plan", "merge-with-no-accumulator"])
+            "unknown-family", "unhashable-family", "unhashable-spec-family", "accumulator-of-no-plan", "merge-with-no-accumulator"])
     def test_typed_errors(self, make, category, message) -> None:
         with pytest.raises(TsketchError) as e:
             make(self.G3)
