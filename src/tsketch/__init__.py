@@ -5,136 +5,23 @@ tensor (whole or in last-mode slabs) through `sketch` / `SketchAccumulator`,
 then call `one_pass` (or `two_pass`, given a second look at the data) to get a
 `TuckerFactorization` back. Everything downstream of the plan is deterministic
 in the plan's seed.
+
+Each module's ``__all__`` is its public API, and the package re-exports them
+all. They are read before ``from .sketch import *`` rebinds ``sketch`` from
+the module to the function.
 """
 
-from .ensembles import (
-    FAMILIES,
-    EnsembleSpec,
-    derive_seed,
-    keyed_generator,
-    materialize,
-)
-from .errors import (
-    ConfigError,
-    IOFormatError,
-    RankError,
-    ShapeError,
-    SingularError,
-    TsketchError,
-)
-from .evaluate import (
-    add_noise_snr,
-    bound_rhs,
-    gen_lowrank,
-    gen_superdiag_exp,
-    gen_superdiag_poly,
-    hosvd_truncate,
-    max_principal_angle,
-    relative_error,
-    score,
-    snr_db,
-    tail_baseline,
-    tail_energy,
-)
-from .formats import (
-    TensorFile,
-    read_bundle,
-    read_chunks,
-    read_factorization,
-    read_tensor,
-    write_bundle,
-    write_chunks,
-    write_factorization,
-    write_tensor,
-)
-from .recover import (
-    TuckerFactorization,
-    compute_core_twopass,
-    one_pass,
-    reconstruct,
-    recover_core_onepass,
-    recover_core_recycled,
-    recover_factors,
-    two_pass,
-)
-from .sketch import (
-    LOO_KINDS,
-    SketchAccumulator,
-    SketchBundle,
-    SketchPlan,
-    SlabChunk,
-    make_plan,
-    sketch,
-    slab_chunks,
-)
-from .tensor import (
-    face_split,
-    fold,
-    inner,
-    mode_product,
-    multi_mode_product,
-    norm,
-    unfold,
-    vec,
-)
+from . import ensembles, errors, evaluate, formats, recover, sketch, tensor
+
+__all__ = [name for module in (ensembles, errors, evaluate, formats, recover, sketch, tensor)
+           for name in module.__all__]
+
+from .ensembles import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .evaluate import *  # noqa: E402, F403
+from .formats import *  # noqa: E402, F403
+from .recover import *  # noqa: E402, F403
+from .sketch import *  # noqa: E402, F403
+from .tensor import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "EnsembleSpec",
-    "FAMILIES",
-    "IOFormatError",
-    "LOO_KINDS",
-    "RankError",
-    "ShapeError",
-    "SingularError",
-    "SketchAccumulator",
-    "SketchBundle",
-    "SketchPlan",
-    "SlabChunk",
-    "TensorFile",
-    "TsketchError",
-    "TuckerFactorization",
-    "add_noise_snr",
-    "bound_rhs",
-    "compute_core_twopass",
-    "derive_seed",
-    "face_split",
-    "fold",
-    "gen_lowrank",
-    "gen_superdiag_exp",
-    "gen_superdiag_poly",
-    "hosvd_truncate",
-    "inner",
-    "keyed_generator",
-    "make_plan",
-    "materialize",
-    "max_principal_angle",
-    "mode_product",
-    "multi_mode_product",
-    "norm",
-    "one_pass",
-    "read_bundle",
-    "read_chunks",
-    "read_factorization",
-    "read_tensor",
-    "reconstruct",
-    "recover_core_onepass",
-    "recover_core_recycled",
-    "recover_factors",
-    "relative_error",
-    "score",
-    "sketch",
-    "slab_chunks",
-    "snr_db",
-    "tail_baseline",
-    "tail_energy",
-    "two_pass",
-    "unfold",
-    "vec",
-    "write_bundle",
-    "write_chunks",
-    "write_factorization",
-    "write_tensor",
-]

@@ -221,7 +221,7 @@ def _load_config_file(path):
         raise IOFormatError(f"cannot open config {path}: {e}")
     try:
         loaded = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past the digits Python reads
         raise ConfigError(f"config {path} is not valid JSON: {e}")
     if not isinstance(loaded, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -524,6 +524,8 @@ def _shared_state(cfg):
     keys they depend on.
     """
     generator = cfg["generator"]
+    if generator != "file" and cfg["input"] is not None:
+        raise ConfigError(f'config key input is read only by generator "file", not "{generator}"')
     if generator == "file":
         if not cfg["input"]:
             raise ConfigError('generator "file" needs an input tensor path in the config')

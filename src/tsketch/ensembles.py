@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import _as_int
+from .tensor import _as_int, _shown
 
 __all__ = [
     "FAMILIES",
@@ -55,7 +55,7 @@ def _hash_bytes(seed, tag, *indices):
     and integer indices, each integer a seed (``_seed``)."""
     h = hashlib.sha256(struct.pack("<Q", _seed(seed)))
     if not isinstance(tag, str):
-        raise ConfigError(f"tag must be a string, got {tag!r}")
+        raise ConfigError(f"tag must be a string, got {_shown(tag)}")
     raw = tag.encode("utf-8")
     h.update(struct.pack("<I", len(raw)))
     h.update(raw)
@@ -86,7 +86,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in FAMILIES:
-            raise ConfigError(f"unknown ensemble family {self.family!r}")
+            raise ConfigError(f"unknown ensemble family {_shown(self.family)}")
         object.__setattr__(self, "rows", _as_int(self.rows, "rows"))
         object.__setattr__(self, "cols", _as_int(self.cols, "cols"))
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -95,7 +95,7 @@ class EnsembleSpec:
         if self.family == "srtt" and self.rows > self.cols:
             raise ConfigError(
                 f"srtt needs rows <= cols (subsample of an orthogonal transform), "
-                f"got {self.rows}x{self.cols}"
+                f"got {_shown(self.rows)} rows and {_shown(self.cols)} columns"
             )
 
 

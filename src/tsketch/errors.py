@@ -10,6 +10,8 @@ the CLI maps to exit codes and a machine-readable stderr line:
     singular - a linear solve met a numerically rank-deficient system
 """
 
+__all__ = ["TsketchError", "ConfigError", "IOFormatError", "ShapeError", "RankError", "SingularError"]
+
 
 class TsketchError(Exception):
     """Base class; `category` is the machine-readable tag."""

@@ -25,7 +25,7 @@ from .ensembles import keyed_generator
 from .errors import ConfigError, RankError, ShapeError
 from .recover import TuckerFactorization, _rank, compute_core_twopass, reconstruct
 from .sketch import _as_slabs, _require_coverage, _slab_entries, _take_slab
-from .tensor import _as_float, _as_int, _as_shape, _as_tensor, inner, multi_mode_product, norm, unfold
+from .tensor import _as_float, _as_int, _as_shape, _as_tensor, _shown, inner, multi_mode_product, norm, unfold
 
 __all__ = [
     "relative_error",
@@ -205,7 +205,7 @@ def tail_energy(x, r, j):
     """Sum of squared singular values of the mode-j unfolding beyond index r."""
     r, m = _rank(r), unfold(x, j)
     if r > min(m.shape):
-        raise RankError(f"rank {r} exceeds min dimension {min(m.shape)} of the mode-{j} unfolding")
+        raise RankError(f"rank {_shown(r)} exceeds min dimension {min(m.shape)} of the mode-{j} unfolding")
     if m.shape[1] > m.shape[0]:
         # A wide unfolding has the singular values of R in the QR of its
         # transpose, which costs less to find and is as accurate.
@@ -222,7 +222,7 @@ def hosvd_truncate(x, r):
     """
     r, x = _rank(r), _as_tensor(x)
     if r > min(x.shape):
-        raise RankError(f"rank {r} exceeds smallest mode length {min(x.shape)}")
+        raise RankError(f"rank {_shown(r)} exceeds smallest mode length {min(x.shape)}")
     factors = []
     for j in range(1, x.ndim + 1):
         u, _, _ = np.linalg.svd(unfold(x, j), full_matrices=False)
@@ -246,12 +246,18 @@ def bound_rhs(eps, deltas):
 
 def _cube(n, d, r):
     """(n, d, r) of a generated tensor as ints: d >= 2 modes, as every plan
-    needs, of length n >= 1 (``ShapeError``, the shape read by ``_as_shape``)
-    and a rank of at most n (``RankError``)."""
-    shape = _as_shape((n,) * _as_int(d, "mode count", ShapeError, low=2))
-    n, d, r = shape[0], len(shape), _rank(r)
+    needs, of length n >= 1 (``ShapeError``, the shape read by ``_as_shape``),
+    that numpy can hold, in at most 64 modes and under 2^63 bytes of float64
+    entries (``ShapeError``), and a rank of at most n (``RankError``)."""
+    d = _as_int(d, "mode count", ShapeError, low=2)
+    if d > 64:
+        raise ShapeError(f"mode count must be at most 64, as numpy holds, got {_shown(d)}")
+    shape = _as_shape((n,) * d)
+    n, r = shape[0], _rank(r)
+    if 8 * n**d >= 2**63:
+        raise ShapeError(f"bad tensor shape {_shown(shape)}: its float64 entries take 2^63 bytes or more")
     if r > n:
-        raise RankError(f"rank {r} exceeds mode length {n}")
+        raise RankError(f"rank {_shown(r)} exceeds mode length {n}")
     return n, d, r
 
 
@@ -300,6 +306,6 @@ def tail_baseline(x, r):
     """
     r, x = _rank(r), _as_tensor(x)
     n = min(x.shape)
-    idx = np.arange(r, n)
+    idx = np.arange(min(r, n), n)
     tail = x[tuple(idx for _ in range(x.ndim))]
     return float(np.linalg.norm(tail) / norm(x))

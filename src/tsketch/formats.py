@@ -56,7 +56,7 @@ from .ensembles import FAMILIES, FAMILY_NAMES
 from .errors import ConfigError, IOFormatError, ShapeError
 from .recover import TuckerFactorization
 from .sketch import LOO_KINDS, SketchBundle, SketchPlan, SlabChunk, _fit, _int_pair, _slab_range
-from .tensor import _as_shape, _as_tensor, _real
+from .tensor import _as_shape, _as_tensor, _real, _shown
 
 __all__ = [
     "TensorFile",
@@ -64,7 +64,6 @@ __all__ = [
     "read_tensor",
     "write_chunks",
     "read_chunks",
-    "read_chunks_dense",
     "write_bundle",
     "read_bundle",
     "write_factorization",
@@ -392,7 +391,7 @@ class TensorFile:
         n = self.shape[-1]
         lo, hi = _int_pair(lo, hi)
         if not 0 <= lo <= hi <= n:
-            raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
+            raise ShapeError(f"slab [{_shown(lo)}, {_shown(hi)}) outside mode of length {n}")
         per = self._slab_bytes // 8
         out = np.empty(per * (hi - lo), dtype="<f8")
         i = max(bisect.bisect_right(self._starts, lo) - 1, 0)
@@ -420,7 +419,10 @@ class TensorFile:
 
 
 def read_chunks_dense(path):
-    """Assemble a chunk stream (or a TNSR file) into one dense tensor, checking full coverage."""
+    """Assemble a chunk stream (or a TNSR file) into one dense tensor, checking full coverage.
+
+    Not in ``__all__``: it holds the whole tensor, where the package's readers
+    stream it. The CLI's experiment reads its input through it."""
     with TensorFile(path) as x:
         return x.read(0, x.shape[-1])
 

@@ -55,7 +55,7 @@ import numpy as np
 from .ensembles import keyed_generator
 from .errors import RankError, ShapeError, SingularError
 from .sketch import _as_slabs, _int_pair, _KronSums
-from .tensor import _as_int, _as_tensor, _finite, multi_mode_product, unfold
+from .tensor import _as_int, _as_tensor, _finite, _shown, multi_mode_product, unfold
 
 __all__ = [
     "TuckerFactorization",
@@ -219,7 +219,7 @@ def recover_factors(bundle, r):
     for i, b in enumerate(bundle.loo, start=1):
         if r > min(b.shape):
             raise RankError(
-                f"rank {r} exceeds the {min(b.shape)} singular vectors available in mode {i} "
+                f"rank {_shown(r)} exceeds the {min(b.shape)} singular vectors available in mode {i} "
                 f"(sketch is {b.shape[0]}x{b.shape[1]})"
             )
         # The layout a bundle file gives, built or read alike.
@@ -362,6 +362,6 @@ def reconstruct(t, lo=0, hi=None):
     d, n = len(qs), qs[-1].shape[0]
     lo, hi = _int_pair(lo, n if hi is None else hi)
     if not 0 <= lo < hi <= n:
-        raise ShapeError(f"slab [{lo}, {hi}) outside mode of length {n}")
+        raise ShapeError(f"slab [{_shown(lo)}, {_shown(hi)}) outside mode of length {n}")
     mats = [(qs[-1][lo:hi], d)] + [(q, i) for i, q in enumerate(qs[:-1], start=1)]
     return multi_mode_product(core, mats)

@@ -83,7 +83,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, _seed, derive_seed, materialize
 from .errors import ConfigError, ShapeError
-from .tensor import _as_int, _as_shape, _as_tensor, _finite, _not_bool, _real, mode_product, unfold
+from .tensor import _as_int, _as_shape, _as_tensor, _finite, _not_bool, _real, _shown, mode_product, unfold
 
 __all__ = [
     "LOO_KINDS",
@@ -155,11 +155,11 @@ class SketchPlan:
         object.__setattr__(self, "loo_families", tuple(self.loo_families))
         object.__setattr__(self, "core_families", tuple(self.core_families))
         if self.loo_kind not in LOO_KINDS:
-            raise ConfigError(f"loo_kind must be one of {LOO_KINDS}, got {self.loo_kind!r}")
+            raise ConfigError(f"loo_kind must be one of {LOO_KINDS}, got {_shown(self.loo_kind)}")
         if self.m < 1 or self.m_c < 1:
             raise ConfigError("sketch dimensions m and m_c must be >= 1")
         if self.d < 2:  # B_1 of one mode would be the vector itself
-            raise ConfigError(f"sketches need at least two modes to compress, got shape {self.shape}")
+            raise ConfigError(f"sketches need at least two modes to compress, got shape {_shown(self.shape)}")
         if len(self.loo_families) != self.d or len(self.core_families) != self.d:
             raise ConfigError("need one leave-one-out family and one core family per mode")
         if self.loo_kind == "unstructured" and len(set(self.loo_families)) != 1:
@@ -270,7 +270,7 @@ def expand_families(family, d):
         if not all(isinstance(f, str) for f in fams):
             raise TypeError
     except TypeError:
-        raise ConfigError(f"a family is a name or a sequence of names, got {family!r}") from None
+        raise ConfigError(f"a family is a name or a sequence of names, got {_shown(family)}") from None
     if len(fams) != d:
         raise ConfigError(f"expected {d} families, got {len(fams)}")
     return fams
@@ -310,13 +310,13 @@ def slab_chunks(x, n_slabs):
     """Split a tensor into `n_slabs` roughly equal last-mode slabs, each
     payload the view ``x[..., a:b]`` of the tensor, not a copy. `n_slabs` is
     an integer of at least 1 (``ConfigError``); past the last mode's length,
-    some slabs are empty.
+    it cuts one slab per last-mode index, so no slab is empty.
 
     ``tsketch gen`` writes a TSKC stream through it when its config sets
     ``slabs``; the tests use it to stream a tensor held in memory.
     """
     x, n_slabs = _as_tensor(x), _as_int(n_slabs, "slab count")
-    bounds = np.linspace(0, x.shape[-1], n_slabs + 1).astype(int)
+    bounds = np.linspace(0, x.shape[-1], min(n_slabs, x.shape[-1]) + 1).astype(int)
     return [SlabChunk(int(a), int(b - a), x[..., a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -341,7 +341,7 @@ def _int_pair(lo, hi):
     try:
         return operator.index(_not_bool(lo)), operator.index(_not_bool(hi))
     except TypeError:
-        raise ShapeError(f"slab range lo={lo!r}, hi={hi!r} is not a pair of integers") from None
+        raise ShapeError(f"slab range lo={_shown(lo)}, hi={_shown(hi)} is not a pair of integers") from None
 
 
 def _slab_range(chunk, n, what="slab"):
@@ -351,10 +351,10 @@ def _slab_range(chunk, n, what="slab"):
     try:
         lo, count = operator.index(_not_bool(chunk.start)), operator.index(_not_bool(chunk.count))
     except TypeError:
-        raise ShapeError(f"{what} range start={chunk.start!r}, count={chunk.count!r} "
+        raise ShapeError(f"{what} range start={_shown(chunk.start)}, count={_shown(chunk.count)} "
                          "is not a pair of integers") from None
     if lo < 0 or count < 0 or lo + count > n:
-        raise ShapeError(f"{what} [{lo}, {lo + count}) outside mode of length {n}")
+        raise ShapeError(f"{what} [{_shown(lo)}, {_shown(lo + count)}) outside mode of length {_shown(n)}")
     return lo, lo + count
 
 

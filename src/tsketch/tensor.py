@@ -16,6 +16,8 @@ Conventions, fixed once and used everywhere:
   else the caller's typed error. A real-number argument (an SNR target, a
   bound's eps) enters likewise by ``_as_float``: a finite int or float (numpy's
   will do; text, a complex number or a bool is refused), else ``ConfigError``.
+  A message names a caller's value by ``_shown``, so an integer too long to
+  print still meets its typed error.
 * Tensors are d-dimensional float64 numpy arrays, d >= 1. The canonical flat
   layout is first-mode-fastest, i.e. ``vec(X) = X.ravel(order="F")``.
 * Modes are 1-based in every public signature: ``unfold(x, 1)`` arranges the
@@ -67,12 +69,12 @@ def _as_int(value, what, error=ConfigError, low=1, high=None):
     try:
         n = operator.index(_not_bool(value))
     except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+        raise error(f"{what} must be an integer, got {_shown(value)}") from None
     if (low is not None and n < low) or (high is not None and n >= high):
         if high is None:
-            raise error(f"{what} must be >= {low}, got {n}")
+            raise error(f"{what} must be >= {low}, got {_shown(n)}")
         top = "2^64" if high == 2**64 else high  # a seed's bound, written as the README writes it
-        raise error(f"{what} must be in [{low}, {top}), got {n}")
+        raise error(f"{what} must be in [{low}, {top}), got {_shown(n)}")
     return n
 
 
@@ -82,11 +84,25 @@ def _as_float(value, what):
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
-    except OverflowError:  # an int past float64, maybe past the digits Python prints
-        raise ConfigError(f"{what} must be a finite number, got an integer of {value.bit_length()} bits") from None
+    except OverflowError:  # an int past float64
+        x = math.inf
     if not math.isfinite(x):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+        raise ConfigError(f"{what} must be a finite number, got {_shown(value)}")
     return x
+
+
+def _shown(value):
+    """`value` as an error message shows it, by its repr. An integer longer
+    than Python will print (4300 digits by default) is named by its bit count
+    instead, also inside a tuple or list such as a shape."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        if isinstance(value, (tuple, list)):
+            return "(" + ", ".join(map(_shown, value)) + ")"
+        raise
 
 
 def _as_shape(shape):
@@ -96,9 +112,9 @@ def _as_shape(shape):
     try:
         shape = tuple(operator.index(_not_bool(n)) for n in shape)
     except TypeError:
-        raise ShapeError(f"tensor shape {shape!r} is not a tuple of integers") from None
+        raise ShapeError(f"tensor shape {_shown(shape)} is not a tuple of integers") from None
     if not shape or any(n < 1 for n in shape):
-        raise ShapeError(f"bad tensor shape {shape}")
+        raise ShapeError(f"bad tensor shape {_shown(shape)}")
     return shape
 
 
@@ -163,7 +179,7 @@ def fold(m, shape, j):
     j = _check_mode(len(shape), j)
     rest = shape[: j - 1] + shape[j:]
     if m.ndim != 2 or m.shape[0] != shape[j - 1] or m.shape[1] != math.prod(rest):
-        raise ShapeError(f"matrix {m.shape} inconsistent with shape {shape} at mode {j}")
+        raise ShapeError(f"matrix {m.shape} inconsistent with shape {_shown(shape)} at mode {j}")
     t = m.reshape((shape[j - 1],) + rest, order="F")
     return np.moveaxis(t, 0, j - 1)
 

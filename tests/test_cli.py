@@ -150,6 +150,19 @@ def test_gen_writes_slab_views_byte_for_byte_as_copies(tmp_path) -> None:
     assert stream.read_bytes() == copies.read_bytes()
 
 
+def test_gen_writes_one_record_per_index_past_the_mode(tmp_path) -> None:
+    """`slabs` past the last mode's length writes one record per last-mode
+    index, the stream that `slabs` equal to that length writes: 2^70 slabs
+    once asked numpy for 2^70 + 1 bounds."""
+    cfg = {"generator": "lowrank", "n": 8, "d": 3, "r_true": 2}
+    streams = {}
+    for slabs in (8, 2**70):
+        streams[slabs] = tmp_path / f"x{slabs}.tskc"
+        assert run("gen", "--config", write_json(tmp_path / f"g{slabs}.json", {**cfg, "slabs": slabs}),
+                   "--output", str(streams[slabs])) == 0
+    assert streams[2**70].read_bytes() == streams[8].read_bytes()
+
+
 def test_eval_against_chunk_stream_and_clean(pipeline_files, capsys) -> None:
     tmp, gen_cfg, sketch_cfg, tensor = pipeline_files
     noisy_cfg = {**json.loads((tmp / "gen.json").read_text()), "snr_db": 30.0, "slabs": 4}
@@ -518,8 +531,8 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize(
         "text,category",
-        [(None, "io"), ("{not json", "config"), ("[1, 2]", "config")],
-        ids=["missing", "not-json", "array"],
+        [(None, "io"), ("{not json", "config"), ("[1, 2]", "config"), ('{"n": 1' + "0" * 5000 + "}", "config")],
+        ids=["missing", "not-json", "array", "integer-of-5001-digits"],
     )
     def test_unreadable_config_file(self, tmp_path, capsys, text, category) -> None:
         cfg = tmp_path / "c.json"
@@ -770,6 +783,15 @@ class TestErrorReporting:
         cfg = write_json(tmp_path / "c.json", {"n": 40, "d": 1, "r_true": 1, **extra})
         msg = self.check("shape", command, "--config", cfg, "--output", str(out), capsys=capsys)
         assert msg == "mode count must be >= 2, got 1"
+        assert not out.exists()
+
+    def test_a_tensor_numpy_cannot_hold_is_shape(self, tmp_path, capsys) -> None:
+        """n = 2^70 names a tensor of 2^213 bytes: `gen` refuses it before it
+        allocates anything, where numpy's own ValueError once ended it."""
+        out = tmp_path / "x.tnsr"
+        cfg = write_json(tmp_path / "c.json", {"n": 2**70})
+        msg = self.check("shape", "gen", "--config", cfg, "--output", str(out), capsys=capsys)
+        assert msg.endswith("its float64 entries take 2^63 bytes or more")
         assert not out.exists()
 
     def test_one_mode_bundle_is_io(self, tmp_path, capsys) -> None:
@@ -1154,6 +1176,17 @@ class TestExperiment:
         assert run("experiment", "--config", cfg, "--output", str(out)) == EXIT_CODES["config"]
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["category"] == "config" and "input" in err["message"]
+        assert not out.exists()
+
+    def test_an_input_needs_the_file_generator(self, tmp_path, capsys) -> None:
+        """A generated sweep reads no file: an `input` beside it was once
+        ignored, and the sweep ran on a generated tensor."""
+        out = tmp_path / "x.csv"
+        cfg = write_json(tmp_path / "c.json", {**self.BASE, "input": str(tmp_path / "missing.tnsr")})
+        assert run("experiment", "--config", cfg, "--output", str(out)) == EXIT_CODES["config"]
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"category": "config",
+                       "message": 'config key input is read only by generator "file", not "lowrank"'}
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", [1, 3])

@@ -329,6 +329,7 @@ class TestGenerators:
         x = gen_superdiag_exp(n, 3, r)
         tail_sq = 1.0 + sum(10.0 ** (-2 * k) for k in range(2, n - r + 1))
         assert tail_baseline(x, r) == pytest.approx(math.sqrt(tail_sq) / norm(x), rel=1e-12)
+        assert tail_baseline(x, n) == tail_baseline(x, 10**5000) == 0.0  # no tail; numpy took no such rank
 
 
 class TestHosvd:
@@ -435,7 +436,13 @@ def test_shape_mismatch_errors() -> None:
     (lambda: gen_lowrank(4, 3, 5, seed=0), "rank", "rank 5 exceeds mode length 4"),
     (lambda: gen_superdiag_exp(4, 3, 5), "rank", "rank 5 exceeds mode length 4"),
     (lambda: gen_superdiag_poly(4, 3, 5), "rank", "rank 5 exceeds mode length 4"),
-], ids=["angle-of-bases-of-two-shapes", "tail-energy", "gen-lowrank", "gen-superdiag-exp", "gen-superdiag-poly"])
+    (lambda: gen_superdiag_exp(2**22, 3, 2), "shape",
+     "bad tensor shape (4194304, 4194304, 4194304): its float64 entries take 2^63 bytes or more"),
+    (lambda: gen_lowrank(2**63, 2, 1, seed=0), "shape",
+     "bad tensor shape (9223372036854775808, 9223372036854775808): its float64 entries take 2^63 bytes or more"),
+    (lambda: gen_lowrank(1, 65, 1, seed=0), "shape", "mode count must be at most 64, as numpy holds, got 65"),
+], ids=["angle-of-bases-of-two-shapes", "tail-energy", "gen-lowrank", "gen-superdiag-exp", "gen-superdiag-poly",
+        "gen-superdiag-exp-past-2^63-bytes", "gen-lowrank-past-2^63-bytes", "gen-lowrank-past-64-modes"])
 def test_typed_errors(call, category, message) -> None:
     with pytest.raises(TsketchError) as e:
         call()

@@ -10,6 +10,8 @@ accepted by ``EnsembleSpec`` until its matrix was built, and a slab count of
 ``seed`` take the same rule; their cases live with their callers' tests.
 Python's ``True`` and ``False`` index as 1 and 0 and were taken so, where
 numpy's bools, which have no index, were refused: now no bool is an integer.
+An integer of more digits than Python prints (4300) once raised Python's own
+``ValueError`` from the message that named it: now the message gives its bits.
 """
 
 import ast
@@ -20,8 +22,9 @@ import pytest
 
 import tsketch
 from tsketch.ensembles import EnsembleSpec, derive_seed, keyed_generator, materialize
-from tsketch.errors import ConfigError, RankError, ShapeError
+from tsketch.errors import ConfigError, RankError, ShapeError, TsketchError
 from tsketch.evaluate import add_noise_snr, gen_lowrank, gen_superdiag_exp, gen_superdiag_poly, tail_energy
+from tsketch.formats import TensorFile, write_tensor
 from tsketch.recover import TuckerFactorization, one_pass, reconstruct
 from tsketch.sketch import SketchAccumulator, SlabChunk, make_plan, sketch, slab_chunks
 from tsketch.tensor import _as_shape, fold, mode_product, multi_mode_product, unfold
@@ -32,6 +35,7 @@ CUBE = _rng.standard_normal((4, 4, 4))  # so that every mode index fits A
 A = _rng.standard_normal((3, 4))
 
 SEED_END = 2**64
+HUGE = 10**5000  # 16610 bits, more digits than Python prints
 _SHAPE = r"(tensor shape .* is not a tuple of integers|bad tensor shape .*)$"
 
 # id: (the error, the start of its message, the call with the integer `v` in
@@ -69,11 +73,13 @@ CASES = {
 
 def _refusals():
     """(case, value) for every case: 1.5, None, "2", True, False, the value
-    below its smallest, and 2^64 where a seed is meant."""
+    below its smallest, -10^5000, and 2^64 and 10^5000 where a seed is meant."""
     for case, (*_, low, seed) in sorted(CASES.items()):
-        bad = {"1.5": 1.5, "None": None, "str": "2", "True": True, "False": False, "below": low - 1}
+        bad = {"1.5": 1.5, "None": None, "str": "2", "True": True, "False": False, "below": low - 1,
+               "-huge": -HUGE}
         if seed:
             bad["2^64"] = SEED_END
+            bad["huge"] = HUGE
         for name, value in bad.items():
             yield pytest.param(case, value, id=f"{case}-{name}")
 
@@ -126,6 +132,43 @@ def test_a_bool_is_not_an_integer(case, value) -> None:
     error, message, call = BOOL_CASES[case]
     with pytest.raises(error, match="^" + message.format(v=value) + "$"):
         call(value)
+
+
+def _read(path, lo, hi):
+    with TensorFile(path) as x:
+        return x.read(lo, hi)
+
+
+# id: (the call with the integer `v` in its place, given a TNSR file of X as
+# `path`; a small value it refuses; a value past the digits Python prints)
+HUGE_CASES = {
+    "_as_shape": (lambda v, path: _as_shape((v, 3)), 0, -HUGE),
+    "make_plan-shape": (lambda v, path: make_plan((v,), "kronecker", 2, 2), 40, HUGE),
+    "make_plan-seed": (lambda v, path: make_plan(PLAN_SHAPE, "kronecker", 2, 2, seed=v), -1, HUGE),
+    "fold-shape": (lambda v, path: fold(np.ones((2, 2)), (v, 2), 1), 3, HUGE),
+    "sketch-slab": (lambda v, path: sketch([SlabChunk(v, 1, X[..., :1])], make_plan(X.shape, "kronecker", 3, 4)),
+                    6, HUGE),
+    "reconstruct-range": (lambda v, path: reconstruct(TuckerFactorization(np.ones((1, 1, 1)), [np.ones((4, 1))] * 3),
+                                                      0, v), 5, HUGE),
+    "TensorFile.read": (lambda v, path: _read(path, 0, v), 7, HUGE),
+    "one_pass-rank": (lambda v, path: one_pass(sketch(X, make_plan(X.shape, "kronecker", 3, 4)), v), 5, HUGE),
+    "tail_energy-rank": (lambda v, path: tail_energy(X, v, 1), 6, HUGE),
+    "gen_lowrank-rank": (lambda v, path: gen_lowrank(4, 3, v, seed=0), 5, HUGE),
+    "gen_lowrank-modes": (lambda v, path: gen_lowrank(2, v, 1, seed=0), 65, HUGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_CASES))
+def test_an_integer_too_long_to_print_is_named_by_its_bits(case, tmp_path) -> None:
+    """Each call refuses 10^5000 with the error it gives a small value out of
+    range, and names it by its bit count."""
+    call, small, huge = HUGE_CASES[case]
+    path = tmp_path / "x.tnsr"
+    write_tensor(path, X)
+    with pytest.raises(TsketchError) as refused:
+        call(small, path)
+    with pytest.raises(type(refused.value), match="integer of 16610 bits"):
+        call(huge, path)
 
 
 def test_a_seed_names_one_draw() -> None:

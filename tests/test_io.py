@@ -85,6 +85,14 @@ def test_slab_chunks_are_views_of_the_tensor(tensor, order) -> None:
     assert np.array_equal(np.concatenate([c.payload for c in chunks], axis=-1), x)
 
 
+def test_slab_chunks_cut_at_most_one_slab_per_index(tensor) -> None:
+    """Past the last mode's length each slab is one index and none is empty:
+    2^62 slabs once asked numpy for 2^62 + 1 bounds."""
+    n = tensor.shape[-1]
+    for count in (n, n + 1, 2**62):
+        assert [(c.start, c.count) for c in slab_chunks(tensor, count)] == [(i, 1) for i in range(n)]
+
+
 class TestWritersRefuseWithTypedErrors:
     """A writer refuses with a typed error a chunk range that is not integral
     or leaves the last mode (``ShapeError``), and entries that are not real
