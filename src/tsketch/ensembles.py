@@ -97,6 +97,8 @@ class EnsembleSpec:
                 f"srtt needs rows <= cols (subsample of an orthogonal transform), "
                 f"got {_shown(self.rows)} rows and {_shown(self.cols)} columns"
             )
+        if 8 * self.rows * self.cols >= 2**63:
+            raise ConfigError(f"a {_shown(self.rows)} x {_shown(self.cols)} map takes 2^63 bytes or more")
 
 
 def keyed_generator(seed, tag, *indices):

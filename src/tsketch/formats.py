@@ -1,27 +1,28 @@
 """Binary file formats. Everything is little-endian; floats are IEEE-754 f64.
 
-Four magics, each followed by a version u32:
+Every file begins with a header (``_header``, ``_read_header``): a magic,
+its version u32, the mode count d u32 and the shape d x u64.
 
-* ``TNSR`` v1 - a dense tensor: d u32, shape d x u64, then the entries in
-  canonical first-mode-fastest order.
-* ``TSKC`` v1 - a chunk stream: d u32, shape d x u64, then records
-  {start u64, count u64, payload f64...} covering last-mode slabs, until EOF.
-* ``TSKB`` v2 - a sketch bundle: the plan (d u32, shape d x u64, kind u8,
-  m u64, m_c u64, leave-one-out then core families 2d x u8, seed u64), B_1..B_d
-  and the core column-major in the shapes the plan makes, a flag u8 of 0 (a
-  set flag marked a bundle of part of a tensor, now refused). Nothing the
-  plan derives is stored; the header alone sizes the payload.
+* ``TNSR`` v1 - a dense tensor: its entries first-mode-fastest.
+* ``TSKC`` v1 - a chunk stream: records {start u64, count u64, payload
+  f64...} covering last-mode slabs, until EOF.
+* ``TSKB`` v2 - a sketch bundle: the rest of the plan (kind u8, m u64,
+  m_c u64, leave-one-out then core families 2d x u8, seed u64), B_1..B_d and
+  the core column-major in the shapes the plan makes, and a flag u8 that must
+  be 0, as a bundle sketches the whole tensor. Nothing the plan derives is
+  stored; the header alone sizes the payload.
   Recovery rebuilds the core maps from the seed but never a leave-one-out
   map, so how those are drawn (one per mode, shared by the sketches) is not
   part of the format: a bundle recovers the same whichever draw made it.
-* ``TUCK`` v2 - a factorization: d u32, mode lengths d x u64, r u64, core
+* ``TUCK`` v2 - a factorization (the factors' mode lengths): r u64, core
   (canonical order), factors (column-major), and a flag u8 recording that each
   factor column was sign-normalized (largest-magnitude entry positive) at
   write time, with the core adjusted so the reconstruction is unchanged.
 
 A bundle and a factorization end in a u32 ``zlib.crc32`` of every byte
 before it, folded in by ``_Crc32`` as the bytes are read or written; a
-mismatch, or any other version of either format, is an ``IOFormatError``.
+mismatch, or any other version of either format, is an ``IOFormatError``,
+as is a pipe: every reader seeks.
 
 A TNSR file and a TSKC stream both hold last-mode slabs stored
 first-mode-fastest, so any last-mode range of a slab is one contiguous run of
@@ -74,10 +75,6 @@ __all__ = [
 # intermediates between the CLI's steps: their v1, with no CRC, is not read.
 _VERSIONS = {b"TNSR": 1, b"TSKC": 1, b"TSKB": 2, b"TUCK": 2}
 
-_KIND_IDS = {kind: i for i, kind in enumerate(LOO_KINDS)}
-_KIND_NAMES = {i: kind for kind, i in _KIND_IDS.items()}
-
-
 # Every step that reads a tensor reads it in pieces of at most this many bytes
 # (and at least one last-mode slice), whatever record sizes it was written in.
 _PIECE_BYTES = 2**20
@@ -85,9 +82,13 @@ _PIECE_BYTES = 2**20
 
 def _open(path):
     try:
-        return open(path, "rb")
+        f = open(path, "rb")
     except OSError as e:
         raise IOFormatError(f"cannot open {path}: {e}")
+    if not f.seekable():
+        f.close()
+        raise IOFormatError(f"cannot read {path}: not a seekable file")
+    return f
 
 
 def _open_fd(path):
@@ -105,7 +106,7 @@ def _open_fd(path):
 
 
 @contextmanager
-def _whole(path, mode="wb", **kw):
+def _whole(path):
     """Open a new file beside `path` for writing; when the block ends it
     replaces `path`, and on any exception it is removed instead. So a write
     that is refused or fails leaves `path` absent or with its old bytes. The
@@ -129,7 +130,7 @@ def _whole(path, mode="wb", **kw):
         head, tail = os.path.split(real)
         tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        f = open(tmp or (path if fd is None else os.dup(fd)), mode, **kw)
+        f = open(tmp or (path if fd is None else os.dup(fd)), "wb")
     except OSError as e:
         raise IOFormatError(f"cannot write {path}: {e}") from None
     try:
@@ -156,20 +157,6 @@ def _need(f, n, what):
 def _read_exact(f, n, what):
     _need(f, n, what)
     return f.read(n)
-
-
-def _magic(magic):
-    return magic + struct.pack("<I", _VERSIONS[magic])
-
-
-def _expect_magic(f, magic):
-    got = f.read(4)
-    if got != magic:
-        raise IOFormatError(f"bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-    if version != _VERSIONS[magic]:
-        raise IOFormatError(f"unsupported {magic.decode()} version {version} "
-                            f"(this build reads version {_VERSIONS[magic]})")
 
 
 class _Crc32:
@@ -225,24 +212,39 @@ def _read_f64(f, count, what):
     return out
 
 
-def _shape_header(f):
+def _check_shape(magic, shape, error):
+    """Refuse with `error` a shape no `magic` header holds: a mode past a u64,
+    or a tensor of more entries than any file holds (2^128)."""
+    if max(shape) >= 2**64:
+        raise error(f"bad tensor shape {_shown(shape)}: a mode of 2^64 or more")
+    if magic in (b"TNSR", b"TSKC") and sum(n.bit_length() - 1 for n in shape) >= 128:
+        raise error(f"a shape of {len(shape)} modes names more entries than any file holds")
+
+
+def _header(magic, shape):
+    """The header of a `magic` file of `shape`, a ``ShapeError`` if its reader would refuse it."""
+    _check_shape(magic, shape, ShapeError)
+    return magic + struct.pack(f"<II{len(shape)}Q", _VERSIONS[magic], len(shape), *shape)
+
+
+def _read_header(f, *magics):
+    """(magic, shape) of a ``_header`` of one of `magics`, read forward once."""
+    magic = f.read(4)
+    if magic not in magics:
+        raise IOFormatError(f"{f.name}: expected a {b' or '.join(magics).decode()} file, found magic {magic!r}"
+                            if magics[1:] else f"bad magic {magic!r}, expected {magics[0]!r}")
+    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+    if version != _VERSIONS[magic]:
+        raise IOFormatError(f"unsupported {magic.decode()} version {version} "
+                            f"(this build reads version {_VERSIONS[magic]})")
     (d,) = struct.unpack("<I", _read_exact(f, 4, "mode count"))
     if d < 1:
         raise IOFormatError("mode count must be >= 1")
     shape = struct.unpack(f"<{d}Q", _read_exact(f, 8 * d, "shape"))
     if any(n < 1 for n in shape):
         raise IOFormatError(f"bad shape {shape}")
-    return tuple(int(n) for n in shape)
-
-
-def _tensor_shape(f):
-    """The shape in a TNSR or TSKC header, refused if it names 2^128 entries
-    or more, more than any file holds, so that no count formed from it grows
-    past the digits an error message can print."""
-    shape = _shape_header(f)
-    if sum(n.bit_length() - 1 for n in shape) >= 128:
-        raise IOFormatError(f"a shape of {len(shape)} modes names more entries than any file holds")
-    return shape
+    _check_shape(magic, shape, IOFormatError)
+    return magic, shape
 
 
 # -- tensors -------------------------------------------------------------
@@ -252,16 +254,15 @@ def write_tensor(path, x):
     """Write `x` as a TNSR file. It must have at least one mode and no mode of
     length 0 (``ShapeError``), and real entries (``ConfigError``)."""
     x = _as_tensor(x)
+    head = _header(b"TNSR", x.shape)
     with _whole(path) as f:
-        f.write(_magic(b"TNSR"))
-        f.write(struct.pack("<I", x.ndim))
-        f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
+        f.write(head)
         _write_f64(f, x)
 
 
 def read_tensor(path):
     """A TNSR file as one array, read and checked by ``TensorFile``. A TSKC
-    stream is refused: ``read_chunks_dense`` assembles either format."""
+    stream is refused."""
     with TensorFile(path) as x:
         if x.magic != b"TNSR":
             raise IOFormatError(f"{path}: expected a TNSR file, found a {x.magic.decode()} stream")
@@ -274,17 +275,17 @@ def read_tensor(path):
 def write_chunks(path, shape, chunks):
     """Write last-mode slabs; `chunks` yields SlabChunk objects.
 
-    The shape must be positive integers, refused before the file is opened,
-    and each range must lie in the last mode and each payload fit it, as
-    ``sketch._take_slab`` checks them (``ShapeError``); each payload must hold
-    real entries (``ConfigError``). Nothing else is checked: a stream may
-    leave gaps, overlap or hold non-finite entries, which its readers refuse.
+    The shape must be positive integers that a header holds (``_header``),
+    refused before the file is opened, and each range must lie in the last
+    mode and each payload fit it, as ``sketch._take_slab`` checks them
+    (``ShapeError``); each payload must hold real entries (``ConfigError``).
+    Nothing else is checked: a stream may leave gaps, overlap or hold
+    non-finite entries, which its readers refuse.
     """
     shape = _as_shape(shape)
+    head = _header(b"TSKC", shape)
     with _whole(path) as f:
-        f.write(_magic(b"TSKC"))
-        f.write(struct.pack("<I", len(shape)))
-        f.write(struct.pack(f"<{len(shape)}Q", *shape))
+        f.write(head)
         for c in chunks:
             lo, hi = _slab_range(c, shape[-1], "chunk")
             payload = _real(_fit(c.payload, shape, lo, hi, "chunk"), f"chunk [{lo}, {hi})")
@@ -342,23 +343,17 @@ class TensorFile:
     def __init__(self, path):
         self._f = _open(path)
         try:
-            self._index(path)
+            self._index()
         except BaseException:
             self._f.close()
             raise
 
-    def _index(self, path):
+    def _index(self):
         f = self._f
-        magic = f.read(4)
-        if magic not in (b"TNSR", b"TSKC"):
-            raise IOFormatError(f"{path}: expected a TNSR or TSKC file, found magic {magic!r}")
-        f.seek(0)
-        _expect_magic(f, magic)
-        self.magic = magic
-        self.shape = _tensor_shape(f)
+        self.magic, self.shape = _read_header(f, b"TNSR", b"TSKC")
         self._slab_bytes = 8 * math.prod(self.shape[:-1])
         n = self.shape[-1]
-        if magic == b"TNSR":
+        if self.magic == b"TNSR":
             _need(f, self._slab_bytes * n, "tensor entries")
             if os.fstat(f.fileno()).st_size - f.tell() > self._slab_bytes * n:
                 raise IOFormatError(f"trailing bytes after {math.prod(self.shape)} tensor entries")
@@ -446,12 +441,12 @@ def write_bundle(path, bundle):
         raise ShapeError(f"bundle arrays have shapes {got}, the plan makes {shapes}")
     arrays = [_as_tensor(b, f"mode-{j} sketch") for j, b in enumerate(bundle.loo, start=1)]
     arrays.append(_as_tensor(bundle.core, "core sketch"))
+    head = _header(b"TSKB", plan.shape) + struct.pack(
+        f"<BQQ{2 * d}BQ", LOO_KINDS.index(plan.loo_kind), plan.m, plan.m_c,
+        *(FAMILIES[fam] for fam in plan.loo_families + plan.core_families), plan.seed)
     with _whole(path) as raw:
         f = _Crc32(raw)
-        f.write(_magic(b"TSKB") + struct.pack(f"<I{d}QBQQ", d, *plan.shape, _KIND_IDS[plan.loo_kind],
-                                              plan.m, plan.m_c))
-        f.write(bytes(FAMILIES[fam] for fam in plan.loo_families + plan.core_families))
-        f.write(struct.pack("<Q", plan.seed))
+        f.write(head)
         for a in arrays:
             _write_f64(f, a)
         f.write(b"\0")  # the flag: a bundle sketches the whole tensor
@@ -467,25 +462,24 @@ def _family(family_id):
 def read_bundle(path):
     with _open(path) as raw:
         f = _Crc32(raw)
-        _expect_magic(f, b"TSKB")
-        shape = _shape_header(f)
+        _, shape = _read_header(f, b"TSKB")
         d = len(shape)
         kind_id, m, m_c = struct.unpack("<BQQ", _read_exact(f, 17, "sketch kind and dimensions"))
-        if kind_id not in _KIND_NAMES:
+        if kind_id >= len(LOO_KINDS):
             raise IOFormatError(f"unknown sketch kind id {kind_id}")
         ids = _read_exact(f, 2 * d, "families")
         (seed,) = struct.unpack("<Q", _read_exact(f, 8, "seed"))
         # The header alone sizes the payload (B_1..B_d, the core, the flag and
         # the CRC), so a header naming thousands of modes fails here, before
         # a plan is built from it.
-        cols = _power(m, d - 1 if _KIND_NAMES[kind_id] == "kronecker" else 1)
+        cols = _power(m, d - 1 if LOO_KINDS[kind_id] == "kronecker" else 1)
         need = 8 * (sum(shape) * cols + _power(m_c, d)) + 5
         left = os.fstat(raw.fileno()).st_size - raw.tell()
         if left != need:
             raise IOFormatError(f"bundle payload is {left} bytes, its header implies {need}")
         families = tuple(map(_family, ids))
         try:
-            plan = SketchPlan(shape, _KIND_NAMES[kind_id], m, m_c, families[:d], families[d:], seed)
+            plan = SketchPlan(shape, LOO_KINDS[kind_id], m, m_c, families[:d], families[d:], seed)
         except (ConfigError, ShapeError) as e:
             raise IOFormatError(f"bundle holds an invalid plan: {e}") from e
         loo = [_read_f64(f, n * cols, f"mode-{j} sketch").reshape((n, cols), order="F")
@@ -534,12 +528,10 @@ def write_factorization(path, t):
             raise ShapeError(f"factor {i} has shape {s}, not n x {r}")
     t = _sign_normalized(TuckerFactorization(_as_tensor(t.core, "core"), [
         _as_tensor(q, f"factor {i}") for i, q in enumerate(t.factors, start=1)]))
+    head = _header(b"TUCK", tuple(s[0] for s in shapes)) + struct.pack("<Q", r)
     with _whole(path) as raw:
         f = _Crc32(raw)
-        f.write(_magic(b"TUCK"))
-        f.write(struct.pack("<I", d))
-        f.write(struct.pack(f"<{d}Q", *(q.shape[0] for q in t.factors)))
-        f.write(struct.pack("<Q", t.rank))
+        f.write(head)
         _write_f64(f, t.core)
         for q in t.factors:
             _write_f64(f, q)
@@ -548,19 +540,17 @@ def write_factorization(path, t):
 
 
 def write_text(path, text):
-    """Write the string `text` to `path` as UTF-8 through `_whole`: the CLI's
-    reports and tables. Not in ``__all__``, as it writes none of the
-    library's formats; it is how the CLI, which imports no private name,
-    reaches `_whole`."""
-    with _whole(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+    """Write the string `text` to `path` as UTF-8 through `_whole`, for the
+    CLI, which imports no private name. Not in ``__all__``: it writes none
+    of the library's formats."""
+    with _whole(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def read_factorization(path):
     with _open(path) as raw:
         f = _Crc32(raw)
-        _expect_magic(f, b"TUCK")
-        shape = _shape_header(f)
+        _, shape = _read_header(f, b"TUCK")
         d = len(shape)
         (r,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
         if r < 1:

@@ -135,8 +135,8 @@ class SketchPlan:
     likewise for the core map on mode i. The plan owns its materialized maps
     (``core_maps``, ``loo_maps`` and their stacked ``mode1_stack``): built on
     first use, read-only, and shared by every accumulator and recovery of the plan.
-    Every check runs when the plan is made, before any map is drawn: an
-    unstructured composite over 256 MiB is a ``ConfigError`` then.
+    Every check runs when the plan is made, before any map is drawn: a map of
+    2^63 bytes or more, or an unstructured one over 256 MiB, is a ``ConfigError``.
     """
 
     shape: tuple
@@ -169,9 +169,9 @@ class SketchPlan:
         for i in range(1, self.d + 1):
             spec = self.loo_spec(i)
             self.core_spec(i)
-            need_mb = spec.rows * spec.cols * 8 / 2**20
-            if self.loo_kind == "unstructured" and need_mb > _MAP_CAP_MB:
-                raise ConfigError(f"unstructured map for sketch {i} needs {need_mb:.1f} MiB, "
+            need = 8 * spec.rows * spec.cols
+            if self.loo_kind == "unstructured" and need > _MAP_CAP_MB * 2**20:
+                raise ConfigError(f"unstructured map for sketch {i} needs {need / 2**20:.1f} MiB, "
                                   f"over the {_MAP_CAP_MB} MiB cap")
 
     @property

@@ -42,11 +42,11 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_python(*argv, stdout=subprocess.PIPE):
+def run_python(*argv, stdout=subprocess.PIPE, stdin=None):
     """`python argv...` in a child process that imports this tsketch, installed or not."""
     paths = [str(Path(tsketch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+    return subprocess.run([sys.executable, *argv], stdin=stdin, stdout=stdout, stderr=subprocess.PIPE,
                           text=True, env=env)
 
 
@@ -495,6 +495,51 @@ def test_per_mode_family_list_equals_mix(pipeline_files) -> None:
         assert run("sketch", "--config", cfg, "--chunks", str(tensor), "--output", str(bundles[name])) == 0
     assert read_bundle(bundles["list"]).plan.loo_families == ("gaussian", "srtt", "sparse_sign")
     assert bundles["list"].read_bytes() == bundles["mix"].read_bytes()
+
+
+class TestInputOnStdin:
+    """`/dev/stdin` names whatever standard input is: a file redirected with
+    `<` reads as the file itself does, and a pipe, which no reader can seek,
+    is an `io` error."""
+
+    @pytest.fixture
+    def files(self, pipeline_files):
+        tmp, _, sketch_cfg, tensor = pipeline_files
+        stream, bundle, tuck = tmp / "x.tskc", tmp / "b.tskb", tmp / "t.tuck"
+        x = read_tensor(tensor)
+        write_chunks(stream, x.shape, slab_chunks(x, 5))
+        run("sketch", "--config", sketch_cfg, "--chunks", str(stream), "--output", str(bundle))
+        run("recover", "--input", str(bundle), "--output", str(tuck), "--rank", "3")
+        return tmp, sketch_cfg, stream, bundle, tuck
+
+    def test_a_redirected_file_gives_the_file_routes_bundle(self, files) -> None:
+        tmp, sketch_cfg, stream, bundle, _ = files
+        out = tmp / "stdin.tskb"
+        with open(stream, "rb") as f:
+            res = run_python("-m", "tsketch.cli", "sketch", "--config", sketch_cfg, "--chunks", "/dev/stdin",
+                             "--output", str(out), stdin=f)
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == bundle.read_bytes()
+
+    @pytest.mark.parametrize("step", ["sketch", "recover", "eval-input", "eval-chunks"])
+    def test_a_pipe_is_io(self, files, step) -> None:
+        """It once ended in a traceback and exit 1, from a seek."""
+        tmp, sketch_cfg, stream, bundle, tuck = files
+        out = str(tmp / "out")
+        argv, fed = {
+            "sketch": (["sketch", "--config", sketch_cfg, "--chunks", "/dev/stdin", "--output", out], stream),
+            "recover": (["recover", "--input", "/dev/stdin", "--output", out, "--rank", "3"], bundle),
+            "eval-input": (["eval", "--input", "/dev/stdin", "--chunks", str(stream)], tuck),
+            "eval-chunks": (["eval", "--input", str(tuck), "--chunks", "/dev/stdin"], stream),
+        }[step]
+        with subprocess.Popen([sys.executable, "-c", f"import shutil, sys; shutil.copyfileobj(open({str(fed)!r}, "
+                               "'rb'), sys.stdout.buffer)"], stdout=subprocess.PIPE) as feeder:
+            res = run_python("-m", "tsketch.cli", *argv, stdin=feeder.stdout)
+        assert res.returncode == EXIT_CODES["io"]
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line)["error"] == {"category": "io",
+                                             "message": "cannot read /dev/stdin: not a seekable file"}
+        assert not os.path.exists(out)
 
 
 class TestErrorReporting:

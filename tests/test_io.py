@@ -128,10 +128,16 @@ class TestWritersRefuseWithTypedErrors:
         ((3, 0, 2), "bad tensor shape (3, 0, 2)"),
         ((5, -4, 6), "bad tensor shape (5, -4, 6)"),
         ((5, 4, 6.9), "tensor shape (5, 4, 6.9) is not a tuple of integers"),
-    ], ids=["no-mode", "zero-length-mode", "negative-length", "fractional-length"])
+        ((2**64, 4), "bad tensor shape (18446744073709551616, 4): a mode of 2^64 or more"),
+        ((2**63, 2**63, 4), "a shape of 3 modes names more entries than any file holds"),
+        ((2,) * 65536, "a shape of 65536 modes names more entries than any file holds"),
+    ], ids=["no-mode", "zero-length-mode", "negative-length", "fractional-length", "mode-past-u64",
+            "2^128-entries", "65536-modes"])
     def test_a_stream_shape_the_readers_refuse(self, tmp_path, tensor, shape, message) -> None:
         """Refused before the file is opened: `TensorFile` refuses each such
-        file, and (5, 4, 6.9) was once written silently as (5, 4, 6)."""
+        file, and (5, 4, 6.9) was once written silently as (5, 4, 6). A mode
+        of 2^64 once raised a raw `struct.error`, and the last two were once
+        written, for `TensorFile` to refuse."""
         p = tmp_path / "x.tskc"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             write_chunks(p, shape, [SlabChunk(0, 6, tensor)])
@@ -328,6 +334,41 @@ def test_writers_encode_every_layout_as_before(tmp_path, tensor) -> None:
     body = data[:-4]
     assert body.endswith(entries(signed.core) + b"".join(entries(q) for q in signed.factors) + b"\x01")
     assert data[-4:] == struct.pack("<I", zlib.crc32(body))
+
+
+@settings(max_examples=60, deadline=None)
+@given(magic=st.sampled_from(sorted(formats._VERSIONS)),
+       shape=st.lists(st.integers(1, 2**66), min_size=1, max_size=6).map(tuple))
+def test_no_writer_writes_a_header_its_reader_refuses(tmp_path_factory, magic, shape) -> None:
+    """`_read_header` reads back exactly the shape `_header` wrote, and a
+    shape `_header` refuses is one no file can hold or the reader refuses."""
+    p = tmp_path_factory.mktemp("h") / "x"
+    try:
+        head = formats._header(magic, shape)
+    except ShapeError:
+        if max(shape) < 2**64:
+            p.write_bytes(magic + struct.pack(f"<II{len(shape)}Q", formats._VERSIONS[magic], len(shape), *shape))
+            with open(p, "rb") as f, pytest.raises(IOFormatError, match="more entries than any file holds"):
+                formats._read_header(f, magic)
+        return
+    p.write_bytes(head)
+    with open(p, "rb") as f:
+        assert formats._read_header(f, magic) == (magic, shape)
+        assert f.read() == b""
+
+
+def test_every_writer_begins_with_the_header(tmp_path, tensor) -> None:
+    """Each writer's first bytes are the hand-packed magic, version, mode
+    count and shape that `test_writers_encode_every_layout_as_before` reads."""
+    files = {b"TNSR": tmp_path / "x.tnsr", b"TSKC": tmp_path / "x.tskc", b"TSKB": tmp_path / "b.tskb",
+             b"TUCK": tmp_path / "t.tuck"}
+    write_tensor(files[b"TNSR"], tensor)
+    write_chunks(files[b"TSKC"], tensor.shape, slab_chunks(tensor, 2))
+    write_bundle(files[b"TSKB"], sketch(tensor, make_plan(tensor.shape, "kronecker", 3, 4)))
+    write_factorization(files[b"TUCK"], hosvd_truncate(tensor, 2))
+    for magic, p in files.items():
+        version = 2 if magic in (b"TSKB", b"TUCK") else 1
+        assert p.read_bytes()[:36] == magic + struct.pack("<II3Q", version, 3, *tensor.shape)
 
 
 def test_chunks_dense_requires_full_coverage(tmp_path, tensor) -> None:

@@ -891,6 +891,16 @@ class TestPlanValidation:
                     with pytest.raises(ConfigError, match=f"^unstructured map for {need}, over the 256 MiB cap$"):
                         make()
 
+    @pytest.mark.parametrize("kind", LOO_KINDS)
+    def test_a_map_numpy_cannot_hold(self, kind) -> None:
+        """A mode of 10^400 names maps of 2^63 bytes or more: a `ConfigError`
+        for every kind when the plan is made, where a float size once raised
+        a raw `OverflowError`, and numpy a `ValueError` when a map was drawn."""
+        with pytest.raises(ConfigError, match=r"^a 2 x 10{400} map takes 2\^63 bytes or more$"):
+            make_plan((10**400, 4, 4), kind, 2, 2)
+        with pytest.raises(ConfigError, match=r"^a 2 x 576460752303423488 map takes 2\^63 bytes or more$"):
+            make_plan((2**59, 4, 4), kind, 1, 2)  # a core map of 2^63 bytes exactly
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_must_fit_a_u64(self, seed) -> None:
         with pytest.raises(ConfigError, match="seed"):
